@@ -218,24 +218,33 @@ def segment_mean(a: Var, seg: np.ndarray, n_seg: int) -> Var:
 
 
 def segment_max(a: Var, seg: np.ndarray, n_seg: int) -> Var:
-    """Per-segment columnwise max; gradient routes to the first argmax row."""
+    """Per-segment columnwise max; gradient routes to the first argmax row.
+
+    An empty segment (an object none of whose points were sampled) yields a
+    zero row and routes no gradient.
+    """
     seg = np.asarray(seg, dtype=np.intp)
     d = a.data.shape[1]
-    out_data = np.empty((n_seg, d))
-    winners = np.empty((n_seg, d), dtype=np.intp)
+    out_data = np.zeros((n_seg, d))
+    filled = []
+    winners = []
     for k in range(n_seg):
         rows = np.nonzero(seg == k)[0]
         if rows.size == 0:
-            raise ValueError("segment_max: empty segment")
+            continue
         sub = a.data[rows]
         arg = sub.argmax(axis=0)
         out_data[k] = sub[arg, np.arange(d)]
-        winners[k] = rows[arg]
+        filled.append(k)
+        winners.append(rows[arg])
     out = Var(out_data, (a,))
 
     def bwd(g):
-        cols = np.tile(np.arange(d), n_seg)
-        np.add.at(a.grad, (winners.ravel(), cols), g.ravel())
+        if not filled:
+            return
+        cols = np.tile(np.arange(d), len(filled))
+        np.add.at(a.grad, (np.concatenate(winners), cols),
+                  g[filled].ravel())
 
     out.bwd = bwd
     return out

@@ -76,11 +76,19 @@ class MatchSet:
 
 def farthest_point_sample(points: np.ndarray, m: int,
                           rng_seed: int) -> np.ndarray:
-    """Greedy farthest point sampling; returns m indices.
+    """Greedy farthest point sampling of an (n, 3) cloud; returns m indices.
 
     The first index is drawn from the seeded stream; each following pick
     maximizes the minimum distance to the chosen set, ties resolved toward
     the lowest index. Deterministic under rng_seed.
+
+    Rounding contract: every distance is computed as
+    sqrt((dx*dx + dy*dy) + dz*dz), the summation order of
+    ``np.linalg.norm(points - c, axis=1)``, so each value is bit-equal to
+    the norm-based one and the returned indices are exactly those of the
+    norm-based loop, ties included. The square root is kept on purpose:
+    distinct squared distances can round to the same root, and comparing
+    squares would break such ties differently.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -91,12 +99,29 @@ def farthest_point_sample(points: np.ndarray, m: int,
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     chosen = np.empty(m, dtype=np.intp)
     chosen[0] = rng.integers(n)
-    min_d = np.linalg.norm(points - points[chosen[0]], axis=1)
+    # contiguous columns and preallocated buffers: per pick the work is a
+    # fixed handful of length-n ufunc calls with no temporaries
+    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
+    min_d = np.empty(n)
+    d = np.empty(n)
+    t = np.empty(n)
+
+    def dist_to(i: int, out: np.ndarray) -> np.ndarray:
+        np.subtract(x, x[i], out=out)
+        np.multiply(out, out, out=out)
+        np.subtract(y, y[i], out=t)
+        np.multiply(t, t, out=t)
+        np.add(out, t, out=out)
+        np.subtract(z, z[i], out=t)
+        np.multiply(t, t, out=t)
+        np.add(out, t, out=out)
+        return np.sqrt(out, out=out)
+
+    dist_to(chosen[0], min_d)
     for i in range(1, m):
         nxt = int(np.argmax(min_d))  # argmax takes the first (lowest) index
         chosen[i] = nxt
-        np.minimum(min_d, np.linalg.norm(points - points[nxt], axis=1),
-                   out=min_d)
+        np.minimum(min_d, dist_to(nxt, d), out=min_d)
     return chosen
 
 

@@ -134,7 +134,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except TypeError as e:  # unknown or missing keys, mistyped values
+            raise CorruptManifest(f"config: {e}") from None
 
 
 def export_point_cloud(points: np.ndarray, path, fmt: str) -> None:
@@ -171,26 +174,41 @@ def load_point_cloud(path, fmt: str) -> np.ndarray:
         with open(path) as f:
             if f.readline().strip() != "ply":
                 raise CorruptManifest(f"{path}: not a PLY file")
-            n = None
+            count = None
             for line in f:
                 line = line.strip()
                 if line.startswith("element vertex"):
-                    n = int(line.split()[-1])
+                    count = line.split()[-1]
                 if line == "end_header":
                     break
             else:
                 raise CorruptManifest(f"{path}: missing end_header")
-            if n is None:
+            if count is None:
                 raise CorruptManifest(f"{path}: missing vertex element")
-            rows = [f.readline().split() for _ in range(n)]
-        return np.array(rows, dtype=np.float64).reshape(n, 3)
+            if not count.isdecimal():
+                raise CorruptManifest(f"{path}: bad vertex count {count!r}")
+            n = int(count)
+            rows = []
+            for _ in range(n):  # stops at the first short or missing row
+                rows.append(f.readline().split())
+                if len(rows[-1]) != 3:
+                    raise CorruptManifest(
+                        f"{path}: vertex row {len(rows) - 1} of {n} does "
+                        f"not hold 3 values")
+        try:
+            return np.array(rows, dtype=np.float64).reshape(n, 3)
+        except ValueError as e:
+            raise CorruptManifest(f"{path}: {e}") from None
     if fmt == "binary-f32":
         raw = path.read_bytes()
-        (n,) = struct.unpack("<Q", raw[:8])
-        pts = np.frombuffer(raw[8:], dtype="<f4")
-        if pts.size != 3 * n:
+        if len(raw) < 8:
             raise CorruptManifest(
-                f"{path}: {pts.size} floats for {n} points")
+                f"{path}: {len(raw)} bytes, shorter than the 8-byte header")
+        (n,) = struct.unpack("<Q", raw[:8])
+        if len(raw) - 8 != 12 * n:
+            raise CorruptManifest(
+                f"{path}: {len(raw) - 8} payload bytes for {n} points")
+        pts = np.frombuffer(raw, dtype="<f4", offset=8)
         return pts.reshape(n, 3).astype(np.float64)
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -501,8 +519,16 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
 def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
                    m_seeds: int | None = None, theta: float | None = None,
                    full_pool: bool = False) -> MatchSet:
-    """Recompute the match set of a stored pair (CLI `match` backend)."""
+    """Recompute the match set of a stored pair (CLI `match` backend).
+
+    Without a config, the dataset's own (``pair_dir/../../summary.json``)
+    is used when present, so that with no overrides the result is the
+    stored match set and the config hash is checked.
+    """
     pair_dir = Path(pair_dir)
+    dataset_dir = pair_dir.parent.parent
+    if config is None and (dataset_dir / "summary.json").exists():
+        config = _load_summary_config(dataset_dir)
     pair, manifest = load_pair(pair_dir, config)
     with open(pair_dir / "manifest.json") as f:
         doc = json.load(f)
@@ -513,7 +539,7 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     occluded_pair = ScenePair(occ_a, occ_b, manifest.pair_seed)
     theta = theta if theta is not None else manifest.theta
     if m_seeds is None:
-        m_seeds = config.m_seeds if config is not None else 100
+        m_seeds = (config or PipelineConfig()).m_seeds
     m = min(m_seeds, occ_a.points.shape[0])
     seeds_a = sample_seed_set(occ_a, m,
                               mix64(manifest.pair_seed, STREAM_MATCH_A))
@@ -522,7 +548,7 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
         seeds_b = SeedSet(np.arange(n_b, dtype=np.intp), occ_b.points,
                           occ_b.point_object_ids)
     else:
-        m_b = min(m, occ_b.points.shape[0])
+        m_b = min(m_seeds, occ_b.points.shape[0])
         seeds_b = sample_seed_set(occ_b, m_b,
                                   mix64(manifest.pair_seed, STREAM_MATCH_B))
     return match_points(occluded_pair, seeds_a, seeds_b, theta)

@@ -95,6 +95,27 @@ def test_segment_mean_and_max_grads():
     check_unary(build_max, x0)
 
 
+def test_segment_max_empty_segment_zero_row_no_grad():
+    x0 = rng.normal(size=(5, 3))
+    seg = np.array([0, 2, 0, 2, 2])  # segment 1 has no rows
+    out = ad.segment_max(ad.leaf(x0), seg, 3)
+    np.testing.assert_array_equal(out.data[1], np.zeros(3))
+    np.testing.assert_array_equal(out.data[0], x0[[0, 2]].max(axis=0))
+
+    def build_max(x):
+        return ad.chamfer(ad.segment_max(x, seg, 3),
+                          ad.constant(np.ones((1, 3))))
+
+    check_unary(build_max, x0)
+    # the empty segment's row still receives an upstream gradient; it must
+    # reach no input row
+    x = ad.leaf(x0.copy())
+    pooled = ad.segment_max(x, seg, 3)
+    ad.chamfer(ad.gather_rows(pooled, [1]),
+               ad.constant(np.ones((1, 3)))).backward()
+    np.testing.assert_array_equal(x.grad, np.zeros_like(x0))
+
+
 def test_l2_normalize_rows_grad():
     x0 = rng.normal(size=(5, 4)) + 0.5
 

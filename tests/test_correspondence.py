@@ -62,6 +62,80 @@ def test_fps_deterministic_and_bounds():
         farthest_point_sample(np.empty((0, 3)), 1, 0)
 
 
+def reference_fps(points, m, rng_seed):
+    """The norm-based FPS loop whose indices the kernel must reproduce."""
+    points = np.asarray(points, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    chosen = np.empty(m, dtype=np.intp)
+    chosen[0] = rng.integers(points.shape[0])
+    min_d = np.linalg.norm(points - points[chosen[0]], axis=1)
+    for i in range(1, m):
+        nxt = int(np.argmax(min_d))
+        chosen[i] = nxt
+        np.minimum(min_d, np.linalg.norm(points - points[nxt], axis=1),
+                   out=min_d)
+    return chosen
+
+
+FPS_SEEDS = (0, 13)  # both start a 3-point cloud at index 2
+
+# q and p have bit-equal norms, so from the origin (index 2) the first pick
+# is a tie that goes to q at index 0. Their squared norms differ, and so do
+# their norms summed in any other order: a kernel that compares squares or
+# reorders the sum picks p instead.
+TIE_UNDER_SQRT = [[-0.482, 0.599, 0.04],
+                  [-0.011072631731757931, 0.19069707324842997,
+                   0.7458129947118217],
+                  [0.0, 0.0, 0.0]]
+TIE_UNDER_ORDER = [[-1.606, 1.812, -0.603],
+                   [-2.353221039463148, 0.6168599221017661,
+                    0.5549987170549011],
+                   [0.0, 0.0, 0.0]]
+
+
+def _equivalence_clouds():
+    rng = np.random.default_rng(404)
+    lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    return {
+        "tie_under_sqrt": np.array(TIE_UNDER_SQRT),
+        "tie_under_order": np.array(TIE_UNDER_ORDER),
+        "random": rng.normal(size=(48, 3)) * [3.0, 0.5, 0.01],
+        "duplicates": rng.uniform(size=(9, 3))[rng.integers(9, size=40)],
+        "lattice": lattice[rng.permutation(len(lattice))],
+        "lattice_float32": (lattice[::2] * 0.1).astype(np.float32),
+        "strided": rng.normal(size=(30, 6))[:, ::2],
+    }
+
+
+def test_fps_tie_clouds_are_ties():
+    for cloud in (TIE_UNDER_SQRT, TIE_UNDER_ORDER):
+        q, p = np.array(cloud[:2])
+        assert np.linalg.norm(q) == np.linalg.norm(p)
+        for s in FPS_SEEDS:
+            assert reference_fps(cloud, 2, s).tolist() == [2, 0]
+    q, p = np.array(TIE_UNDER_SQRT[:2])
+    assert (q * q).sum() != (p * p).sum()
+
+
+@pytest.mark.parametrize("name", sorted(_equivalence_clouds()))
+def test_fps_matches_norm_reference_for_every_m(name):
+    pts = _equivalence_clouds()[name]
+    n = pts.shape[0]
+    for rng_seed in FPS_SEEDS:
+        for m in range(1, n + 1):
+            np.testing.assert_array_equal(
+                farthest_point_sample(pts, m, rng_seed),
+                reference_fps(pts, m, rng_seed), err_msg=f"m={m}")
+
+
+def test_fps_matches_norm_reference_at_target_scale():
+    # the detail-target size of the default config: 576 of 3072 points
+    pts = np.random.default_rng(5).normal(size=(3072, 3))
+    np.testing.assert_array_equal(farthest_point_sample(pts, 576, 21),
+                                  reference_fps(pts, 576, 21))
+
+
 # ------------------------------------------------------------ translation
 
 def test_translate_seed_identity():

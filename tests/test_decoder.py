@@ -273,6 +273,23 @@ def test_gradient_check_tiny_batch():
         + sum(v.size for v in heads.params.values())
 
 
+def test_gradient_check_with_unseeded_object():
+    # 6 encoder seeds over 4 objects: on side B object 1 gets none, so its
+    # max-pooled row is empty
+    dist = load_default_scannet_parameters()
+    pair = make_scene_pair(dist, 4, ProceduralAssetSource(n_points=32), 24)
+    pp = prepare_scene_pair(pair, n_seeds=6, m_matches=6, theta=0.25, u=2,
+                            rng_seed=24)
+    assert 1 in pp.object_ids_a and 1 not in pp.object_ids_b
+    assert len(pp.matches) > 0
+    enc = ToyEncoder(EncoderConfig(hidden=6, feature_dim=4, proj_hidden=5,
+                                   embed_dim=4), rng_seed=1)
+    heads = DecoderHeads(HeadsConfig(feature_dim=4, hidden=5, u=2),
+                         rng_seed=2)
+    result = gradient_check([pp], enc, heads)
+    assert result.ok, f"max rel {result.max_rel_error} at {result.worst}"
+
+
 def test_checkpoint_roundtrip(tmp_path):
     _, enc, heads = tiny_batch()
     path = tmp_path / "ckpt.json"

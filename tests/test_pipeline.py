@@ -1,5 +1,6 @@
 """Dataset generation, file formats, manifests, loss evaluation, CLI."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -57,6 +58,45 @@ def test_empty_cloud_valid_header(tmp_path):
     binpath = tmp_path / "empty.bin"
     export_point_cloud(np.zeros((0, 3)), binpath, "binary-f32")
     assert load_point_cloud(binpath, "binary-f32").shape == (0, 3)
+
+
+BIN_HEADER_3 = (3).to_bytes(8, "little")
+PLY_HEADER_2 = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                "property float y\nproperty float z\nend_header\n")
+
+
+@pytest.mark.parametrize("fmt,content", [
+    ("binary-f32", b""),
+    ("binary-f32", b"\x03\x00\x00"),
+    ("binary-f32", BIN_HEADER_3 + bytes(35)),
+    ("binary-f32", BIN_HEADER_3 + bytes(37)),
+    ("ascii-ply", PLY_HEADER_2 + "1 2 3\n"),
+    ("ascii-ply", PLY_HEADER_2 + "1 2 3\n4 5\n"),
+    ("ascii-ply", PLY_HEADER_2 + "1 2 3\n4 5 6 7\n"),
+    ("ascii-ply", PLY_HEADER_2 + "1 2 3\n4 five 6\n"),
+    ("ascii-ply", PLY_HEADER_2.replace("vertex 2", "vertex two")),
+], ids=["bin-empty", "bin-short-header", "bin-short-payload",
+        "bin-long-payload", "ply-missing-row", "ply-short-row",
+        "ply-long-row", "ply-non-numeric", "ply-bad-count"])
+def test_truncated_or_ragged_geometry_raises_corrupt_manifest(
+        tmp_path, fmt, content):
+    path = tmp_path / "cloud"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(CorruptManifest):
+        load_point_cloud(path, fmt)
+
+
+@pytest.mark.parametrize("command", ["losses", "match"])
+def test_cli_truncated_geometry_exit_2(tmp_path, command):
+    config = PipelineConfig(**SMALL)
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    pdir = list_pair_dirs(tmp_path / "ds")[0]
+    (pdir / "scene_a_complete.bin").write_bytes(b"\x01\x02")
+    target = tmp_path / "ds" if command == "losses" else pdir
+    assert main([command, str(target)]) == 2
 
 
 def test_format_validation(tmp_path):
@@ -117,6 +157,37 @@ def test_generate_deterministic_byte_identical(tmp_path):
         assert t1[name] == t2[name], name
 
 
+# sha256 over every file of a 4-pair default-config dataset and its loss
+# report JSONL. Recorded with the norm-based FPS loop, before the columnar
+# kernel replaced it: a change to any tree byte or loss bit shows here, and
+# a deliberate one must update these values and say so.
+GOLDEN = [
+    (0, "binary-f32",
+     "18a19a1044330286af6abcbf742a818a20341a9e9ecd091a3b0709691e632468"),
+    (1, "binary-f32",
+     "d7864de297f5a5829f08ae7d3eebc06daf7ed59764166f991cf64e1ac1aa10d9"),
+    (2, "ascii-ply",
+     "5c16f9da5688c64b1f57e11a7b7b39048832ac7864108ddb65a0ed3f2127a907"),
+]
+
+
+@pytest.mark.parametrize("master_seed,fmt,expected", GOLDEN)
+def test_golden_dataset_and_loss_digest(tmp_path, master_seed, fmt,
+                                        expected):
+    config = PipelineConfig(n_scenes=4, master_seed=master_seed,
+                            export_format=fmt)
+    out = tmp_path / "ds"
+    generate_dataset(config, out, progress=False)
+    report = tmp_path / "losses.jsonl"
+    evaluate_losses(out, report_path=report, progress=False)
+    h = hashlib.sha256()
+    for name, data in tree_bytes(out).items():
+        h.update(name.encode() + b"\0")
+        h.update(data)
+    h.update(report.read_bytes())
+    assert h.hexdigest() == expected
+
+
 def test_generate_layout_and_manifest(tmp_path):
     config = PipelineConfig(**SMALL)
     summary = generate_dataset(config, tmp_path / "ds", progress=False)
@@ -174,6 +245,41 @@ def test_match_pair_dir_full_pool_distances(tmp_path):
     assert len(matches) == 20
     # counterpart points exist exactly at f32 resolution
     assert matches.distances.max() < 1e-5
+
+
+def test_cli_match_replays_stored_matches(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["generate", "--out", str(out), "--seed", "0",
+                 "--n-scenes", "1", "--m-seeds", "40"]) == 0
+    pdir = list_pair_dirs(out)[0]
+    stored = json.loads((pdir / "manifest.json").read_text())["matches"]
+    capsys.readouterr()
+    assert main(["match", str(pdir)]) == 0
+    replayed = json.loads(capsys.readouterr().out)["matches"]
+
+    def pairs(records):
+        return [(r["a_index"], r["b_index"], r["object_id"])
+                for r in records]
+
+    assert pairs(replayed) == pairs(stored)
+    # the replay reads float32 geometry; generation matched in float64
+    np.testing.assert_allclose([r["distance"] for r in replayed],
+                               [r["distance"] for r in stored], atol=1e-6)
+
+
+def test_match_reads_and_validates_dataset_config(tmp_path):
+    config = PipelineConfig(**SMALL)
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    summary = tmp_path / "ds" / "summary.json"
+    doc = json.loads(summary.read_text())
+    doc["config"]["theta"] = 0.33
+    summary.write_text(json.dumps(doc))
+    with pytest.raises(CorruptManifest):
+        match_pair_dir(list_pair_dirs(tmp_path / "ds")[0])
+    doc["config"]["theta"] = config.theta
+    doc["config"]["bogus"] = 1
+    summary.write_text(json.dumps(doc))
+    assert main(["match", str(list_pair_dirs(tmp_path / "ds")[0])]) == 2
 
 
 def test_pair_generation_is_order_independent(tmp_path):
@@ -304,6 +410,24 @@ def test_evaluate_losses_zero_checkpoint_oracle(tmp_path):
             l_d.append(chamfer_distance(np.repeat(coords, u2, axis=0), gt_d))
         assert rep.l_rec_coarse == pytest.approx(np.mean(l_c), abs=1e-12)
         assert rep.l_rec_detail == pytest.approx(np.mean(l_d), abs=1e-12)
+
+
+def test_evaluate_losses_object_without_encoder_seeds(tmp_path):
+    # at master seed 182 the 64 encoder seeds of pair 0 miss object 8 on
+    # side A, whose pooled row is then empty
+    config = PipelineConfig(n_scenes=1, master_seed=182, batch_pairs=1)
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    from scenepretext.decoder import prepare_scene_pair
+    pair, manifest = load_pair(list_pair_dirs(tmp_path / "ds")[0], config)
+    pp = prepare_scene_pair(pair, config.n_encoder_seeds, config.m_seeds,
+                            config.theta, config.u, manifest.pair_seed)
+    assert 8 not in pp.object_ids_a and 8 in pp.object_ids_b
+    for with_gradients in (False, True):
+        (rep,) = evaluate_losses(tmp_path / "ds", config, progress=False,
+                                 with_gradients=with_gradients)
+        assert np.isfinite(rep.l_overall)
+    assert all(np.all(np.isfinite(g)) for term in rep.gradients.values()
+               for g in term.values())
 
 
 def test_evaluate_losses_empty_dir_raises(tmp_path):
