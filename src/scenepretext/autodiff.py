@@ -122,17 +122,6 @@ def relu(a: Var) -> Var:
     return out
 
 
-def scale(a: Var, c: float) -> Var:
-    c = float(c)
-    out = Var(a.data * c, (a,))
-
-    def bwd(g):
-        a.grad += g * c
-
-    out.bwd = bwd
-    return out
-
-
 def wsum(terms: Sequence[Var], weights: Sequence[float] | None = None) -> Var:
     """Weighted sum of same-shape Vars (used for scalar loss combinations)."""
     if weights is None:

@@ -16,7 +16,7 @@ from .assets import ProceduralAssetSource
 from .catalog import CategoryTable, fit_scene_distribution
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       gradient_check, prepare_scene_pair)
-from .errors import CorruptManifest, ScenePretextError
+from .errors import CorruptManifest, DimensionMismatch, ScenePretextError
 from .pipeline import (PipelineConfig, evaluate_losses, generate_dataset,
                        match_pair_dir)
 from .scenegen import make_scene_pair
@@ -95,7 +95,7 @@ def _cmd_losses(args) -> int:
     try:
         evaluate_losses(dataset, checkpoint=args.checkpoint,
                         report_path=args.report)
-    except CorruptManifest as e:
+    except (CorruptManifest, DimensionMismatch) as e:
         raise UsageError(str(e))
     return EXIT_OK
 

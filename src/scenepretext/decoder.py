@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
                              match_points, sample_seed_set)
-from .errors import DimensionMismatch, TooFewPoints
+from .errors import CorruptManifest, DimensionMismatch, TooFewPoints
 from .losses import (FeatureBatch, LossReport, PairFeatures,
                      object_level_graph, point_level_graph)
 from .occlusion import occlude_scene
@@ -46,6 +46,17 @@ def _init_mlp(rng, sizes: Sequence[int], prefix: str) -> dict[str, np.ndarray]:
         params[f"{prefix}_w{i}"] = _uniform_init(rng, fin, (fin, fout))
         params[f"{prefix}_b{i}"] = _uniform_init(rng, fin, (fout,))
     return params
+
+
+def _check_param_shapes(params: dict[str, np.ndarray],
+                        expected: dict[str, tuple], what: str) -> None:
+    if set(params) != set(expected):
+        raise DimensionMismatch(
+            f"{what} parameter names {sorted(params)} != {sorted(expected)}")
+    for k, shape in expected.items():
+        if params[k].shape != shape:
+            raise DimensionMismatch(
+                f"{k}: shape {params[k].shape}, expected {shape}")
 
 
 def _mlp_layers(params: dict[str, ad.Var], prefix: str,
@@ -104,14 +115,7 @@ class ToyEncoder:
             "proj_w2": (c.proj_hidden, c.embed_dim),
             "proj_b2": (c.embed_dim,),
         }
-        if set(self.params) != set(expected):
-            raise DimensionMismatch(
-                f"encoder parameter names {sorted(self.params)} != "
-                f"{sorted(expected)}")
-        for k, shape in expected.items():
-            if self.params[k].shape != shape:
-                raise DimensionMismatch(
-                    f"{k}: shape {self.params[k].shape}, expected {shape}")
+        _check_param_shapes(self.params, expected, "encoder")
 
     @classmethod
     def zeros(cls, config: EncoderConfig = EncoderConfig()) -> "ToyEncoder":
@@ -188,14 +192,7 @@ class DecoderHeads:
             "fold_w1": (2 + 3 + s, hid), "fold_b1": (hid,),
             "fold_w2": (hid, 3), "fold_b2": (3,),
         }
-        if set(self.params) != set(expected):
-            raise DimensionMismatch(
-                f"head parameter names {sorted(self.params)} != "
-                f"{sorted(expected)}")
-        for k, shape in expected.items():
-            if self.params[k].shape != shape:
-                raise DimensionMismatch(
-                    f"{k}: shape {self.params[k].shape}, expected {shape}")
+        _check_param_shapes(self.params, expected, "head")
 
     @classmethod
     def zeros(cls, config: HeadsConfig = HeadsConfig()) -> "DecoderHeads":
@@ -384,6 +381,30 @@ def _loss_graph(prepared: Sequence[PreparedPair], params: dict[str, ad.Var],
     return losses, counts
 
 
+def _param_arrays(encoder: ToyEncoder, heads: DecoderHeads
+                  ) -> dict[str, np.ndarray]:
+    """Every parameter, keyed "encoder.<name>" / "heads.<name>"."""
+    return {f"{scope}.{k}": v
+            for scope, net in (("encoder", encoder), ("heads", heads))
+            for k, v in net.params.items()}
+
+
+def _overall_graph(prepared, param_arrays, encoder, heads, tau, lambda_pts,
+                   lambda_rec) -> tuple[dict[str, ad.Var], dict, dict]:
+    """Leaf Vars for ``param_arrays``, the loss Vars and counts; the losses
+    add l_rec = coarse + detail and l_overall = obj + lambda_pts * pts +
+    lambda_rec * rec to the four reported terms."""
+    params = {k: ad.leaf(v) for k, v in param_arrays.items()}
+    short = {k.split(".", 1)[1]: v for k, v in params.items()}
+    losses, counts = _loss_graph(prepared, short, encoder, heads, tau)
+    losses["l_rec"] = ad.wsum([losses["l_rec_coarse"],
+                               losses["l_rec_detail"]])
+    losses["l_overall"] = ad.wsum(
+        [losses["l_obj"], losses["l_pts"], losses["l_rec"]],
+        [1.0, lambda_pts, lambda_rec])
+    return params, losses, counts
+
+
 def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
                      encoder: ToyEncoder, heads: DecoderHeads,
                      tau: float = 0.03, lambda_pts: float = 0.1,
@@ -394,36 +415,37 @@ def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
     Returns a LossReport whose overall value satisfies
     overall = obj + lambda_pts * pts + lambda_rec * (coarse + detail)
     exactly, and (optionally) per-term analytic gradients for every encoder
-    and head parameter, keyed "encoder.<name>" / "heads.<name>".
+    and head parameter, keyed "encoder.<name>" / "heads.<name>". The
+    l_overall gradient is the same lambda-weighted sum of the l_obj, l_pts
+    and l_rec gradients, so it costs no backward pass of its own.
     """
     if isinstance(prepared, PreparedPair):
         prepared = [prepared]
-    params = {f"encoder.{k}": ad.leaf(v) for k, v in encoder.params.items()}
-    params.update({f"heads.{k}": ad.leaf(v) for k, v in heads.params.items()})
-    short = {k.split(".", 1)[1]: v for k, v in params.items()}
-    losses, counts = _loss_graph(prepared, short, encoder, heads, tau)
-    l_rec = ad.wsum([losses["l_rec_coarse"], losses["l_rec_detail"]])
-    l_overall = ad.wsum([losses["l_obj"], losses["l_pts"], l_rec],
-                        [1.0, lambda_pts, lambda_rec])
+    params, losses, counts = _overall_graph(
+        prepared, _param_arrays(encoder, heads), encoder, heads, tau,
+        lambda_pts, lambda_rec)
     gradients = None
     if with_gradients:
         gradients = {}
-        roots = {"l_obj": losses["l_obj"], "l_pts": losses["l_pts"],
-                 "l_rec": l_rec, "l_overall": l_overall}
-        for term, root in roots.items():
+        for term in ("l_obj", "l_pts", "l_rec"):
             for v in params.values():
                 v.grad = None
-            if root.parents:
-                root.backward()
+            if losses[term].parents:
+                losses[term].backward()
             gradients[term] = {
                 name: (v.grad.copy() if v.grad is not None
                        else np.zeros_like(v.data))
                 for name, v in params.items()}
+        gradients["l_overall"] = {
+            name: (gradients["l_obj"][name]
+                   + lambda_pts * gradients["l_pts"][name]
+                   + lambda_rec * gradients["l_rec"][name])
+            for name in params}
     return LossReport(
         l_obj=losses["l_obj"].item(), l_pts=losses["l_pts"].item(),
         l_rec_coarse=losses["l_rec_coarse"].item(),
         l_rec_detail=losses["l_rec_detail"].item(),
-        l_overall=l_overall.item(),
+        l_overall=losses["l_overall"].item(),
         lambda_pts=lambda_pts, lambda_rec=lambda_rec,
         counts=counts, gradients=gradients)
 
@@ -433,30 +455,36 @@ def save_checkpoint(encoder: ToyEncoder, heads: DecoderHeads, path) -> None:
     doc = {
         "encoder_config": asdict(encoder.config),
         "heads_config": asdict(heads.config),
-        "params": {},
+        "params": {key: {"shape": list(arr.shape),
+                         "data": arr.ravel().tolist()}
+                   for key, arr in _param_arrays(encoder, heads).items()},
     }
-    for scope, params in (("encoder", encoder.params),
-                          ("heads", heads.params)):
-        for name, arr in params.items():
-            doc["params"][f"{scope}.{name}"] = {
-                "shape": list(arr.shape),
-                "data": arr.ravel().tolist(),
-            }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
 
 
 def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:
-    """Load a checkpoint, validating every tensor against its shape entry."""
+    """Load a checkpoint, validating every tensor against its shape entry.
+
+    Bad structure (missing key, unknown config field or parameter scope)
+    raises CorruptManifest; a wrong tensor size or shape DimensionMismatch.
+    """
     with open(path) as f:
         doc = json.load(f)
-    enc_cfg = EncoderConfig(**doc["encoder_config"])
-    heads_cfg = HeadsConfig(**doc["heads_config"])
+    try:
+        enc_cfg = EncoderConfig(**doc["encoder_config"])
+        heads_cfg = HeadsConfig(**doc["heads_config"])
+        entries = {key: (entry["data"], tuple(entry["shape"]))
+                   for key, entry in doc["params"].items()}
+    except (KeyError, TypeError) as e:  # missing key, unknown config field
+        raise CorruptManifest(f"checkpoint {path}: {e!r}") from None
     scoped: dict[str, dict[str, np.ndarray]] = {"encoder": {}, "heads": {}}
-    for key, entry in doc["params"].items():
-        scope, name = key.split(".", 1)
-        arr = np.array(entry["data"], dtype=np.float64)
-        shape = tuple(entry["shape"])
+    for key, (data, shape) in entries.items():
+        scope, _, name = key.partition(".")
+        if scope not in scoped:
+            raise CorruptManifest(
+                f"checkpoint {path}: {key!r} has unknown scope {scope!r}")
+        arr = np.array(data, dtype=np.float64)
         if arr.size != int(np.prod(shape)):
             raise DimensionMismatch(
                 f"{key}: {arr.size} values for shape {shape}")
@@ -476,19 +504,12 @@ class GradientCheckResult:
     n_kink_entries: int = 0
 
 
-def _forward_values(prepared, params_arrays, encoder, heads, tau,
+def _forward_values(prepared, param_arrays, encoder, heads, tau,
                     lambda_pts, lambda_rec) -> dict[str, float]:
-    params = {k: ad.leaf(v) for k, v in params_arrays.items()}
-    short = {k.split(".", 1)[1]: v for k, v in params.items()}
-    losses, _ = _loss_graph(prepared, short, encoder, heads, tau)
-    l_rec = losses["l_rec_coarse"].item() + losses["l_rec_detail"].item()
-    return {
-        "l_obj": losses["l_obj"].item(),
-        "l_pts": losses["l_pts"].item(),
-        "l_rec": l_rec,
-        "l_overall": losses["l_obj"].item() + lambda_pts * losses["l_pts"].item()
-        + lambda_rec * l_rec,
-    }
+    _, losses, _ = _overall_graph(prepared, param_arrays, encoder, heads,
+                                  tau, lambda_pts, lambda_rec)
+    return {t: losses[t].item()
+            for t in ("l_obj", "l_pts", "l_rec", "l_overall")}
 
 
 def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
@@ -519,8 +540,6 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
         prepared = [prepared]
     report = forward_backward(prepared, encoder, heads, tau,
                               lambda_pts, lambda_rec, with_gradients=True)
-    base = {f"encoder.{k}": v.copy() for k, v in encoder.params.items()}
-    base.update({f"heads.{k}": v.copy() for k, v in heads.params.items()})
     terms = ["l_obj", "l_pts", "l_rec", "l_overall"]
 
     def fd_at(work, name, i, h) -> dict[str, float]:
@@ -538,7 +557,7 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
     def rel_err(a: float, n: float) -> float:
         return abs(a - n) / max(abs(a), abs(n), floor)
 
-    work = {k: v.copy() for k, v in base.items()}
+    work = {k: v.copy() for k, v in _param_arrays(encoder, heads).items()}
     per_term = {t: 0.0 for t in terms}
     worst = {t: "" for t in terms}
     n_entries = 0

@@ -49,9 +49,5 @@ class EmptySet(ScenePretextError):
     """A point set that must be nonempty is empty."""
 
 
-class NoMatches(ScenePretextError):
-    """No point correspondences survived threshold masking."""
-
-
 class CorruptManifest(ScenePretextError):
     """A pair manifest is missing files or fails validation."""

@@ -68,10 +68,6 @@ class PairFeatures:
         object.__setattr__(self, "categories",
                            np.asarray(self.categories, dtype=np.intp))
 
-    @property
-    def n_instances(self) -> int:
-        return self.categories.shape[0]
-
 
 @dataclass(frozen=True)
 class FeatureBatch:
@@ -85,13 +81,6 @@ class FeatureBatch:
         for i, p in enumerate(self.pairs):
             if p.h_a.shape[1] != d or p.h_b.shape[1] != d:
                 raise EmptyBatch(f"pair {i}: feature dim differs from pair 0")
-
-    def pooled(self, pair_index: int, side: str) -> dict[int, np.ndarray]:
-        """Per-instance mean of raw projected rows (inspection helper)."""
-        p = self.pairs[pair_index]
-        h = p.h_a if side == "a" else p.h_b
-        ids = p.object_ids_a if side == "a" else p.object_ids_b
-        return {int(k): h[ids == k].mean(axis=0) for k in np.unique(ids)}
 
 
 @dataclass

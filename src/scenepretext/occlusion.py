@@ -52,17 +52,13 @@ def _kept_for_fraction(placed: np.ndarray, viewpoint: np.ndarray,
 
 def occlude_scene(scene: SceneInstance, rng_seed: int,
                   fractions: np.ndarray | None = None,
-                  viewpoint: np.ndarray | None = None,
-                  jitter_sigma: float = 0.0
+                  viewpoint: np.ndarray | None = None
                   ) -> tuple[SceneInstance, OcclusionRecord]:
     """Occlude every object of the scene; returns (occluded scene, record).
 
     ``fractions`` and ``viewpoint`` override the random draws (used by tests
     and replay); normally both come from the seeded stream. Object order and
-    surviving point order are preserved. ``jitter_sigma`` > 0 additionally
-    perturbs surviving points with isotropic world-frame Gaussian noise;
-    jitter is not stored in the record, so replay reproduces geometry only
-    when it is off.
+    surviving point order are preserved.
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     lo, hi = scene.points.min(axis=0), scene.points.max(axis=0)
@@ -78,25 +74,13 @@ def occlude_scene(scene: SceneInstance, rng_seed: int,
         raise ValueError(f"fractions outside [0, {MAX_FRACTION}]")
 
     kept_lists = []
-    new_objects = []
     for k, obj in enumerate(scene.objects):
         if obj.n_points < 2:
             raise DegenerateObject(f"object {k} has {obj.n_points} points")
-        kept = _kept_for_fraction(obj.placed_points(), viewpoint,
-                                  float(fractions[k]))
-        kept_lists.append(kept)
-        canonical = obj.canonical_points[kept]
-        if jitter_sigma > 0.0:
-            # isotropic world noise maps into the canonical frame as
-            # sigma/scale (rotation leaves the distribution unchanged)
-            canonical = canonical + rng.normal(
-                0.0, jitter_sigma / obj.transform.scale, size=canonical.shape)
-        new_objects.append(ObjectInstance(
-            obj.category_id, obj.instance_id, canonical, obj.transform))
-    occluded = SceneInstance.from_objects(scene.scene_type_id, new_objects,
-                                          scene.floor_points)
+        kept_lists.append(_kept_for_fraction(obj.placed_points(), viewpoint,
+                                             float(fractions[k])))
     record = OcclusionRecord(viewpoint, fractions, tuple(kept_lists))
-    return occluded, record
+    return replay_occlusion(scene, record), record
 
 
 def replay_occlusion(scene: SceneInstance,
@@ -107,5 +91,4 @@ def replay_occlusion(scene: SceneInstance,
                        o.canonical_points[kept], o.transform)
         for o, kept in zip(scene.objects, record.kept_indices)
     ]
-    return SceneInstance.from_objects(scene.scene_type_id, new_objects,
-                                      scene.floor_points)
+    return SceneInstance.from_objects(scene.scene_type_id, new_objects)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .assets import DirectoryAssetSource, ProceduralAssetSource
 from .catalog import SceneDistribution, load_default_scannet_parameters
-from .correspondence import (MatchSet, SeedSet, match_points,
+from .correspondence import (MatchSet, full_seed_pool, match_points,
                              sample_seed_set)
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, PreparedPair,
                       ToyEncoder, forward_backward, load_checkpoint,
@@ -35,6 +35,14 @@ from .seeding import (STREAM_MATCH_A, STREAM_MATCH_B, STREAM_OCCLUDE_A,
 
 FORMATS = ("ascii-ply", "binary-f32")
 _FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
+
+
+def _from_dict(cls, doc: dict, what: str):
+    """Build a dataclass from a stored JSON object, refusing bad fields."""
+    try:
+        return cls(**doc)
+    except TypeError as e:  # unknown or missing keys, mistyped values
+        raise CorruptManifest(f"{what}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,6 @@ class PipelineConfig:
     room_size: float = 6.0
     scale_min: float = 0.9
     scale_max: float = 1.1
-    yaw_only: bool = True
-    include_floor: bool = False
     occlude: bool = True
     batch_pairs: int = 2
     distribution_file: str | None = None
@@ -107,9 +113,7 @@ class PipelineConfig:
 
     def layout(self) -> LayoutParams:
         return LayoutParams(room_size=self.room_size,
-                            scale_range=(self.scale_min, self.scale_max),
-                            yaw_only=self.yaw_only,
-                            include_floor=self.include_floor)
+                            scale_range=(self.scale_min, self.scale_max))
 
     def make_asset_source(self):
         if self.asset_source == "procedural":
@@ -134,10 +138,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        try:
-            return cls(**doc)
-        except TypeError as e:  # unknown or missing keys, mistyped values
-            raise CorruptManifest(f"config: {e}") from None
+        return _from_dict(cls, doc, "config")
 
 
 def export_point_cloud(points: np.ndarray, path, fmt: str) -> None:
@@ -237,7 +238,7 @@ class PairManifest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PairManifest":
-        return cls(**doc)
+        return _from_dict(cls, doc, "manifest")
 
 
 def _pair_dir(out_dir: Path, pair_id: int) -> Path:
@@ -286,6 +287,24 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
     return manifest
 
 
+def _match_occluded(occluded: ScenePair, m_seeds: int, theta: float,
+                    full_pool: bool = False) -> MatchSet:
+    """Match up to M FPS seeds of occluded scene A into scene B.
+
+    Each side draws min(M, its point count) seeds from its own match
+    stream; with ``full_pool`` every point of B is a candidate instead.
+    """
+    occ_a, occ_b = occluded.scene_a, occluded.scene_b
+    seeds_a = sample_seed_set(occ_a, min(m_seeds, occ_a.points.shape[0]),
+                              mix64(occluded.pair_seed, STREAM_MATCH_A))
+    if full_pool:
+        seeds_b = full_seed_pool(occ_b)
+    else:
+        seeds_b = sample_seed_set(occ_b, min(m_seeds, occ_b.points.shape[0]),
+                                  mix64(occluded.pair_seed, STREAM_MATCH_B))
+    return match_points(occluded, seeds_a, seeds_b, theta)
+
+
 def generate_pair(config: PipelineConfig, dist: SceneDistribution,
                   asset_source, pair_id: int
                   ) -> tuple[ScenePair, SceneInstance, SceneInstance,
@@ -294,24 +313,14 @@ def generate_pair(config: PipelineConfig, dist: SceneDistribution,
     pair_seed = mix64(config.master_seed, pair_id)
     pair = make_scene_pair(dist, config.n_objects_per_scene, asset_source,
                            pair_seed, config.layout())
-    if config.occlude:
-        occ_a, rec_a = occlude_scene(pair.scene_a,
-                                     mix64(pair_seed, STREAM_OCCLUDE_A))
-        occ_b, rec_b = occlude_scene(pair.scene_b,
-                                     mix64(pair_seed, STREAM_OCCLUDE_B))
-    else:
-        occ_a, rec_a = occlude_scene(
-            pair.scene_a, mix64(pair_seed, STREAM_OCCLUDE_A),
-            fractions=np.zeros(pair.scene_a.n_objects))
-        occ_b, rec_b = occlude_scene(
-            pair.scene_b, mix64(pair_seed, STREAM_OCCLUDE_B),
-            fractions=np.zeros(pair.scene_b.n_objects))
-    occluded_pair = ScenePair(occ_a, occ_b, pair_seed)
-    m = min(config.m_seeds, occ_a.points.shape[0])
-    seeds_a = sample_seed_set(occ_a, m, mix64(pair_seed, STREAM_MATCH_A))
-    m_b = min(config.m_seeds, occ_b.points.shape[0])
-    seeds_b = sample_seed_set(occ_b, m_b, mix64(pair_seed, STREAM_MATCH_B))
-    matches = match_points(occluded_pair, seeds_a, seeds_b, config.theta)
+    # zero fractions keep every point; the viewpoint is still drawn
+    fractions = None if config.occlude else np.zeros(pair.scene_a.n_objects)
+    occ_a, rec_a = occlude_scene(pair.scene_a,
+                                 mix64(pair_seed, STREAM_OCCLUDE_A), fractions)
+    occ_b, rec_b = occlude_scene(pair.scene_b,
+                                 mix64(pair_seed, STREAM_OCCLUDE_B), fractions)
+    matches = _match_occluded(ScenePair(occ_a, occ_b, pair_seed),
+                              config.m_seeds, config.theta)
     return pair, occ_a, occ_b, rec_a, rec_b, matches
 
 
@@ -530,25 +539,13 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     if config is None and (dataset_dir / "summary.json").exists():
         config = _load_summary_config(dataset_dir)
     pair, manifest = load_pair(pair_dir, config)
-    with open(pair_dir / "manifest.json") as f:
-        doc = json.load(f)
     occ_a = replay_occlusion(pair.scene_a,
-                             OcclusionRecord.from_dict(doc["occlusion_a"]))
+                             OcclusionRecord.from_dict(manifest.occlusion_a))
     occ_b = replay_occlusion(pair.scene_b,
-                             OcclusionRecord.from_dict(doc["occlusion_b"]))
-    occluded_pair = ScenePair(occ_a, occ_b, manifest.pair_seed)
-    theta = theta if theta is not None else manifest.theta
+                             OcclusionRecord.from_dict(manifest.occlusion_b))
     if m_seeds is None:
         m_seeds = (config or PipelineConfig()).m_seeds
-    m = min(m_seeds, occ_a.points.shape[0])
-    seeds_a = sample_seed_set(occ_a, m,
-                              mix64(manifest.pair_seed, STREAM_MATCH_A))
-    if full_pool:
-        n_b = occ_b.points.shape[0]
-        seeds_b = SeedSet(np.arange(n_b, dtype=np.intp), occ_b.points,
-                          occ_b.point_object_ids)
-    else:
-        m_b = min(m_seeds, occ_b.points.shape[0])
-        seeds_b = sample_seed_set(occ_b, m_b,
-                                  mix64(manifest.pair_seed, STREAM_MATCH_B))
-    return match_points(occluded_pair, seeds_a, seeds_b, theta)
+    if theta is None:
+        theta = manifest.theta
+    return _match_occluded(ScenePair(occ_a, occ_b, manifest.pair_seed),
+                           m_seeds, theta, full_pool)

@@ -66,10 +66,6 @@ class Transform:
             self.scale * other.scale,
         )
 
-    @classmethod
-    def identity(cls) -> "Transform":
-        return cls(np.eye(3), np.zeros(3), 1.0)
-
     def to_dict(self) -> dict:
         return {"rotation": self.rotation.tolist(),
                 "translation": self.translation.tolist(),
@@ -106,7 +102,6 @@ class SceneInstance:
     objects: tuple[ObjectInstance, ...]
     points: np.ndarray
     point_object_ids: np.ndarray
-    floor_points: np.ndarray | None = None
 
     @property
     def n_objects(self) -> int:
@@ -114,14 +109,12 @@ class SceneInstance:
 
     @classmethod
     def from_objects(cls, scene_type_id: int,
-                     objects: Sequence[ObjectInstance],
-                     floor_points: np.ndarray | None = None
-                     ) -> "SceneInstance":
+                     objects: Sequence[ObjectInstance]) -> "SceneInstance":
         parts = [o.placed_points() for o in objects]
         ids = np.concatenate([np.full(p.shape[0], k, dtype=np.intp)
                               for k, p in enumerate(parts)])
         return cls(scene_type_id, tuple(objects),
-                   np.concatenate(parts, axis=0), ids, floor_points)
+                   np.concatenate(parts, axis=0), ids)
 
 
 @dataclass(frozen=True)
@@ -145,14 +138,11 @@ class ScenePair:
 
 @dataclass(frozen=True)
 class LayoutParams:
-    """Knobs for random placement; defaults give a 6 m room, yaw-only spin."""
+    """Knobs for random placement; defaults give a 6 m room."""
 
     room_size: float = 6.0
     scale_range: tuple[float, float] = (0.9, 1.1)
-    yaw_only: bool = True
     max_attempts: int = 1000
-    include_floor: bool = False
-    floor_points: int = 512
 
 
 @dataclass(frozen=True)
@@ -189,20 +179,10 @@ def sample_scene_spec(dist: SceneDistribution, n_objects: int,
     return SceneSpec(scene_type, tuple(draws))
 
 
-def _random_rotation(rng: np.random.Generator, yaw_only: bool) -> np.ndarray:
-    if yaw_only:
-        a = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    # uniform SO(3) via quaternion
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
+def _random_yaw(rng: np.random.Generator) -> np.ndarray:
+    a = rng.uniform(0.0, 2.0 * np.pi)
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _boxes_overlap(lo1, hi1, lo2, hi2) -> bool:
@@ -238,7 +218,7 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
         cat, inst = spec.draws[k]
         canonical = canonicals[k]
         for attempt in range(layout.max_attempts):
-            rot = _random_rotation(rng, layout.yaw_only)
+            rot = _random_yaw(rng)
             scale = rng.uniform(*layout.scale_range)
             body = scale * canonical @ rot.T
             lo, hi = body.min(axis=0), body.max(axis=0)
@@ -262,14 +242,7 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
                 f"object {k} (category {cat}) not placed after "
                 f"{layout.max_attempts} attempts")
     placed = [placed_by_k[k] for k in range(len(spec.draws))]
-    floor = None
-    if layout.include_floor:
-        g = int(np.ceil(np.sqrt(layout.floor_points)))
-        xs = np.linspace(0.0, room, g)
-        gx, gy = np.meshgrid(xs, xs)
-        floor = np.stack([gx.ravel(), gy.ravel(),
-                          np.zeros(g * g)], axis=1)
-    return SceneInstance.from_objects(spec.scene_type_id, placed, floor)
+    return SceneInstance.from_objects(spec.scene_type_id, placed)
 
 
 def make_scene_pair(dist: SceneDistribution, n_objects: int,

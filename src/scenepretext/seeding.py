@@ -15,8 +15,6 @@ order-independent and an implementation in any language can reproduce them:
 
 from __future__ import annotations
 
-import numpy as np
-
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -40,7 +38,3 @@ def mix64(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
-
-
-def rng_from(master: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(mix64(master, index)))

@@ -167,7 +167,7 @@ def test_chamfer_self_is_exactly_zero():
 def test_diamond_graph_accumulates():
     # x feeds two branches that rejoin: grad must sum over both paths
     x = ad.leaf(np.array([[1.0, 2.0]]))
-    y = ad.add(ad.scale(x, 2.0), ad.scale(x, 3.0))
+    y = ad.add(ad.wsum([x], [2.0]), ad.wsum([x], [3.0]))
     out = ad.chamfer(y, ad.constant(np.zeros((1, 2))))
     out.backward()
     # chamfer against a single zero point is 2|5x|^2, so d/dx = 100x

@@ -328,22 +328,6 @@ def test_fps_only_on_foreground():
     assert set(seeds.object_ids.tolist()) <= set(range(5))
 
 
-def test_fps_skips_floor_slab():
-    dist = load_default_scannet_parameters()
-    src = ProceduralAssetSource(n_points=64)
-    layout = LayoutParams(include_floor=True, floor_points=256)
-    pair = make_scene_pair(dist, 4, src, 77, layout)
-    scene = pair.scene_a
-    assert scene.floor_points is not None
-    assert scene.floor_points.shape[0] >= 256
-    seeds = sample_seed_set(scene, 40, 5)
-    floor_set = {tuple(p) for p in scene.floor_points}
-    for coord in seeds.coords:
-        assert tuple(coord) not in floor_set
-    # every seed sits on an object, never on the slab at z = 0
-    assert np.all(scene.point_object_ids[seeds.indices] >= 0)
-
-
 def test_exact_match_oracle_agrees_with_relaxed_matcher():
     from scenepretext.correspondence import exact_match_oracle
     pair = paired_scenes(seed=96, occlude=False)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from scenepretext import autodiff as ad
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.decoder import (DecoderHeads, EncoderConfig, HeadsConfig,
-                                  ToyEncoder, build_targets, decode,
-                                  forward_backward, gradient_check,
+                                  ToyEncoder, _loss_graph, build_targets,
+                                  decode, forward_backward, gradient_check,
                                   load_checkpoint, make_grid,
                                   prepare_scene_pair, save_checkpoint)
 from scenepretext.errors import DimensionMismatch, TooFewPoints
@@ -220,6 +221,31 @@ def test_forward_backward_recomposition_identity():
         recomposed = rep.l_obj + lam_p * rep.l_pts \
             + lam_r * (rep.l_rec_coarse + rep.l_rec_detail)
         assert abs(recomposed - rep.l_overall) <= 1e-12
+
+
+@pytest.mark.parametrize("lam_p,lam_r", [(0.1, 100.0), (0.7, 3.0)])
+def test_overall_gradient_matches_weighted_root_backward(lam_p, lam_r):
+    prepared, enc, heads = tiny_batch()
+    rep = forward_backward(prepared, enc, heads, lambda_pts=lam_p,
+                           lambda_rec=lam_r)
+    # an independent tape whose single root is the lambda-weighted sum
+    params = {f"encoder.{k}": ad.leaf(v) for k, v in enc.params.items()}
+    params.update({f"heads.{k}": ad.leaf(v) for k, v in heads.params.items()})
+    losses, _ = _loss_graph(
+        prepared, {k.split(".", 1)[1]: v for k, v in params.items()},
+        enc, heads, 0.03)
+    root = ad.wsum([losses["l_obj"], losses["l_pts"], losses["l_rec_coarse"],
+                    losses["l_rec_detail"]], [1.0, lam_p, lam_r, lam_r])
+    root.backward()
+    assert set(rep.gradients) == {"l_obj", "l_pts", "l_rec", "l_overall"}
+    # every term reaches the parameters, so a dropped lambda shows
+    for term in ("l_obj", "l_pts", "l_rec"):
+        assert any(np.abs(g).max() > 0 for g in rep.gradients[term].values())
+    for name, v in params.items():
+        expected = v.grad if v.grad is not None else np.zeros_like(v.data)
+        got = rep.gradients["l_overall"][name]
+        tol = 1e-12 * max(np.abs(expected).max(), np.finfo(float).tiny)
+        assert np.abs(got - expected).max() <= tol, name
 
 
 def test_zero_parameters_constant_features_scalar_oracle():

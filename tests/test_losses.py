@@ -163,17 +163,6 @@ def test_empty_batch_rejected():
         FeatureBatch(())
 
 
-def test_pooled_features_are_row_means():
-    rng = np.random.default_rng(44)
-    h = rng.normal(size=(9, 4))
-    ids = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2])
-    pf = PairFeatures(h, h, ids, ids, np.array([0, 1, 2]))
-    pooled = FeatureBatch((pf,)).pooled(0, "a")
-    for k in (0, 1, 2):
-        np.testing.assert_allclose(pooled[k], h[ids == k].mean(axis=0),
-                                   atol=1e-15)
-
-
 def test_feature_batch_rejects_nonfinite_and_mixed_dims():
     h = np.ones((4, 3))
     ids = np.zeros(4, dtype=int)

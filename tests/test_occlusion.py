@@ -132,19 +132,6 @@ def test_degenerate_object_rejected():
         occlude_scene(scene, 0)
 
 
-def test_jitter_flag_perturbs_points():
-    scene = toy_scene(n_objects=2, n_points=64)
-    clean, rec_clean = occlude_scene(scene, 21, jitter_sigma=0.0)
-    noisy, rec_noisy = occlude_scene(scene, 21, jitter_sigma=0.01)
-    # same viewpoint/fractions stream; only geometry differs
-    np.testing.assert_array_equal(rec_clean.viewpoint, rec_noisy.viewpoint)
-    for a, b in zip(rec_clean.kept_indices, rec_noisy.kept_indices):
-        np.testing.assert_array_equal(a, b)
-    delta = np.abs(noisy.points - clean.points)
-    assert delta.max() > 0.0
-    assert delta.max() < 0.1  # sigma-scale perturbation, not structural
-
-
 def test_record_roundtrip_via_dict():
     scene = toy_scene()
     _, record = occlude_scene(scene, 12)

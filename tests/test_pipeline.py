@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from scenepretext.cli import main
-from scenepretext.decoder import DecoderHeads, ToyEncoder, save_checkpoint
-from scenepretext.errors import CorruptManifest
+from scenepretext.decoder import (DecoderHeads, ToyEncoder, load_checkpoint,
+                                  save_checkpoint)
+from scenepretext.errors import CorruptManifest, DimensionMismatch
 from scenepretext.losses import chamfer_distance
 from scenepretext.pipeline import (PipelineConfig, evaluate_losses,
                                    export_point_cloud, generate_dataset,
@@ -99,6 +100,24 @@ def test_cli_truncated_geometry_exit_2(tmp_path, command):
     assert main([command, str(target)]) == 2
 
 
+@pytest.mark.parametrize("fault", ["extra-field", "missing-field"])
+@pytest.mark.parametrize("command", ["losses", "match"])
+def test_cli_bad_manifest_fields_exit_2(tmp_path, command, fault):
+    config = PipelineConfig(**SMALL)
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    pdir = list_pair_dirs(tmp_path / "ds")[0]
+    doc = json.loads((pdir / "manifest.json").read_text())
+    if fault == "extra-field":
+        doc["extra"] = 1
+    else:
+        del doc["theta"]
+    (pdir / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(CorruptManifest):
+        load_pair(pdir, config)
+    target = tmp_path / "ds" if command == "losses" else pdir
+    assert main([command, str(target)]) == 2
+
+
 def test_format_validation(tmp_path):
     with pytest.raises(ValueError):
         export_point_cloud(np.zeros((2, 3)), tmp_path / "x", "obj")
@@ -158,20 +177,24 @@ def test_generate_deterministic_byte_identical(tmp_path):
 
 
 # sha256 over every file of a 4-pair default-config dataset and its loss
-# report JSONL. Recorded with the norm-based FPS loop, before the columnar
-# kernel replaced it: a change to any tree byte or loss bit shows here, and
-# a deliberate one must update these values and say so.
+# report JSONL. First recorded with the norm-based FPS loop, before the
+# columnar kernel replaced it: a change to any tree byte or loss bit shows
+# here, and a deliberate one must update these values and say so. Updated
+# once since, when include_floor and yaw_only left PipelineConfig: only the
+# config hash (in every manifest.json and summary.json) and the two keys in
+# summary.json moved; every geometry file and loss line is unchanged.
 GOLDEN = [
     (0, "binary-f32",
-     "18a19a1044330286af6abcbf742a818a20341a9e9ecd091a3b0709691e632468"),
+     "09e5559d027f00e5cbf78ffb1f9c16e0298068d703b2c12cd5a80a99be9cfac5"),
     (1, "binary-f32",
-     "d7864de297f5a5829f08ae7d3eebc06daf7ed59764166f991cf64e1ac1aa10d9"),
+     "9e7936fdda58f0cd23fc16d4484b8f9d31a6282dfad5d019703728512d52009a"),
     (2, "ascii-ply",
-     "5c16f9da5688c64b1f57e11a7b7b39048832ac7864108ddb65a0ed3f2127a907"),
+     "053b12f9020d97d5212f5af71a9b98570afb492a4dd9d8ac44c59b0f4bbeece2"),
 ]
 
 
-@pytest.mark.parametrize("master_seed,fmt,expected", GOLDEN)
+@pytest.mark.parametrize("master_seed,fmt,expected", GOLDEN,
+                         ids=[f"{seed}-{fmt}" for seed, fmt, _ in GOLDEN])
 def test_golden_dataset_and_loss_digest(tmp_path, master_seed, fmt,
                                         expected):
     config = PipelineConfig(n_scenes=4, master_seed=master_seed,
@@ -329,6 +352,51 @@ def test_cli_losses_with_checkpoint(tmp_path):
                  "--report", str(tmp_path / "rep.jsonl")]) == 0
     lines = (tmp_path / "rep.jsonl").read_text().strip().split("\n")
     assert len(lines) >= 1
+
+
+def _drop_params(doc):
+    del doc["params"]
+
+
+def _drop_entry_data(doc):
+    del doc["params"]["heads.fold_b2"]["data"]
+
+
+def _unknown_config_field(doc):
+    doc["encoder_config"]["bogus"] = 1
+
+
+def _unknown_scope(doc):
+    doc["params"]["decoder.w"] = {"shape": [1], "data": [0.0]}
+
+
+def _wrong_shape(doc):
+    rows, cols = doc["params"]["encoder.point_w1"]["shape"]
+    doc["params"]["encoder.point_w1"] = {"shape": [rows, cols + 1],
+                                         "data": [0.0] * (rows * (cols + 1))}
+
+
+@pytest.mark.parametrize("corrupt,error", [
+    (_drop_params, CorruptManifest),
+    (_drop_entry_data, CorruptManifest),
+    (_unknown_config_field, CorruptManifest),
+    (_unknown_scope, CorruptManifest),
+    (_wrong_shape, DimensionMismatch),
+], ids=["missing-key", "missing-entry-key", "unknown-config-field",
+        "unknown-scope", "wrong-shape"])
+def test_cli_losses_bad_checkpoint_exit_2(tmp_path, corrupt, error):
+    config = PipelineConfig(**{**SMALL, "n_scenes": 1})
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ToyEncoder(config.encoder_config()),
+                    DecoderHeads(config.heads_config()), ckpt)
+    doc = json.loads(ckpt.read_text())
+    corrupt(doc)
+    ckpt.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        load_checkpoint(ckpt)
+    assert main(["losses", str(tmp_path / "ds"), "--checkpoint",
+                 str(ckpt)]) == 2
 
 
 def test_thousand_scene_histogram_matches_published_shares(tmp_path):

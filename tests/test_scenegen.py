@@ -190,21 +190,6 @@ def test_merged_points_match_transform_invariant():
 
 # -------------------------------------------------------------- scene pair
 
-def test_full_rotation_flag():
-    spec = SceneSpec(0, ((0, 0),))
-    layout = LayoutParams(room_size=8.0, yaw_only=False,
-                          scale_range=(1.0, 1.0))
-    seen_tilt = False
-    for seed in range(5):
-        scene = realize_scene(spec, CubeSource(), layout, seed)
-        rot = scene.objects[0].transform.rotation
-        np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-9)
-        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
-        if abs(rot[2, 2] - 1.0) > 1e-6:
-            seen_tilt = True
-    assert seen_tilt  # full SO(3) rotations tip objects off the z axis
-
-
 def test_make_scene_pair_deterministic():
     dist = load_default_scannet_parameters()
     src = ProceduralAssetSource(n_points=32)
