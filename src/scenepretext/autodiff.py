@@ -6,27 +6,45 @@ hand-deriving each chain, this module provides a tiny tape: a ``Var`` wraps a
 float64 ndarray and remembers how to scatter its gradient to its parents.
 Only the operations the pipeline actually uses are implemented.
 
-All data is float64. Gradients are accumulated (``+=``), so a node may feed
-several consumers. ``Var.backward()`` seeds a scalar root with 1 and walks
-the tape in reverse topological order; calling it on a second root of the
-same graph re-zeroes the reachable subgraph first.
+All data is float64. A ``constant`` and every node computed only from
+constants need no gradient: ``Var.backward()`` does not visit them and no
+operation computes a gradient term for them, so their ``grad`` stays
+``None``. ``backward()`` seeds a scalar root with 1 and walks the rest of
+the tape in reverse topological order. A node's gradient buffer is created
+at its first contribution and later ones are added to it, so a node may
+feed several consumers; a node that nothing reaches is given zeros. Every
+pass first resets the reachable subgraph, so a second ``backward()``, on
+the same root or on another root of the same graph, starts from scratch.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
+# bytes of each d2 block in chamfer's nearest-neighbour search
+NN_BLOCK_BYTES = 1 << 18
+
+# per-thread buffer for chamfer's blocks; see _block_buffers
+_scratch = threading.local()
+
 
 class Var:
-    __slots__ = ("data", "grad", "parents", "bwd")
+    __slots__ = ("data", "grad", "parents", "bwd", "needs_grad")
 
     def __init__(self, data, parents: tuple = (), bwd: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.parents = parents
         self.bwd = bwd
+        needs = not parents
+        for p in parents:
+            if p.needs_grad:
+                needs = True
+                break
+        self.needs_grad = needs
 
     @property
     def shape(self):
@@ -40,14 +58,17 @@ class Var:
             raise ValueError("backward() requires a scalar root")
         order = _topo_order(self)
         for v in order:
-            v.grad = np.zeros_like(v.data)
+            v.grad = None
         self.grad = np.ones_like(self.data)
         for v in reversed(order):
-            if v.bwd is not None:
+            if v.grad is None:
+                v.grad = np.zeros_like(v.data)
+            elif v.needs_grad and v.bwd is not None:
                 v.bwd(v.grad)
 
 
 def _topo_order(root: Var) -> list[Var]:
+    """The root and every ancestor that needs a gradient, parents first."""
     order: list[Var] = []
     seen: set[int] = set()
     stack: list[tuple[Var, bool]] = [(root, False)]
@@ -61,9 +82,26 @@ def _topo_order(root: Var) -> list[Var]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.needs_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
+
+
+def _accumulate(v: Var, g) -> None:
+    """Add one gradient contribution to ``v``, creating its buffer first."""
+    if v.grad is None:
+        # 0.0 + g rather than a copy: it turns -0.0 into +0.0, exactly as
+        # adding g to a zeroed buffer does
+        v.grad = np.add(g, 0.0, out=np.empty_like(v.data))
+    else:
+        v.grad += g
+
+
+def _grad_buffer(v: Var) -> np.ndarray:
+    """``v``'s gradient buffer, zeroed on first use, for partial updates."""
+    if v.grad is None:
+        v.grad = np.zeros_like(v.data)
+    return v.grad
 
 
 def leaf(x) -> Var:
@@ -71,16 +109,21 @@ def leaf(x) -> Var:
 
 
 def constant(x) -> Var:
-    # identical to leaf; the name documents intent at call sites
-    return Var(x)
+    """A Var that needs no gradient; neither does any node computed only
+    from constants."""
+    v = Var(x)
+    v.needs_grad = False
+    return v
 
 
 def matmul(a: Var, b: Var) -> Var:
     out = Var(a.data @ b.data, (a, b))
 
     def bwd(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        if a.needs_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.needs_grad:
+            _accumulate(b, a.data.T @ g)
 
     out.bwd = bwd
     return out
@@ -91,8 +134,10 @@ def matmul_nt(a: Var, b: Var) -> Var:
     out = Var(a.data @ b.data.T, (a, b))
 
     def bwd(g):
-        a.grad += g @ b.data
-        b.grad += g.T @ a.data
+        if a.needs_grad:
+            _accumulate(a, g @ b.data)
+        if b.needs_grad:
+            _accumulate(b, g.T @ a.data)
 
     out.bwd = bwd
     return out
@@ -104,8 +149,10 @@ def add(a: Var, b: Var) -> Var:
     out = Var(a.data + b.data, (a, b))
 
     def bwd(g):
-        a.grad += g
-        b.grad += g.sum(axis=0) if broadcast else g
+        if a.needs_grad:
+            _accumulate(a, g)
+        if b.needs_grad:
+            _accumulate(b, g.sum(axis=0) if broadcast else g)
 
     out.bwd = bwd
     return out
@@ -116,7 +163,7 @@ def relu(a: Var) -> Var:
     out = Var(np.where(mask, a.data, 0.0), (a,))
 
     def bwd(g):
-        a.grad += g * mask
+        _accumulate(a, g * mask)
 
     out.bwd = bwd
     return out
@@ -134,7 +181,8 @@ def wsum(terms: Sequence[Var], weights: Sequence[float] | None = None) -> Var:
 
     def bwd(g):
         for t, w in zip(terms, ws):
-            t.grad += g * w
+            if t.needs_grad:
+                _accumulate(t, g * w)
 
     out.bwd = bwd
     return out
@@ -147,7 +195,8 @@ def concat_cols(parts: Sequence[Var]) -> Var:
     def bwd(g):
         j = 0
         for p, w in zip(parts, widths):
-            p.grad += g[:, j:j + w]
+            if p.needs_grad:
+                _accumulate(p, g[:, j:j + w])
             j += w
 
     out.bwd = bwd
@@ -161,7 +210,8 @@ def concat_rows(parts: Sequence[Var]) -> Var:
     def bwd(g):
         i = 0
         for p, h in zip(parts, heights):
-            p.grad += g[i:i + h]
+            if p.needs_grad:
+                _accumulate(p, g[i:i + h])
             i += h
 
     out.bwd = bwd
@@ -172,7 +222,7 @@ def slice_cols(a: Var, j0: int, j1: int) -> Var:
     out = Var(a.data[:, j0:j1].copy(), (a,))
 
     def bwd(g):
-        a.grad[:, j0:j1] += g
+        _grad_buffer(a)[:, j0:j1] += g
 
     out.bwd = bwd
     return out
@@ -183,7 +233,7 @@ def gather_rows(a: Var, idx: np.ndarray) -> Var:
     out = Var(a.data[idx], (a,))
 
     def bwd(g):
-        np.add.at(a.grad, idx, g)
+        np.add.at(_grad_buffer(a), idx, g)
 
     out.bwd = bwd
     return out
@@ -200,7 +250,7 @@ def segment_mean(a: Var, seg: np.ndarray, n_seg: int) -> Var:
     out = Var(sums / counts[:, None], (a,))
 
     def bwd(g):
-        a.grad += g[seg] / counts[seg, None]
+        _accumulate(a, g[seg] / counts[seg, None])
 
     out.bwd = bwd
     return out
@@ -232,7 +282,7 @@ def segment_max(a: Var, seg: np.ndarray, n_seg: int) -> Var:
         if not filled:
             return
         cols = np.tile(np.arange(d), len(filled))
-        np.add.at(a.grad, (np.concatenate(winners), cols),
+        np.add.at(_grad_buffer(a), (np.concatenate(winners), cols),
                   g[filled].ravel())
 
     out.bwd = bwd
@@ -246,7 +296,7 @@ def l2_normalize_rows(a: Var, eps: float = 1e-12) -> Var:
     out = Var(y, (a,))
 
     def bwd(g):
-        a.grad += (g - y * (g * y).sum(axis=1, keepdims=True)) / norms
+        _accumulate(a, (g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
 
     out.bwd = bwd
     return out
@@ -279,35 +329,107 @@ def masked_info_nce(sim: Var, pos_idx: np.ndarray, neg_mask: np.ndarray,
         p = expz / expz.sum(axis=1, keepdims=True)
         d = p
         d[rows, pos_idx] -= 1.0
-        sim.grad += (float(g) / tau) * w[:, None] * d
+        _accumulate(sim, (float(g) / tau) * w[:, None] * d)
 
     out.bwd = bwd
     return out
 
 
+def _block_buffers(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (rows, cols) float64 views into this thread's reused buffer.
+
+    Block-sized temporaries allocated afresh on every call cost page faults
+    each time the allocator hands them back to the system; in the gradient
+    sweep over the small gradcheck graphs that was up to a quarter of its
+    CPU time.
+    """
+    n = rows * cols
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < 2 * n:
+        buf = _scratch.buf = np.empty(max(2 * n, 2 * NN_BLOCK_BYTES // 8))
+    return buf[:n].reshape(rows, cols), buf[n:2 * n].reshape(rows, cols)
+
+
+def _d2_block(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
+              b_sq: np.ndarray, prod: np.ndarray, d2: np.ndarray
+              ) -> np.ndarray:
+    """Write ``(|a|^2 + |b|^2) - 2 a.b`` into ``d2``, using ``prod``."""
+    np.matmul(a, b.T, out=prod)
+    np.multiply(prod, 2.0, out=prod)
+    np.add(a_sq[:, None], b_sq[None, :], out=d2)
+    np.subtract(d2, prod, out=d2)
+    return d2
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
+             b_sq: np.ndarray) -> np.ndarray:
+    """For each row of ``a``, the index of its nearest row of ``b``.
+
+    Distances are ``(|a|^2 + |b|^2) - 2 a.b`` from the given squared row
+    norms, taken over blocks of rows of ``a`` so that each d2 block and its
+    product buffer hold NN_BLOCK_BYTES at most (one row, if a row is
+    larger); ties go to the lowest index.
+    """
+    nb = b.shape[0]
+    rows = max(1, min(a.shape[0], NN_BLOCK_BYTES // (8 * nb)))
+    prod, d2 = _block_buffers(rows, nb)
+    nn = np.empty(a.shape[0], dtype=np.intp)
+    for i in range(0, a.shape[0], rows):
+        k = min(rows, a.shape[0] - i)
+        _d2_block(a[i:i + k], b, a_sq[i:i + k], b_sq, prod[:k],
+                  d2[:k]).argmin(axis=1, out=nn[i:i + k])
+    return nn
+
+
+def _nearest_both(x: np.ndarray, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest row of ``y`` for each row of ``x``, and of ``x`` for
+    each row of ``y``; see chamfer."""
+    nx, ny = x.shape[0], y.shape[0]
+    x_sq, y_sq = (x ** 2).sum(1), (y ** 2).sum(1)
+    if 8 * nx * ny > NN_BLOCK_BYTES:
+        return _nearest(x, y, x_sq, y_sq), _nearest(y, x, y_sq, x_sq)
+    # one d2 serves both directions, half the work of two block passes; its
+    # transpose goes into the spent product buffer, because argmin(axis=0)
+    # would copy it into a fresh array on every call
+    prod, d2 = _block_buffers(nx, ny)
+    nn_xy = _d2_block(x, y, x_sq, y_sq, prod, d2).argmin(axis=1)
+    d2_t = prod.reshape(ny, nx)
+    np.copyto(d2_t, d2.T)
+    return nn_xy, d2_t.argmin(axis=1)
+
+
 def chamfer(x: Var, y: Var) -> Var:
     """Two-sided mean squared nearest-neighbor distance between point sets.
 
-    Nearest neighbors are found via the Gram expansion for speed, then the
-    selected pair distances are recomputed exactly from coordinate
+    Nearest neighbors are found exactly via the Gram expansion
+    ``(|x|^2 + |y|^2) - 2 x.y``; ties go to the lowest index. When the
+    whole nx-by-ny d2 matrix fits in NN_BLOCK_BYTES it is computed once
+    and read along both axes. Otherwise the search runs over row blocks of
+    that size, once from x and once from y with the roles swapped,
+    computing the same d2 entries, so memory stays O(block) instead of
+    O(nx * ny) and the result is the same.
+    The selected pair distances are then recomputed from coordinate
     differences, so chamfer(X, X) is exactly zero.
     """
     xd, yd = x.data, y.data
     nx, ny = xd.shape[0], yd.shape[0]
-    d2 = (xd ** 2).sum(1)[:, None] + (yd ** 2).sum(1)[None, :] - 2.0 * (xd @ yd.T)
-    nn_xy = d2.argmin(axis=1)
-    nn_yx = d2.argmin(axis=0)
+    nn_xy, nn_yx = _nearest_both(xd, yd)
     dx = xd - yd[nn_xy]
     dy = yd - xd[nn_yx]
-    val = (dx ** 2).sum(1).mean() + (dy ** 2).sum(1).mean()
+    # sum / n is what ndarray.mean computes, without its Python overhead
+    val = (dx ** 2).sum(1).sum() / nx + (dy ** 2).sum(1).sum() / ny
     out = Var(np.asarray(val), (x, y))
 
     def bwd(g):
         g = float(g)
-        x.grad += g * 2.0 * dx / nx
-        np.add.at(y.grad, nn_xy, -g * 2.0 * dx / nx)
-        y.grad += g * 2.0 * dy / ny
-        np.add.at(x.grad, nn_yx, -g * 2.0 * dy / ny)
+        if x.needs_grad:
+            _accumulate(x, g * 2.0 * dx / nx)
+        if y.needs_grad:
+            np.add.at(_grad_buffer(y), nn_xy, -g * 2.0 * dx / nx)
+            _accumulate(y, g * 2.0 * dy / ny)
+        if x.needs_grad:
+            np.add.at(x.grad, nn_yx, -g * 2.0 * dy / ny)
 
     out.bwd = bwd
     return out

@@ -342,42 +342,65 @@ def prepare_scene_pair(pair: ScenePair, n_seeds: int, m_matches: int,
         n_objects=len(pair.scene_a.objects))
 
 
+def _encoded_sides(prepared: Sequence[PreparedPair],
+                   params: dict[str, ad.Var], encoder: ToyEncoder
+                   ) -> list[tuple[ad.Var, ad.Var]]:
+    """(seed coordinates, features z) of side a, then side b, of each pair."""
+    sides = []
+    for pp in prepared:
+        for coords, ids in ((pp.coords_a, pp.object_ids_a),
+                            (pp.coords_b, pp.object_ids_b)):
+            cvar = ad.constant(coords)
+            sides.append((cvar, encoder.encode_graph(params, cvar, ids,
+                                                     pp.n_objects)))
+    return sides
+
+
+def _contrastive_graph(prepared: Sequence[PreparedPair],
+                       params: dict[str, ad.Var], encoder: ToyEncoder,
+                       sides: list[tuple[ad.Var, ad.Var]], tau: float
+                       ) -> tuple[dict[str, ad.Var], dict]:
+    """l_obj and l_pts over the projected features of ``sides``."""
+    h = [encoder.project_graph(params, z) for _, z in sides]
+    h_vars = list(zip(h[0::2], h[1::2]))
+    batch = FeatureBatch(tuple(
+        PairFeatures(h_a=h_a.data, h_b=h_b.data,
+                     object_ids_a=pp.object_ids_a,
+                     object_ids_b=pp.object_ids_b, categories=pp.categories)
+        for (h_a, h_b), pp in zip(h_vars, prepared)))
+    l_obj, obj_counts = object_level_graph(h_vars, batch, tau)
+    l_pts, pts_counts = point_level_graph(
+        h_vars, batch, [pp.matches for pp in prepared], tau)
+    counts = {"object_" + k: v for k, v in obj_counts.items()}
+    counts.update({"point_" + k: v for k, v in pts_counts.items()})
+    return {"l_obj": l_obj, "l_pts": l_pts}, counts
+
+
+def _reconstruction_graph(prepared: Sequence[PreparedPair],
+                          params: dict[str, ad.Var], heads: DecoderHeads,
+                          sides: list[tuple[ad.Var, ad.Var]]
+                          ) -> dict[str, ad.Var]:
+    """Scene-mean coarse and detail Chamfer of the decoded ``sides``."""
+    targets = [t for pp in prepared
+               for t in ((pp.gt_coarse_a, pp.gt_detail_a),
+                         (pp.gt_coarse_b, pp.gt_detail_b))]
+    coarse, detail = [], []
+    for (cvar, z), (gt_c, gt_d) in zip(sides, targets):
+        y_coarse, _, y_detail = decode_graph(params, cvar, z, heads.grid)
+        coarse.append(ad.chamfer(y_coarse, ad.constant(gt_c)))
+        detail.append(ad.chamfer(y_detail, ad.constant(gt_d)))
+    w = [1.0 / len(sides)] * len(sides)
+    return {"l_rec_coarse": ad.wsum(coarse, w),
+            "l_rec_detail": ad.wsum(detail, w)}
+
+
 def _loss_graph(prepared: Sequence[PreparedPair], params: dict[str, ad.Var],
                 encoder: ToyEncoder, heads: DecoderHeads, tau: float
                 ) -> tuple[dict[str, ad.Var], dict]:
     """Full forward tape over a batch; returns loss Vars and count info."""
-    h_vars = []
-    pf_list = []
-    chamfer_coarse = []
-    chamfer_detail = []
-    for pp in prepared:
-        side_feats = []
-        for coords, ids, gt_c, gt_d in (
-                (pp.coords_a, pp.object_ids_a, pp.gt_coarse_a, pp.gt_detail_a),
-                (pp.coords_b, pp.object_ids_b, pp.gt_coarse_b, pp.gt_detail_b)):
-            cvar = ad.constant(coords)
-            z = encoder.encode_graph(params, cvar, ids, pp.n_objects)
-            h = encoder.project_graph(params, z)
-            side_feats.append(h)
-            y_coarse, _, y_detail = decode_graph(params, cvar, z, heads.grid)
-            chamfer_coarse.append(ad.chamfer(y_coarse, ad.constant(gt_c)))
-            chamfer_detail.append(ad.chamfer(y_detail, ad.constant(gt_d)))
-        h_vars.append((side_feats[0], side_feats[1]))
-        pf_list.append(PairFeatures(
-            h_a=side_feats[0].data, h_b=side_feats[1].data,
-            object_ids_a=pp.object_ids_a, object_ids_b=pp.object_ids_b,
-            categories=pp.categories))
-    batch = FeatureBatch(tuple(pf_list))
-    l_obj, obj_counts = object_level_graph(h_vars, batch, tau)
-    l_pts, pts_counts = point_level_graph(
-        h_vars, batch, [pp.matches for pp in prepared], tau)
-    n_scenes = len(chamfer_coarse)
-    l_rec_coarse = ad.wsum(chamfer_coarse, [1.0 / n_scenes] * n_scenes)
-    l_rec_detail = ad.wsum(chamfer_detail, [1.0 / n_scenes] * n_scenes)
-    losses = {"l_obj": l_obj, "l_pts": l_pts,
-              "l_rec_coarse": l_rec_coarse, "l_rec_detail": l_rec_detail}
-    counts = {"object_" + k: v for k, v in obj_counts.items()}
-    counts.update({"point_" + k: v for k, v in pts_counts.items()})
+    sides = _encoded_sides(prepared, params, encoder)
+    losses, counts = _contrastive_graph(prepared, params, encoder, sides, tau)
+    losses.update(_reconstruction_graph(prepared, params, heads, sides))
     return losses, counts
 
 
@@ -395,14 +418,23 @@ def _overall_graph(prepared, param_arrays, encoder, heads, tau, lambda_pts,
     add l_rec = coarse + detail and l_overall = obj + lambda_pts * pts +
     lambda_rec * rec to the four reported terms."""
     params = {k: ad.leaf(v) for k, v in param_arrays.items()}
-    short = {k.split(".", 1)[1]: v for k, v in params.items()}
-    losses, counts = _loss_graph(prepared, short, encoder, heads, tau)
+    losses, counts = _loss_graph(prepared, _short_names(params), encoder,
+                                 heads, tau)
+    return params, _add_overall(losses, lambda_pts, lambda_rec), counts
+
+
+def _short_names(params: dict[str, ad.Var]) -> dict[str, ad.Var]:
+    return {k.split(".", 1)[1]: v for k, v in params.items()}
+
+
+def _add_overall(losses: dict[str, ad.Var], lambda_pts: float,
+                 lambda_rec: float) -> dict[str, ad.Var]:
     losses["l_rec"] = ad.wsum([losses["l_rec_coarse"],
                                losses["l_rec_detail"]])
     losses["l_overall"] = ad.wsum(
         [losses["l_obj"], losses["l_pts"], losses["l_rec"]],
         [1.0, lambda_pts, lambda_rec])
-    return params, losses, counts
+    return losses
 
 
 def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
@@ -430,10 +462,11 @@ def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
         for term in ("l_obj", "l_pts", "l_rec"):
             for v in params.values():
                 v.grad = None
-            if losses[term].parents:
-                losses[term].backward()
+            losses[term].backward()
+            # backward() gives every parameter it reaches a fresh array,
+            # so the dicts of earlier terms are never overwritten
             gradients[term] = {
-                name: (v.grad.copy() if v.grad is not None
+                name: (v.grad if v.grad is not None
                        else np.zeros_like(v.data))
                 for name, v in params.items()}
         gradients["l_overall"] = {
@@ -535,29 +568,59 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
     re-probed at step/kink_refine: a genuinely wrong gradient still fails,
     while a crossing is confirmed against the refined estimate. Confirmed
     crossings are counted in n_kink_entries.
+
+    A parameter the features z do not depend on (a projection or head
+    weight) moves only one half of the loss graph, so its probes rebuild
+    that half on the unperturbed z and reuse the other half's values;
+    every probe value is bit-identical to a full forward pass.
     """
     if isinstance(prepared, PreparedPair):
         prepared = [prepared]
     report = forward_backward(prepared, encoder, heads, tau,
                               lambda_pts, lambda_rec, with_gradients=True)
     terms = ["l_obj", "l_pts", "l_rec", "l_overall"]
+    leaves = {k: ad.leaf(v.copy())
+              for k, v in _param_arrays(encoder, heads).items()}
+    # probes are written into the leaves' own arrays
+    work = {k: v.data for k, v in leaves.items()}
+    short = _short_names(leaves)
+
+    def reached(roots) -> set[str]:
+        ids = {id(v) for r in roots for v in ad._topo_order(r)}
+        return {k for k, v in leaves.items() if id(v) in ids}
+
+    sides = _encoded_sides(prepared, short, encoder)
+    feeds_z = reached([z for _, z in sides])
+    frozen = [(cvar, ad.constant(z.data)) for cvar, z in sides]
+    halves = [
+        lambda: _contrastive_graph(prepared, short, encoder, frozen, tau)[0],
+        lambda: _reconstruction_graph(prepared, short, heads, frozen)]
+    base = [half() for half in halves]
+    feeds_half = [reached(losses.values()) for losses in base]
+
+    def values(name) -> dict[str, float]:
+        if name in feeds_z:
+            return _forward_values(prepared, work, encoder, heads, tau,
+                                   lambda_pts, lambda_rec)
+        losses = {}
+        for half, fixed, feeds in zip(halves, base, feeds_half):
+            losses.update(half() if name in feeds else fixed)
+        losses = _add_overall(losses, lambda_pts, lambda_rec)
+        return {t: losses[t].item() for t in terms}
 
     def fd_at(work, name, i, h) -> dict[str, float]:
         flat = work[name].ravel()
         orig = flat[i]
         flat[i] = orig + h
-        plus = _forward_values(prepared, work, encoder, heads, tau,
-                               lambda_pts, lambda_rec)
+        plus = values(name)
         flat[i] = orig - h
-        minus = _forward_values(prepared, work, encoder, heads, tau,
-                                lambda_pts, lambda_rec)
+        minus = values(name)
         flat[i] = orig
         return {t: (plus[t] - minus[t]) / (2 * h) for t in terms}
 
     def rel_err(a: float, n: float) -> float:
         return abs(a - n) / max(abs(a), abs(n), floor)
 
-    work = {k: v.copy() for k, v in _param_arrays(encoder, heads).items()}
     per_term = {t: 0.0 for t in terms}
     worst = {t: "" for t in terms}
     n_entries = 0

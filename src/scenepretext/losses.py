@@ -150,6 +150,18 @@ def _pooled_normalized(h: ad.Var, obj_ids: np.ndarray,
     return ad.l2_normalize_rows(pooled)
 
 
+def _feature_grads(loss: ad.Var, h_vars: Sequence[tuple[ad.Var, ad.Var]]
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Backpropagate ``loss``; per pair, the gradients of (h_a, h_b).
+
+    A feature the loss does not reach (a pair without common instances or
+    without matches, or a degenerate loss) gets a zero gradient.
+    """
+    loss.backward()
+    return [tuple(v.grad if v.grad is not None else np.zeros_like(v.data)
+                  for v in pair) for pair in h_vars]
+
+
 def object_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
                        batch: FeatureBatch, tau: float
                        ) -> tuple[ad.Var, dict]:
@@ -209,13 +221,7 @@ def object_level_loss(batch: FeatureBatch, tau: float = DEFAULT_TAU
         raise ValueError("tau must be positive")
     h_vars = [(ad.leaf(p.h_a), ad.leaf(p.h_b)) for p in batch.pairs]
     loss, _ = object_level_graph(h_vars, batch, tau)
-    if loss.parents:
-        loss.backward()
-        grads = [(va.grad, vb.grad) for va, vb in h_vars]
-    else:
-        grads = [(np.zeros_like(p.h_a), np.zeros_like(p.h_b))
-                 for p in batch.pairs]
-    return loss.item(), grads
+    return loss.item(), _feature_grads(loss, h_vars)
 
 
 def point_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
@@ -304,13 +310,7 @@ def point_level_loss(batch: FeatureBatch, matches: Sequence[MatchSet],
         raise ValueError("tau must be positive")
     h_vars = [(ad.leaf(p.h_a), ad.leaf(p.h_b)) for p in batch.pairs]
     loss, _ = point_level_graph(h_vars, batch, matches, tau)
-    if loss.parents:
-        loss.backward()
-        grads = [(va.grad, vb.grad) for va, vb in h_vars]
-    else:
-        grads = [(np.zeros_like(p.h_a), np.zeros_like(p.h_b))
-                 for p in batch.pairs]
-    return loss.item(), grads
+    return loss.item(), _feature_grads(loss, h_vars)
 
 
 def chamfer_distance(x: np.ndarray, y: np.ndarray) -> float:

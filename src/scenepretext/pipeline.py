@@ -14,7 +14,7 @@ import hashlib
 import json
 import struct
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 import numpy as np
 
@@ -225,8 +225,8 @@ class PairManifest:
     objects: list[dict]
     transforms_a: list[dict]
     transforms_b: list[dict]
-    occlusion_a: dict
-    occlusion_b: dict
+    occlusion_a: OcclusionRecord
+    occlusion_b: OcclusionRecord
     matches: list[dict]
     theta: float
     files: dict[str, str]
@@ -234,11 +234,20 @@ class PairManifest:
     config_hash: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return asdict(replace(self, occlusion_a=self.occlusion_a.to_dict(),
+                              occlusion_b=self.occlusion_b.to_dict()))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PairManifest":
-        return _from_dict(cls, doc, "manifest")
+        manifest = _from_dict(cls, doc, "manifest")
+        try:
+            return replace(
+                manifest,
+                occlusion_a=OcclusionRecord.from_dict(manifest.occlusion_a),
+                occlusion_b=OcclusionRecord.from_dict(manifest.occlusion_b))
+        except (KeyError, TypeError, ValueError) as e:
+            raise CorruptManifest(f"pair {manifest.pair_id}: bad occlusion "
+                                  f"record: {e!r}") from None
 
 
 def _pair_dir(out_dir: Path, pair_id: int) -> Path:
@@ -273,8 +282,8 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
                  for o in pair.scene_a.objects],
         transforms_a=[o.transform.to_dict() for o in pair.scene_a.objects],
         transforms_b=[o.transform.to_dict() for o in pair.scene_b.objects],
-        occlusion_a=rec_a.to_dict(),
-        occlusion_b=rec_b.to_dict(),
+        occlusion_a=rec_a,
+        occlusion_b=rec_b,
         matches=matches.to_records(),
         theta=config.theta,
         files=files,
@@ -409,7 +418,10 @@ def load_pair(pair_dir, config: PipelineConfig | None = None
     Canonical object clouds are recovered by inverting the recorded
     transforms on the stored complete geometry, so the returned pair
     replays occlusion and matching exactly as generated. Validates the
-    config hash when a config is supplied.
+    config hash when a config is supplied. A missing manifest or file, a
+    field of the wrong type, a record without a required key or an
+    occlusion record whose kept indices do not fit the objects raises
+    CorruptManifest.
     """
     pair_dir = Path(pair_dir)
     mpath = pair_dir / "manifest.json"
@@ -420,25 +432,39 @@ def load_pair(pair_dir, config: PipelineConfig | None = None
     if config is not None and manifest.config_hash != config.config_hash():
         raise CorruptManifest(
             f"pair {manifest.pair_id}: config hash mismatch")
-    for fname in manifest.files.values():
-        if not (pair_dir / fname).exists():
+    try:
+        files = {name: pair_dir / fname
+                 for name, fname in manifest.files.items()}
+        complete = {side: files[f"scene_{side}_complete"]
+                    for side in ("a", "b")}
+        draws = [(o["category_id"], o["instance_id"], int(o["n_points"]))
+                 for o in manifest.objects]
+        transforms = {side: [Transform.from_dict(t) for t in
+                             getattr(manifest, f"transforms_{side}")]
+                      for side in ("a", "b")}
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CorruptManifest(
+            f"pair {manifest.pair_id}: bad manifest value: {e!r}") from None
+    for rec in (manifest.occlusion_a, manifest.occlusion_b):
+        if len(rec.kept_indices) != len(draws) or not all(
+                k.ndim == 1 and (k.size == 0 or 0 <= k.min() <= k.max() < n)
+                for k, (_, _, n) in zip(rec.kept_indices, draws)):
+            raise CorruptManifest(f"pair {manifest.pair_id}: occlusion "
+                                  f"record does not fit the objects")
+    for path in files.values():
+        if not path.exists():
             raise CorruptManifest(
-                f"pair {manifest.pair_id}: missing file {fname}")
+                f"pair {manifest.pair_id}: missing file {path.name}")
     scenes = {}
     for side in ("a", "b"):
-        pts = load_point_cloud(
-            pair_dir / manifest.files[f"scene_{side}_complete"],
-            manifest.export_format)
-        transforms = [Transform.from_dict(t) for t in
-                      getattr(manifest, f"transforms_{side}")]
+        pts = load_point_cloud(complete[side], manifest.export_format)
         objects = []
         start = 0
-        for obj_doc, tf in zip(manifest.objects, transforms):
-            n = obj_doc["n_points"]
+        for (category_id, instance_id, n), tf in zip(draws,
+                                                     transforms[side]):
             placed = pts[start:start + n]
             canonical = tf.inverse().apply(placed)
-            objects.append(ObjectInstance(obj_doc["category_id"],
-                                          obj_doc["instance_id"],
+            objects.append(ObjectInstance(category_id, instance_id,
                                           canonical, tf))
             start += n
         if start != pts.shape[0]:
@@ -539,10 +565,8 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     if config is None and (dataset_dir / "summary.json").exists():
         config = _load_summary_config(dataset_dir)
     pair, manifest = load_pair(pair_dir, config)
-    occ_a = replay_occlusion(pair.scene_a,
-                             OcclusionRecord.from_dict(manifest.occlusion_a))
-    occ_b = replay_occlusion(pair.scene_b,
-                             OcclusionRecord.from_dict(manifest.occlusion_b))
+    occ_a = replay_occlusion(pair.scene_a, manifest.occlusion_a)
+    occ_b = replay_occlusion(pair.scene_b, manifest.occlusion_b)
     if m_seeds is None:
         m_seeds = (config or PipelineConfig()).m_seeds
     if theta is None:

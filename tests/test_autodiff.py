@@ -162,6 +162,84 @@ def test_chamfer_grad_both_sides():
 def test_chamfer_self_is_exactly_zero():
     pts = rng.normal(size=(50, 3))
     assert ad.chamfer(ad.leaf(pts), ad.leaf(pts.copy())).item() == 0.0
+    # also on the blocked path, with duplicate rows
+    big = np.concatenate([rng.normal(size=(200, 3))] * 2)
+    assert ad.chamfer(ad.leaf(big), ad.leaf(big[::-1].copy())).item() == 0.0
+
+
+def dense_chamfer(xd, yd):
+    """The unblocked kernel: one dense d2 matrix, argmin along both axes,
+    gradients accumulated into zeroed buffers."""
+    nx, ny = xd.shape[0], yd.shape[0]
+    d2 = ((xd ** 2).sum(1)[:, None] + (yd ** 2).sum(1)[None, :]
+          - 2.0 * (xd @ yd.T))
+    nn_xy, nn_yx = d2.argmin(axis=1), d2.argmin(axis=0)
+    dx, dy = xd - yd[nn_xy], yd - xd[nn_yx]
+    val = (dx ** 2).sum(1).mean() + (dy ** 2).sum(1).mean()
+    gx, gy = np.zeros_like(xd), np.zeros_like(yd)
+    gx += 2.0 * dx / nx
+    np.add.at(gy, nn_xy, -2.0 * dx / nx)
+    gy += 2.0 * dy / ny
+    np.add.at(gx, nn_yx, -2.0 * dy / ny)
+    return val, nn_xy, nn_yx, gx, gy
+
+
+BLOCK = ad.NN_BLOCK_BYTES // 8     # d2 entries per block
+
+
+def _cloud(n, seed):
+    return np.random.default_rng(seed).normal(size=(n, 3))
+
+
+def _with_duplicates(n, seed):
+    half = _cloud((n + 1) // 2, seed)
+    return np.concatenate([half, half[::-1]])[:n]
+
+
+def _lattice(n, offset):
+    # integer and half-integer coordinates: the Gram expansion is exact,
+    # so many d2 entries tie exactly
+    g = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), -1)
+    return g.reshape(-1, 3)[:n] + offset
+
+
+CHAMFER_CASES = {
+    "below-block": (_cloud(100, 1), _cloud(BLOCK // 100 - 1, 2)),
+    "at-block": (_cloud(128, 3), _cloud(BLOCK // 128, 4)),
+    "above-block": (_cloud(129, 5), _cloud(BLOCK // 128, 6)),
+    "1x5000": (_cloud(1, 7), _cloud(5000, 8)),
+    "5000x1": (_cloud(5000, 9), _cloud(1, 10)),
+    "3x40000": (_cloud(3, 11), _cloud(40000, 12)),
+    "40000x3": (_cloud(40000, 13), _cloud(3, 14)),
+    "duplicates-in-x": (_with_duplicates(300, 15), _cloud(200, 16)),
+    "duplicates-in-y": (_cloud(300, 17), _with_duplicates(200, 18)),
+    "duplicates-both": (_with_duplicates(301, 19), _with_duplicates(257, 20)),
+    "lattice-ties": (_lattice(216, 0.0), _lattice(200, 0.5)),
+    "lattice-ties-in-one-block": (_lattice(100, 0.0), _lattice(90, 0.5)),
+    "duplicates-in-one-block": (_with_duplicates(60, 25),
+                                _with_duplicates(41, 26)),
+    "float32-origin": (_cloud(400, 21).astype(np.float32),
+                       _cloud(300, 22).astype(np.float32)),
+    # spread 1e-4 at distance 1e3: the rounding of the Gram expansion
+    # decides dozens of argmins, so any reordering of its sums shows
+    "far-from-origin": (_cloud(300, 23) * 1e-4 + 1e3,
+                        _cloud(200, 24) * 1e-4 + 1e3),
+}
+
+
+@pytest.mark.parametrize("case", list(CHAMFER_CASES))
+def test_chamfer_matches_dense_kernel_bit_for_bit(case):
+    xd, yd = (np.asarray(a, dtype=np.float64) for a in CHAMFER_CASES[case])
+    val, nn_xy, nn_yx, gx, gy = dense_chamfer(xd, yd)
+    got_xy, got_yx = ad._nearest_both(xd, yd)
+    np.testing.assert_array_equal(got_xy, nn_xy)
+    np.testing.assert_array_equal(got_yx, nn_yx)
+    x, y = ad.leaf(xd), ad.leaf(yd)
+    out = ad.chamfer(x, y)
+    out.backward()
+    assert out.item() == val
+    np.testing.assert_array_equal(x.grad, gx)
+    np.testing.assert_array_equal(y.grad, gy)
 
 
 def test_diamond_graph_accumulates():
@@ -181,6 +259,59 @@ def test_second_backward_rezeroes():
     first = x.grad.copy()
     out.backward()
     np.testing.assert_array_equal(x.grad, first)
+
+
+def test_second_backward_identical_on_larger_graph():
+    x = ad.leaf(rng.normal(size=(300, 3)))
+    w1, b1 = ad.leaf(rng.normal(size=(3, 8))), ad.leaf(rng.normal(size=8))
+    w2, b2 = ad.leaf(rng.normal(size=(8, 3))), ad.leaf(rng.normal(size=3))
+    y = ad.mlp(x, [(w1, b1), (w2, b2)])
+    out = ad.wsum([ad.chamfer(y, ad.constant(rng.normal(size=(250, 3)))),
+                   ad.chamfer(y, x)], [1.0, 0.5])
+    leaves = (x, w1, b1, w2, b2)
+    out.backward()
+    first = [v.grad for v in leaves]
+    out.backward()
+    for v, g in zip(leaves, first):
+        assert v.grad is not g
+        np.testing.assert_array_equal(v.grad, g)
+
+
+def test_constants_get_no_gradient():
+    c = ad.constant(rng.normal(size=(4, 3)))
+    k = ad.relu(ad.add(c, ad.constant(np.ones(3))))   # only constants
+    x = ad.leaf(rng.normal(size=(4, 3)))
+    out = ad.chamfer(ad.add(x, ad.slice_cols(ad.concat_cols([k, k]), 0, 3)),
+                     ad.constant(rng.normal(size=(6, 3))))
+    assert not k.needs_grad and x.needs_grad and out.needs_grad
+    out.backward()
+    assert c.grad is None and k.grad is None
+    assert isinstance(x.grad, np.ndarray) and np.any(x.grad != 0.0)
+
+
+def test_unreached_leaf_gets_zero_gradient():
+    # e's rows fall in no segment, so segment_max routes nothing back and
+    # neither e nor w receives a contribution
+    e = ad.leaf(np.zeros((0, 3)))
+    w = ad.leaf(rng.normal(size=(3, 3)))
+    empty = ad.segment_max(ad.matmul(e, w), np.zeros(0, dtype=np.intp), 1)
+    p = ad.leaf(rng.normal(size=(4, 3)))
+    out = ad.chamfer(ad.concat_rows([p, empty]),
+                     ad.constant(rng.normal(size=(5, 3))))
+    out.backward()
+    for v in (e, w, p):
+        assert isinstance(v.grad, np.ndarray) and v.grad.shape == v.shape
+    np.testing.assert_array_equal(w.grad, np.zeros((3, 3)))
+    assert np.any(p.grad != 0.0)
+
+
+def test_gradients_hold_no_negative_zero():
+    # relu passes g * False = -0.0 for a negative g; a zeroed buffer plus
+    # -0.0 is +0.0, and the first contribution must be stored the same way
+    x = ad.leaf(-np.abs(rng.normal(size=(5, 3))))
+    out = ad.chamfer(ad.relu(x), ad.constant(np.ones((4, 3))))
+    out.backward()
+    assert not np.any(x.grad) and not np.any(np.signbit(x.grad))
 
 
 def test_backward_requires_scalar():

@@ -246,6 +246,36 @@ def test_point_level_no_matches_zero_gradients():
     assert np.all(grads[0][0] == 0.0)
 
 
+def test_losses_give_every_pair_an_array_gradient():
+    # pair 0 has a common instance and a match; pair 1 shares no instance
+    # between its sides and has no match, so neither loss reaches it
+    rng = np.random.default_rng(5)
+    h = [rng.normal(size=(3, 4)) for _ in range(4)]
+    ids0, ids1 = np.array([0, 0, 1]), np.array([1, 2, 2])
+    cats = np.array([0, 1, 2])
+    batch = FeatureBatch((PairFeatures(h[0], h[1], ids0, ids0, cats),
+                          PairFeatures(h[2], h[3], np.zeros(3, dtype=int),
+                                       ids1, cats)))
+    no_match = MatchSet(np.array([], dtype=int), np.array([], dtype=int),
+                        np.array([]), np.array([], dtype=int), theta=0.1)
+    ms = MatchSet(np.array([0, 2]), np.array([0, 2]), np.zeros(2),
+                  np.array([0, 1]), theta=1.0)
+    for value, grads in (object_level_loss(batch, tau=0.1),
+                         point_level_loss(batch, [ms, no_match], tau=0.1)):
+        assert value > 0.0
+        assert all(isinstance(g, np.ndarray) for pair in grads for g in pair)
+        assert np.any(grads[0][0] != 0.0)
+        np.testing.assert_array_equal(grads[1][0], np.zeros((3, 4)))
+        np.testing.assert_array_equal(grads[1][1], np.zeros((3, 4)))
+    # fully degenerate batches: no negatives, no matches at all
+    for value, grads in (object_level_loss(one_pair_batch(h[0], h[0], [7] * 3),
+                                           tau=0.1),
+                         point_level_loss(batch, [no_match] * 2, tau=0.1)):
+        assert value == 0.0
+        assert all(isinstance(g, np.ndarray) and not np.any(g)
+                   for pair in grads for g in pair)
+
+
 def test_point_level_gradients_match_finite_differences():
     rng = np.random.default_rng(77)
     n, d = 8, 5

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenepretext
 from scenepretext.cli import main
 from scenepretext.decoder import (DecoderHeads, ToyEncoder, load_checkpoint,
                                   save_checkpoint)
@@ -100,17 +104,34 @@ def test_cli_truncated_geometry_exit_2(tmp_path, command):
     assert main([command, str(target)]) == 2
 
 
-@pytest.mark.parametrize("fault", ["extra-field", "missing-field"])
+# each edit turns a generated manifest into a corrupt one
+MANIFEST_FAULTS = {
+    "extra-field": lambda doc: doc.update(extra=1),
+    "missing-field": lambda doc: doc.pop("theta"),
+    "files-not-object":
+        lambda doc: doc.update(files=list(doc["files"].values())),
+    "object-without-n_points": lambda doc: doc["objects"][1].pop("n_points"),
+    "object-without-category_id":
+        lambda doc: doc["objects"][0].pop("category_id"),
+    "occlusion-without-kept_indices":
+        lambda doc: doc["occlusion_a"].pop("kept_indices"),
+    "occlusion-without-viewpoint":
+        lambda doc: doc["occlusion_b"].pop("viewpoint"),
+    "kept-index-out-of-range":
+        lambda doc: doc["occlusion_a"]["kept_indices"][0].append(1000000),
+    "kept-lists-fewer-than-objects":
+        lambda doc: doc["occlusion_b"]["kept_indices"].pop(),
+}
+
+
+@pytest.mark.parametrize("fault", list(MANIFEST_FAULTS))
 @pytest.mark.parametrize("command", ["losses", "match"])
 def test_cli_bad_manifest_fields_exit_2(tmp_path, command, fault):
     config = PipelineConfig(**SMALL)
     generate_dataset(config, tmp_path / "ds", progress=False)
     pdir = list_pair_dirs(tmp_path / "ds")[0]
     doc = json.loads((pdir / "manifest.json").read_text())
-    if fault == "extra-field":
-        doc["extra"] = 1
-    else:
-        del doc["theta"]
+    MANIFEST_FAULTS[fault](doc)
     (pdir / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(CorruptManifest):
         load_pair(pdir, config)
@@ -209,6 +230,60 @@ def test_golden_dataset_and_loss_digest(tmp_path, master_seed, fmt,
         h.update(data)
     h.update(report.read_bytes())
     assert h.hexdigest() == expected
+
+
+# sha256 over every tensor of all four forward_backward gradient dicts (sorted
+# term, then sorted parameter name; name, shape and float64 bytes) for the
+# gradcheck batch and for one full-width pair built as perfbench's TrainStep
+# builds it (workload seed 7). Recorded with the dense-d2 Chamfer and the
+# zeros_like-per-node tape, before the blocked nearest-neighbour search and
+# on-demand gradients replaced them: a tape change that moves any gradient
+# bit fails here. Which BLAS kernel a product uses can depend on the thread
+# count, so the digest is computed in a child process with one BLAS thread.
+GRAD_GOLDEN_SCRIPT = """
+import hashlib
+from dataclasses import replace
+from scenepretext import decoder, pipeline, scenegen
+from scenepretext.cli import gradcheck_batch
+from scenepretext.seeding import mix64
+
+def digest(report):
+    h = hashlib.sha256()
+    for term in sorted(report.gradients):
+        for name in sorted(report.gradients[term]):
+            g = report.gradients[term][name]
+            h.update(f"{term}/{name}{g.shape}".encode())
+            h.update(g.tobytes())
+    return h.hexdigest()
+
+prepared, encoder, heads = gradcheck_batch()
+print(digest(decoder.forward_backward(prepared, encoder, heads)))
+c = replace(pipeline.PipelineConfig(), master_seed=7, batch_pairs=1,
+            feature_dim=256, encoder_hidden=256, proj_hidden=256,
+            decoder_hidden=256, n_encoder_seeds=256, u=3)
+pair = scenegen.make_scene_pair(c.load_distribution(), c.n_objects_per_scene,
+                                c.make_asset_source(), mix64(7, 0), c.layout())
+pp = decoder.prepare_scene_pair(pair, n_seeds=c.n_encoder_seeds,
+                                m_matches=c.m_seeds, theta=c.theta, u=c.u,
+                                rng_seed=mix64(7, 0), occlude=c.occlude)
+encoder = decoder.ToyEncoder(c.encoder_config(), rng_seed=mix64(7, 0xE0C))
+heads = decoder.DecoderHeads(c.heads_config(), rng_seed=mix64(7, 0xDEC))
+print(digest(decoder.forward_backward([pp], encoder, heads, c.tau,
+                                      c.lambda_pts, c.lambda_rec)))
+"""
+GRAD_GOLDEN = [
+    "ba650f5fdccca433c6e62ff6ec43a8bee6e1df38474c56827ba87fcfaebb1d79",
+    "9aade1e64493ae166b9da4ac5d1825bb6cea1eb16a4e909fcb65f50c2fee08d0",
+]
+
+
+def test_golden_gradient_digest():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=str(Path(scenepretext.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", GRAD_GOLDEN_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == GRAD_GOLDEN
 
 
 def test_generate_layout_and_manifest(tmp_path):
@@ -319,8 +394,8 @@ def test_pair_generation_is_order_independent(tmp_path):
     np.testing.assert_allclose(stored.scene_a.points, pair.scene_a.points,
                                atol=1e-5)  # stored geometry is float32
     assert manifest.matches == matches.to_records()
-    np.testing.assert_array_equal(
-        np.array(manifest.occlusion_a["fractions"]), rec_a.fractions)
+    np.testing.assert_array_equal(manifest.occlusion_a.fractions,
+                                  rec_a.fractions)
 
 
 def test_config_output_dir_field(tmp_path):
