@@ -131,6 +131,13 @@ def sample_seed_set(scene: SceneInstance, m: int, rng_seed: int) -> SeedSet:
     return SeedSet(idx, scene.points[idx], scene.point_object_ids[idx])
 
 
+def fps_subset(seeds: SeedSet, m: int, rng_seed: int) -> SeedSet:
+    """FPS subset of min(m, seeds.m) seeds; each keeps its index."""
+    pick = farthest_point_sample(seeds.coords, min(m, seeds.m), rng_seed)
+    return SeedSet(seeds.indices[pick], seeds.coords[pick],
+                   seeds.object_ids[pick])
+
+
 def full_seed_pool(scene: SceneInstance) -> SeedSet:
     """Every foreground point as a candidate seed (exhaustive pool)."""
     n = scene.points.shape[0]

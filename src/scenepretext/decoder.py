@@ -23,15 +23,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
-                             match_points, sample_seed_set)
+                             fps_subset, match_points, sample_seed_set)
 from .errors import CorruptManifest, DimensionMismatch, TooFewPoints
 from .losses import (FeatureBatch, LossReport, PairFeatures,
                      object_level_graph, point_level_graph)
-from .occlusion import occlude_scene
+from .occlusion import occlude_pair
 from .scenegen import ScenePair, SceneInstance
-from .seeding import (STREAM_MATCH_A, STREAM_MATCH_B, STREAM_OCCLUDE_A,
-                      STREAM_OCCLUDE_B, STREAM_SEEDS_A, STREAM_SEEDS_B,
-                      STREAM_TARGETS_A, STREAM_TARGETS_B, mix64)
+from .seeding import (STREAM_MATCH_A, STREAM_MATCH_B, STREAM_SEEDS_A,
+                      STREAM_SEEDS_B, STREAM_TARGETS_A, STREAM_TARGETS_B,
+                      mix64)
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int,
@@ -293,13 +293,11 @@ def prepare_scene_pair(pair: ScenePair, n_seeds: int, m_matches: int,
     Encoder seeds are an FPS subset of each occluded scene; the match seeds
     are an FPS subset of the encoder seeds (scene A) matched against an
     equally sized FPS candidate pool of scene B's encoder seeds. Matches are
-    expressed as row indices into the encoder seed arrays.
+    expressed as row indices into the encoder seed arrays. Without
+    ``occlude`` every point is kept.
     """
-    scene_a, scene_b = pair.scene_a, pair.scene_b
-    if occlude:
-        scene_a, _ = occlude_scene(scene_a, mix64(rng_seed, STREAM_OCCLUDE_A))
-        scene_b, _ = occlude_scene(scene_b, mix64(rng_seed, STREAM_OCCLUDE_B))
-    occluded = ScenePair(scene_a, scene_b, pair.pair_seed)
+    occluded, _, _ = occlude_pair(pair, rng_seed, occlude)
+    scene_a, scene_b = occluded.scene_a, occluded.scene_b
     # seed count is clamped so the occluded cloud can supply the seeds and
     # the complete cloud can supply u^2 * n target points
     n_cap_a = min(n_seeds, scene_a.points.shape[0],
@@ -314,21 +312,14 @@ def prepare_scene_pair(pair: ScenePair, n_seeds: int, m_matches: int,
     seeds_b = sample_seed_set(scene_b, n_cap_b,
                               mix64(rng_seed, STREAM_SEEDS_B))
     # match within the encoder seed arrays: positions, not scene indices
-    pos_a = SeedSet(np.arange(seeds_a.m), seeds_a.coords, seeds_a.object_ids)
-    pos_b = SeedSet(np.arange(seeds_b.m), seeds_b.coords, seeds_b.object_ids)
-    m = min(m_matches, pos_a.m)
-    fps_a = farthest_point_sample(pos_a.coords, m,
-                                  mix64(rng_seed, STREAM_MATCH_A))
-    anchor_seeds = SeedSet(fps_a, pos_a.coords[fps_a],
-                           pos_a.object_ids[fps_a])
-    m_b = min(m_matches, pos_b.m)
-    fps_b = farthest_point_sample(pos_b.coords, m_b,
-                                  mix64(rng_seed, STREAM_MATCH_B))
-    pool_seeds = SeedSet(fps_b, pos_b.coords[fps_b], pos_b.object_ids[fps_b])
+    anchor_seeds, pool_seeds = (
+        fps_subset(SeedSet(np.arange(s.m), s.coords, s.object_ids),
+                   m_matches, mix64(rng_seed, stream))
+        for s, stream in ((seeds_a, STREAM_MATCH_A),
+                          (seeds_b, STREAM_MATCH_B)))
     matches = match_points(occluded, anchor_seeds, pool_seeds, theta)
-    n_a = seeds_a.m
     gt_coarse_a, gt_detail_a = build_targets(
-        pair.scene_a, n_a, u, mix64(rng_seed, STREAM_TARGETS_A))
+        pair.scene_a, seeds_a.m, u, mix64(rng_seed, STREAM_TARGETS_A))
     gt_coarse_b, gt_detail_b = build_targets(
         pair.scene_b, seeds_b.m, u, mix64(rng_seed, STREAM_TARGETS_B))
     categories = np.array([o.category_id for o in pair.scene_a.objects],

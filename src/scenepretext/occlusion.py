@@ -4,7 +4,8 @@ For a scene, one viewpoint is drawn uniformly inside the scene's bounding
 box inflated by 20%; each object then loses floor(f * n) of its points
 furthest from that viewpoint, with f drawn uniformly from [0, 0.5]. Ties in
 distance keep the lower original index. The record returned alongside the
-occluded scene replays the operation exactly.
+occluded scene replays the operation exactly. The two scenes of a pair are
+occluded from their own streams of the pair seed (`occlude_pair`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateObject
-from .scenegen import ObjectInstance, SceneInstance
+from .scenegen import ObjectInstance, SceneInstance, ScenePair
+from .seeding import STREAM_OCCLUDE_A, STREAM_OCCLUDE_B, mix64
 
 AABB_INFLATION = 0.2
 MAX_FRACTION = 0.5
@@ -81,6 +83,22 @@ def occlude_scene(scene: SceneInstance, rng_seed: int,
                                              float(fractions[k])))
     record = OcclusionRecord(viewpoint, fractions, tuple(kept_lists))
     return replay_occlusion(scene, record), record
+
+
+def occlude_pair(pair: ScenePair, rng_seed: int, occlude: bool
+                 ) -> tuple[ScenePair, OcclusionRecord, OcclusionRecord]:
+    """Occlude both scenes; returns (occluded pair, record A, record B).
+
+    Each scene draws from its own stream of ``rng_seed``. Without
+    ``occlude`` every fraction is zero, so every point is kept; the
+    viewpoints are still drawn.
+    """
+    fractions = None if occlude else np.zeros(pair.scene_a.n_objects)
+    occ_a, rec_a = occlude_scene(pair.scene_a,
+                                 mix64(rng_seed, STREAM_OCCLUDE_A), fractions)
+    occ_b, rec_b = occlude_scene(pair.scene_b,
+                                 mix64(rng_seed, STREAM_OCCLUDE_B), fractions)
+    return ScenePair(occ_a, occ_b, pair.pair_seed), rec_a, rec_b
 
 
 def replay_occlusion(scene: SceneInstance,

@@ -20,18 +20,17 @@ import numpy as np
 
 from .assets import DirectoryAssetSource, ProceduralAssetSource
 from .catalog import SceneDistribution, load_default_scannet_parameters
-from .correspondence import (MatchSet, full_seed_pool, match_points,
-                             sample_seed_set)
+from .correspondence import (MatchSet, fps_subset, full_seed_pool,
+                             match_points)
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, PreparedPair,
                       ToyEncoder, forward_backward, load_checkpoint,
                       prepare_scene_pair)
 from .errors import CorruptManifest, PlacementFailure
 from .losses import LossReport
-from .occlusion import OcclusionRecord, occlude_scene, replay_occlusion
+from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
                        ScenePair, Transform, make_scene_pair)
-from .seeding import (STREAM_MATCH_A, STREAM_MATCH_B, STREAM_OCCLUDE_A,
-                      STREAM_OCCLUDE_B, mix64)
+from .seeding import STREAM_MATCH_A, STREAM_MATCH_B, mix64
 
 FORMATS = ("ascii-ply", "binary-f32")
 _FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
@@ -255,7 +254,7 @@ def _pair_dir(out_dir: Path, pair_id: int) -> Path:
 
 
 def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
-                occluded_a: SceneInstance, occluded_b: SceneInstance,
+                occluded: ScenePair,
                 rec_a: OcclusionRecord, rec_b: OcclusionRecord,
                 matches: MatchSet, dist: SceneDistribution,
                 config: PipelineConfig) -> PairManifest:
@@ -265,8 +264,8 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
     files = {}
     for name, scene in (("scene_a_complete", pair.scene_a),
                         ("scene_b_complete", pair.scene_b),
-                        ("scene_a_occluded", occluded_a),
-                        ("scene_b_occluded", occluded_b)):
+                        ("scene_a_occluded", occluded.scene_a),
+                        ("scene_b_occluded", occluded.scene_b)):
         fname = f"{name}.{ext}"
         export_point_cloud(scene.points, pdir / fname, config.export_format)
         files[name] = fname
@@ -303,34 +302,29 @@ def _match_occluded(occluded: ScenePair, m_seeds: int, theta: float,
     Each side draws min(M, its point count) seeds from its own match
     stream; with ``full_pool`` every point of B is a candidate instead.
     """
-    occ_a, occ_b = occluded.scene_a, occluded.scene_b
-    seeds_a = sample_seed_set(occ_a, min(m_seeds, occ_a.points.shape[0]),
-                              mix64(occluded.pair_seed, STREAM_MATCH_A))
-    if full_pool:
-        seeds_b = full_seed_pool(occ_b)
-    else:
-        seeds_b = sample_seed_set(occ_b, min(m_seeds, occ_b.points.shape[0]),
-                                  mix64(occluded.pair_seed, STREAM_MATCH_B))
+    seeds_a = fps_subset(full_seed_pool(occluded.scene_a), m_seeds,
+                         mix64(occluded.pair_seed, STREAM_MATCH_A))
+    seeds_b = full_seed_pool(occluded.scene_b)
+    if not full_pool:
+        seeds_b = fps_subset(seeds_b, m_seeds,
+                             mix64(occluded.pair_seed, STREAM_MATCH_B))
     return match_points(occluded, seeds_a, seeds_b, theta)
 
 
 def generate_pair(config: PipelineConfig, dist: SceneDistribution,
                   asset_source, pair_id: int
-                  ) -> tuple[ScenePair, SceneInstance, SceneInstance,
-                             OcclusionRecord, OcclusionRecord, MatchSet]:
-    """Generate one pair: draw, realize, occlude, match. Pure in the seed."""
+                  ) -> tuple[ScenePair, ScenePair, OcclusionRecord,
+                             OcclusionRecord, MatchSet]:
+    """Generate one pair: draw, realize, occlude, match. Pure in the seed.
+
+    Returns (pair, occluded pair, record A, record B, matches).
+    """
     pair_seed = mix64(config.master_seed, pair_id)
     pair = make_scene_pair(dist, config.n_objects_per_scene, asset_source,
                            pair_seed, config.layout())
-    # zero fractions keep every point; the viewpoint is still drawn
-    fractions = None if config.occlude else np.zeros(pair.scene_a.n_objects)
-    occ_a, rec_a = occlude_scene(pair.scene_a,
-                                 mix64(pair_seed, STREAM_OCCLUDE_A), fractions)
-    occ_b, rec_b = occlude_scene(pair.scene_b,
-                                 mix64(pair_seed, STREAM_OCCLUDE_B), fractions)
-    matches = _match_occluded(ScenePair(occ_a, occ_b, pair_seed),
-                              config.m_seeds, config.theta)
-    return pair, occ_a, occ_b, rec_a, rec_b, matches
+    occluded, rec_a, rec_b = occlude_pair(pair, pair_seed, config.occlude)
+    matches = _match_occluded(occluded, config.m_seeds, config.theta)
+    return pair, occluded, rec_a, rec_b, matches
 
 
 def generate_dataset(config: PipelineConfig, out_dir=None,
@@ -359,13 +353,13 @@ def generate_dataset(config: PipelineConfig, out_dir=None,
     produced = 0
     for pair_id in range(config.n_scenes):
         try:
-            pair, occ_a, occ_b, rec_a, rec_b, matches = generate_pair(
+            pair, occluded, rec_a, rec_b, matches = generate_pair(
                 config, dist, asset_source, pair_id)
         except PlacementFailure:
             failures += 1
             continue
-        _write_pair(out_dir, pair_id, pair, occ_a, occ_b, rec_a, rec_b,
-                    matches, dist, config)
+        _write_pair(out_dir, pair_id, pair, occluded, rec_a, rec_b, matches,
+                    dist, config)
         produced += 1
         label = dist.scene_labels[pair.scene_a.scene_type_id]
         scene_hist[label] = scene_hist.get(label, 0) + 1
@@ -565,11 +559,12 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     if config is None and (dataset_dir / "summary.json").exists():
         config = _load_summary_config(dataset_dir)
     pair, manifest = load_pair(pair_dir, config)
-    occ_a = replay_occlusion(pair.scene_a, manifest.occlusion_a)
-    occ_b = replay_occlusion(pair.scene_b, manifest.occlusion_b)
+    occluded = ScenePair(
+        replay_occlusion(pair.scene_a, manifest.occlusion_a),
+        replay_occlusion(pair.scene_b, manifest.occlusion_b),
+        manifest.pair_seed)
     if m_seeds is None:
         m_seeds = (config or PipelineConfig()).m_seeds
     if theta is None:
         theta = manifest.theta
-    return _match_occluded(ScenePair(occ_a, occ_b, manifest.pair_seed),
-                           m_seeds, theta, full_pool)
+    return _match_occluded(occluded, m_seeds, theta, full_pool)

@@ -387,8 +387,7 @@ def test_pair_generation_is_order_independent(tmp_path):
     generate_dataset(config, tmp_path / "ds", progress=False)
     dist = config.load_distribution()
     source = config.make_asset_source()
-    pair, occ_a, occ_b, rec_a, rec_b, matches = generate_pair(
-        config, dist, source, 1)
+    pair, _, rec_a, rec_b, matches = generate_pair(config, dist, source, 1)
     stored, manifest = load_pair(list_pair_dirs(tmp_path / "ds")[1], config)
     assert manifest.pair_seed == pair.pair_seed
     np.testing.assert_allclose(stored.scene_a.points, pair.scene_a.points,
