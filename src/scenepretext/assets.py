@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateObject, UnknownCategory
+from .errors import CorruptManifest, DegenerateObject, UnknownCategory
 from .scenegen import MIN_OBJECT_POINTS
 from .seeding import mix64
 
@@ -244,7 +244,8 @@ class DirectoryAssetSource:
 
     Layout: ``root/<category_id>/<instance_id>.<ext>`` where ext is ``ply``
     or ``bin`` (formats written by the pipeline exporter). Clouds are
-    re-centered on load so they satisfy the canonical contract.
+    re-centered on load so they satisfy the canonical contract. A missing
+    or too small file raises CorruptManifest: the directory is bad input.
     """
 
     def __init__(self, root):
@@ -257,9 +258,9 @@ class DirectoryAssetSource:
             if path.exists():
                 pts = load_point_cloud(path, fmt)
                 if pts.shape[0] < MIN_OBJECT_POINTS:
-                    raise DegenerateObject(
+                    raise CorruptManifest(
                         f"{path}: {pts.shape[0]} points")
                 return pts - pts.mean(axis=0)
-        raise UnknownCategory(
+        raise CorruptManifest(
             f"no asset file under {self.root} for "
             f"category {category_id} instance {instance_id}")

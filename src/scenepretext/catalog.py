@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZeroCounts, DimensionMismatch
+from .errors import AllZeroCounts, CorruptManifest, DimensionMismatch
 
 SUM_TOL = 1e-9
 
@@ -182,9 +182,14 @@ class SceneDistribution:
 
     @classmethod
     def load(cls, path) -> "SceneDistribution":
+        """Read a saved distribution; tables that do not fit each other
+        raise CorruptManifest."""
         with open(path) as f:
             doc = json.load(f)
-        return cls.from_dict(doc)
+        try:
+            return cls.from_dict(doc)
+        except DimensionMismatch as e:
+            raise CorruptManifest(f"{path}: {e}") from None
 
 
 def fit_scene_distribution(

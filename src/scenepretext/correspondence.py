@@ -63,16 +63,6 @@ class MatchSet:
                                   self.distances, self.object_ids)
         ]
 
-    @classmethod
-    def from_records(cls, records: list[dict], theta: float) -> "MatchSet":
-        return cls(
-            np.array([r["a_index"] for r in records], dtype=np.intp),
-            np.array([r["b_index"] for r in records], dtype=np.intp),
-            np.array([r["distance"] for r in records], dtype=np.float64),
-            np.array([r["object_id"] for r in records], dtype=np.intp),
-            theta,
-        )
-
 
 def farthest_point_sample(points: np.ndarray, m: int,
                           rng_seed: int) -> np.ndarray:

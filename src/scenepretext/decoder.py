@@ -252,20 +252,18 @@ def decode(seed_coords: np.ndarray, seed_features: np.ndarray,
 
 def build_targets(complete_scene: SceneInstance, n: int, u: int,
                   rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nested FPS ground truths: detail (u*u*n points), coarse (n points).
+    """Nested FPS ground truths: coarse (n points), detail (u*u*n points).
 
-    The coarse target is an FPS subset of the detail target, so the two
-    levels are consistent.
+    One FPS run gives both: its first n picks are themselves an FPS run of
+    n points, so the coarse target is the detail target's prefix.
     """
     pts = complete_scene.points
     need = u * u * n
     if pts.shape[0] < need:
         raise TooFewPoints(
             f"scene has {pts.shape[0]} points, targets need {need}")
-    detail_idx = farthest_point_sample(pts, need, rng_seed)
-    gt_detail = pts[detail_idx]
-    coarse_idx = farthest_point_sample(gt_detail, n, mix64(rng_seed, 1))
-    return gt_detail[coarse_idx], gt_detail
+    gt_detail = pts[farthest_point_sample(pts, need, rng_seed)]
+    return gt_detail[:n], gt_detail
 
 
 @dataclass(frozen=True)

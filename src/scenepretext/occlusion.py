@@ -87,12 +87,9 @@ def occlude_scene(scene: SceneInstance, rng_seed: int,
 
 def occlude_pair(pair: ScenePair, rng_seed: int, occlude: bool
                  ) -> tuple[ScenePair, OcclusionRecord, OcclusionRecord]:
-    """Occlude both scenes; returns (occluded pair, record A, record B).
-
-    Each scene draws from its own stream of ``rng_seed``. Without
-    ``occlude`` every fraction is zero, so every point is kept; the
-    viewpoints are still drawn.
-    """
+    """Occlude both scenes, each from its own stream of ``rng_seed``;
+    returns (occluded pair, record A, record B). Without ``occlude`` every
+    fraction is zero: every point is kept, the viewpoints are still drawn."""
     fractions = None if occlude else np.zeros(pair.scene_a.n_objects)
     occ_a, rec_a = occlude_scene(pair.scene_a,
                                  mix64(rng_seed, STREAM_OCCLUDE_A), fractions)

@@ -78,7 +78,6 @@ class PipelineConfig:
     occlude: bool = True
     batch_pairs: int = 2
     distribution_file: str | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
         checks = [
@@ -103,11 +102,9 @@ class PipelineConfig:
                 raise ValueError(f"config violates: {what}")
 
     def config_hash(self) -> str:
-        """sha256 over the semantic fields; where the dataset lives does not
-        change what it contains, so output_dir is excluded."""
-        doc = asdict(self)
-        doc.pop("output_dir")
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """sha256 over the canonical JSON of every field."""
+        blob = json.dumps(asdict(self), sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def layout(self) -> LayoutParams:
@@ -228,13 +225,12 @@ class PairManifest:
     occlusion_b: OcclusionRecord
     matches: list[dict]
     theta: float
-    files: dict[str, str]
     export_format: str
     config_hash: str
 
     def to_dict(self) -> dict:
-        return asdict(replace(self, occlusion_a=self.occlusion_a.to_dict(),
-                              occlusion_b=self.occlusion_b.to_dict()))
+        return {**vars(self), "occlusion_a": self.occlusion_a.to_dict(),
+                "occlusion_b": self.occlusion_b.to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PairManifest":
@@ -253,22 +249,25 @@ def _pair_dir(out_dir: Path, pair_id: int) -> Path:
     return out_dir / "pairs" / f"pair_{pair_id:05d}"
 
 
+def pair_files(export_format: str) -> dict[str, str]:
+    """The format fixes the names of a pair's clouds: complete A and B,
+    then occluded A and B."""
+    ext = _FORMAT_EXT[export_format]
+    return {f"scene_{s}_{kind}": f"scene_{s}_{kind}.{ext}"
+            for kind in ("complete", "occluded") for s in "ab"}
+
+
 def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
-                occluded: ScenePair,
-                rec_a: OcclusionRecord, rec_b: OcclusionRecord,
-                matches: MatchSet, dist: SceneDistribution,
+                occluded: ScenePair, rec_a: OcclusionRecord,
+                rec_b: OcclusionRecord, matches: MatchSet,
+                dist: SceneDistribution,
                 config: PipelineConfig) -> PairManifest:
     pdir = _pair_dir(out_dir, pair_id)
     pdir.mkdir(parents=True, exist_ok=True)
-    ext = _FORMAT_EXT[config.export_format]
-    files = {}
-    for name, scene in (("scene_a_complete", pair.scene_a),
-                        ("scene_b_complete", pair.scene_b),
-                        ("scene_a_occluded", occluded.scene_a),
-                        ("scene_b_occluded", occluded.scene_b)):
-        fname = f"{name}.{ext}"
+    clouds = (pair.scene_a, pair.scene_b, occluded.scene_a, occluded.scene_b)
+    for fname, scene in zip(pair_files(config.export_format).values(),
+                            clouds):
         export_point_cloud(scene.points, pdir / fname, config.export_format)
-        files[name] = fname
     manifest = PairManifest(
         pair_id=pair_id,
         pair_seed=pair.pair_seed,
@@ -285,13 +284,13 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
         occlusion_b=rec_b,
         matches=matches.to_records(),
         theta=config.theta,
-        files=files,
         export_format=config.export_format,
         config_hash=config.config_hash(),
     )
+    # dumps, not dump: only the one-shot encoder runs in C
     with open(pdir / "manifest.json", "w", newline="\n") as f:
-        json.dump(manifest.to_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(manifest.to_dict(), sort_keys=True,
+                           separators=(",", ":")) + "\n")
     return manifest
 
 
@@ -315,10 +314,8 @@ def generate_pair(config: PipelineConfig, dist: SceneDistribution,
                   asset_source, pair_id: int
                   ) -> tuple[ScenePair, ScenePair, OcclusionRecord,
                              OcclusionRecord, MatchSet]:
-    """Generate one pair: draw, realize, occlude, match. Pure in the seed.
-
-    Returns (pair, occluded pair, record A, record B, matches).
-    """
+    """Generate one pair: draw, realize, occlude, match. Pure in the seed;
+    returns (pair, occluded pair, record A, record B, matches)."""
     pair_seed = mix64(config.master_seed, pair_id)
     pair = make_scene_pair(dist, config.n_objects_per_scene, asset_source,
                            pair_seed, config.layout())
@@ -327,20 +324,14 @@ def generate_pair(config: PipelineConfig, dist: SceneDistribution,
     return pair, occluded, rec_a, rec_b, matches
 
 
-def generate_dataset(config: PipelineConfig, out_dir=None,
+def generate_dataset(config: PipelineConfig, out_dir,
                      progress: bool = True) -> dict:
     """Write n_scenes pair directories plus a dataset summary.
 
     Deterministic under the master seed: the same config always produces a
     byte-identical tree. Placement failures are counted and reported, not
     fatal. Returns the summary dict (also written as summary.json).
-    ``out_dir`` overrides config.output_dir.
     """
-    if out_dir is None:
-        out_dir = config.output_dir
-    if out_dir is None:
-        raise ValueError("no output directory: set config.output_dir or "
-                         "pass out_dir")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dist = config.load_distribution()
@@ -427,8 +418,8 @@ def load_pair(pair_dir, config: PipelineConfig | None = None
         raise CorruptManifest(
             f"pair {manifest.pair_id}: config hash mismatch")
     try:
-        files = {name: pair_dir / fname
-                 for name, fname in manifest.files.items()}
+        files = {name: pair_dir / fname for name, fname
+                 in pair_files(manifest.export_format).items()}
         complete = {side: files[f"scene_{side}_complete"]
                     for side in ("a", "b")}
         draws = [(o["category_id"], o["instance_id"], int(o["n_points"]))

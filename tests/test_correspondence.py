@@ -6,7 +6,7 @@ import pytest
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.correspondence import (MatchSet, SeedSet,
-                                         farthest_point_sample,
+                                         farthest_point_sample, fps_subset,
                                          full_seed_pool, match_points,
                                          sample_seed_set, translate_seed)
 from scenepretext.errors import TooFewPoints
@@ -308,15 +308,34 @@ def test_match_set_validation_and_records():
                  np.array([0]), theta=0.1)
     ms = MatchSet(np.array([0]), np.array([1]), np.array([0.05]),
                   np.array([3]), theta=0.1)
-    rec = ms.to_records()
-    back = MatchSet.from_records(rec, theta=0.1)
-    np.testing.assert_array_equal(back.a_indices, ms.a_indices)
-    assert rec[0]["object_id"] == 3
+    assert ms.to_records() == [{"a_index": 0, "b_index": 1,
+                                "distance": 0.05, "object_id": 3}]
 
 
 def test_seed_set_uniqueness_enforced():
     with pytest.raises(ValueError):
         SeedSet(np.array([0, 0]), np.zeros((2, 3)), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("m", [1, 40, 300, 10_000])
+def test_fps_subset_of_full_pool_is_clamped_fps(m):
+    """Bit for bit the clamp-then-FPS code that generation used inline."""
+    scene = paired_scenes(seed=61, occlude=True).scene_a
+    want = farthest_point_sample(scene.points,
+                                 min(m, scene.points.shape[0]), 17)
+    got = fps_subset(full_seed_pool(scene), m, 17)
+    np.testing.assert_array_equal(got.indices, want)
+    np.testing.assert_array_equal(got.coords, scene.points[want])
+    np.testing.assert_array_equal(got.object_ids,
+                                  scene.point_object_ids[want])
+
+
+def test_fps_subset_keeps_the_pool_indices():
+    pool = sample_seed_set(paired_scenes(seed=62).scene_b, 100, 3)
+    pick = farthest_point_sample(pool.coords, 30, 4)
+    got = fps_subset(pool, 30, 4)
+    np.testing.assert_array_equal(got.indices, pool.indices[pick])
+    np.testing.assert_array_equal(got.object_ids, pool.object_ids[pick])
 
 
 def test_fps_only_on_foreground():

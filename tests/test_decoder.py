@@ -6,6 +6,8 @@ import pytest
 from scenepretext import autodiff as ad
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
+from scenepretext.correspondence import (SeedSet, farthest_point_sample,
+                                         match_points, sample_seed_set)
 from scenepretext.decoder import (DecoderHeads, EncoderConfig, HeadsConfig,
                                   ToyEncoder, _loss_graph, build_targets,
                                   decode, forward_backward, gradient_check,
@@ -15,6 +17,8 @@ from scenepretext.errors import DimensionMismatch, TooFewPoints
 from scenepretext.losses import chamfer_distance
 from scenepretext.scenegen import (LayoutParams, ObjectInstance,
                                    SceneInstance, Transform, make_scene_pair)
+from scenepretext.seeding import (STREAM_MATCH_A, STREAM_MATCH_B,
+                                  STREAM_SEEDS_A, STREAM_SEEDS_B, mix64)
 
 
 def relu(x):
@@ -173,6 +177,14 @@ def test_targets_fps_coverage_beats_random_subsets():
     assert fps_quality <= random_quality
 
 
+def test_coarse_target_is_the_detail_prefix():
+    scene = grid_scene(300)
+    gt_coarse, gt_detail = build_targets(scene, n=10, u=3, rng_seed=5)
+    np.testing.assert_array_equal(gt_coarse, gt_detail[:10])
+    np.testing.assert_array_equal(
+        gt_coarse, scene.points[farthest_point_sample(scene.points, 10, 5)])
+
+
 def test_targets_too_few_points():
     scene = grid_scene(30)
     with pytest.raises(TooFewPoints):
@@ -283,6 +295,31 @@ def test_zero_parameters_constant_features_scalar_oracle():
             l_d.append(chamfer_distance(np.repeat(coords, 4, axis=0), gt_d))
     assert rep.l_rec_coarse == pytest.approx(np.mean(l_c), abs=1e-12)
     assert rep.l_rec_detail == pytest.approx(np.mean(l_d), abs=1e-12)
+
+
+def test_prepare_without_occlusion_samples_the_complete_scenes():
+    """occlude=False keeps every point, so seeds and matches are those the
+    complete scenes give when occlusion is skipped altogether."""
+    pair = make_scene_pair(load_default_scannet_parameters(), 3,
+                           ProceduralAssetSource(n_points=48), 777,
+                           LayoutParams())
+    pp = prepare_scene_pair(pair, n_seeds=12, m_matches=8, theta=0.3, u=2,
+                            rng_seed=9, occlude=False)
+    seeds_a = sample_seed_set(pair.scene_a, 12, mix64(9, STREAM_SEEDS_A))
+    seeds_b = sample_seed_set(pair.scene_b, 12, mix64(9, STREAM_SEEDS_B))
+    np.testing.assert_array_equal(pp.coords_a, seeds_a.coords)
+    np.testing.assert_array_equal(pp.coords_b, seeds_b.coords)
+    np.testing.assert_array_equal(pp.object_ids_a, seeds_a.object_ids)
+    np.testing.assert_array_equal(pp.object_ids_b, seeds_b.object_ids)
+    ia = farthest_point_sample(seeds_a.coords, 8, mix64(9, STREAM_MATCH_A))
+    ib = farthest_point_sample(seeds_b.coords, 8, mix64(9, STREAM_MATCH_B))
+    want = match_points(
+        pair, SeedSet(ia, seeds_a.coords[ia], seeds_a.object_ids[ia]),
+        SeedSet(ib, seeds_b.coords[ib], seeds_b.object_ids[ib]), 0.3)
+    assert len(want) > 0
+    for field in ("a_indices", "b_indices", "distances", "object_ids"):
+        np.testing.assert_array_equal(getattr(pp.matches, field),
+                                      getattr(want, field))
 
 
 def test_single_prepared_pair_accepted():

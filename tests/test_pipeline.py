@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 import scenepretext
+from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.cli import main
 from scenepretext.decoder import (DecoderHeads, ToyEncoder, load_checkpoint,
                                   save_checkpoint)
 from scenepretext.errors import CorruptManifest, DimensionMismatch
 from scenepretext.losses import chamfer_distance
-from scenepretext.pipeline import (PipelineConfig, evaluate_losses,
-                                   export_point_cloud, generate_dataset,
-                                   list_pair_dirs, load_pair,
-                                   load_point_cloud, match_pair_dir)
+from scenepretext.occlusion import occlude_pair
+from scenepretext.pipeline import (PairManifest, PipelineConfig,
+                                   evaluate_losses, export_point_cloud,
+                                   generate_dataset, list_pair_dirs,
+                                   load_pair, load_point_cloud,
+                                   match_pair_dir, pair_files)
 from scenepretext.seeding import mix64
 
 SMALL = dict(n_scenes=3, n_objects_per_scene=4, points_per_object=48,
@@ -108,8 +111,10 @@ def test_cli_truncated_geometry_exit_2(tmp_path, command):
 MANIFEST_FAULTS = {
     "extra-field": lambda doc: doc.update(extra=1),
     "missing-field": lambda doc: doc.pop("theta"),
-    "files-not-object":
-        lambda doc: doc.update(files=list(doc["files"].values())),
+    # the name map older manifests stored; the format fixes the names now
+    "stale-files-field":
+        lambda doc: doc.update(files=pair_files(doc["export_format"])),
+    "unknown-export-format": lambda doc: doc.update(export_format="obj"),
     "object-without-n_points": lambda doc: doc["objects"][1].pop("n_points"),
     "object-without-category_id":
         lambda doc: doc["objects"][0].pop("category_id"),
@@ -204,13 +209,18 @@ def test_generate_deterministic_byte_identical(tmp_path):
 # once since, when include_floor and yaw_only left PipelineConfig: only the
 # config hash (in every manifest.json and summary.json) and the two keys in
 # summary.json moved; every geometry file and loss line is unchanged.
+# Updated again when the coarse target became the detail FPS run's prefix
+# and the manifest lost `files` and became compact JSON: l_rec_coarse and
+# l_overall moved in every loss line, manifest.json and summary.json (no
+# `output_dir` key) were rewritten; every geometry file and every l_obj,
+# l_pts and l_rec_detail bit is unchanged.
 GOLDEN = [
     (0, "binary-f32",
-     "09e5559d027f00e5cbf78ffb1f9c16e0298068d703b2c12cd5a80a99be9cfac5"),
+     "94938a4e65081c6f3dfd901addc74cc46cd954b63e61e75f9ef868e7d11fbd9a"),
     (1, "binary-f32",
-     "9e7936fdda58f0cd23fc16d4484b8f9d31a6282dfad5d019703728512d52009a"),
+     "e8e8bd147f4479043674d3a058d392ef6b2997d6e71568326d21b21bb7bb1e1e"),
     (2, "ascii-ply",
-     "053b12f9020d97d5212f5af71a9b98570afb492a4dd9d8ac44c59b0f4bbeece2"),
+     "15bc24430996812eac95c8078e518f9ebeb6ab64e3cadeec360f8ca5c7ebbcd0"),
 ]
 
 
@@ -232,6 +242,27 @@ def test_golden_dataset_and_loss_digest(tmp_path, master_seed, fmt,
     assert h.hexdigest() == expected
 
 
+@pytest.mark.parametrize("master_seed,fmt", [g[:2] for g in GOLDEN],
+                         ids=[f"{seed}-{fmt}" for seed, fmt, _ in GOLDEN])
+def test_losses_redraws_the_stored_occlusion(tmp_path, master_seed, fmt):
+    """`losses` occludes again, from geometry reloaded at float32, so its
+    viewpoints differ from the stored ones in the last bits; the points it
+    keeps must still be exactly the stored ones."""
+    config = PipelineConfig(n_scenes=4, master_seed=master_seed,
+                            export_format=fmt)
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    for pdir in list_pair_dirs(tmp_path / "ds"):
+        pair, manifest = load_pair(pdir, config)
+        _, rec_a, rec_b = occlude_pair(pair, manifest.pair_seed,
+                                       config.occlude)
+        for got, stored in ((rec_a, manifest.occlusion_a),
+                            (rec_b, manifest.occlusion_b)):
+            assert len(got.kept_indices) == len(stored.kept_indices)
+            for k_got, k_stored in zip(got.kept_indices,
+                                       stored.kept_indices):
+                np.testing.assert_array_equal(k_got, k_stored)
+
+
 # sha256 over every tensor of all four forward_backward gradient dicts (sorted
 # term, then sorted parameter name; name, shape and float64 bytes) for the
 # gradcheck batch and for one full-width pair built as perfbench's TrainStep
@@ -240,6 +271,9 @@ def test_golden_dataset_and_loss_digest(tmp_path, master_seed, fmt,
 # on-demand gradients replaced them: a tape change that moves any gradient
 # bit fails here. Which BLAS kernel a product uses can depend on the thread
 # count, so the digest is computed in a child process with one BLAS thread.
+# Updated once, when the coarse target became the detail FPS run's prefix:
+# the l_rec and l_overall gradients moved with l_rec_coarse; the l_obj and
+# l_pts gradients are bit-identical to the recorded ones.
 GRAD_GOLDEN_SCRIPT = """
 import hashlib
 from dataclasses import replace
@@ -272,8 +306,8 @@ print(digest(decoder.forward_backward([pp], encoder, heads, c.tau,
                                       c.lambda_pts, c.lambda_rec)))
 """
 GRAD_GOLDEN = [
-    "ba650f5fdccca433c6e62ff6ec43a8bee6e1df38474c56827ba87fcfaebb1d79",
-    "9aade1e64493ae166b9da4ac5d1825bb6cea1eb16a4e909fcb65f50c2fee08d0",
+    "b6f697cc5aec6bdc39b0df12d7338dec12710c72692ca00c3b72b648250b25bb",
+    "e9a613fcf3b5eea35a74d092afd6a3a6bff9dddce0ac2d0cf6c36148915960c4",
 ]
 
 
@@ -297,8 +331,9 @@ def test_generate_layout_and_manifest(tmp_path):
         with open(pdir / "manifest.json") as f:
             doc = json.load(f)
         assert doc["config_hash"] == config.config_hash()
-        for fname in doc["files"].values():
-            assert (pdir / fname).exists()
+        assert set(doc) == set(PairManifest.__dataclass_fields__)
+        assert sorted(p.name for p in pdir.iterdir()) == sorted(
+            ["manifest.json", *pair_files(config.export_format).values()])
         assert 0.0 <= np.array(doc["occlusion_a"]["fractions"]).max() <= 0.5
         for rec in doc["matches"]:
             assert rec["distance"] < config.theta
@@ -312,8 +347,9 @@ def test_load_pair_replays_scene(tmp_path):
     assert pair.scene_a.n_objects == 4
     # per-point ids rebuilt from manifest object sizes cover all objects
     assert sorted(np.unique(pair.scene_a.point_object_ids)) == list(range(4))
-    stored = load_point_cloud(pdir / manifest.files["scene_a_complete"],
-                              manifest.export_format)
+    stored = load_point_cloud(
+        pdir / pair_files(manifest.export_format)["scene_a_complete"],
+        manifest.export_format)
     np.testing.assert_allclose(pair.scene_a.points, stored, atol=1e-5)
 
 
@@ -395,19 +431,6 @@ def test_pair_generation_is_order_independent(tmp_path):
     assert manifest.matches == matches.to_records()
     np.testing.assert_array_equal(manifest.occlusion_a.fractions,
                                   rec_a.fractions)
-
-
-def test_config_output_dir_field(tmp_path):
-    config = PipelineConfig(**{**SMALL, "n_scenes": 1,
-                               "output_dir": str(tmp_path / "via_config")})
-    generate_dataset(config, progress=False)
-    assert (tmp_path / "via_config" / "summary.json").exists()
-    # the hash ignores where the dataset lives
-    moved = PipelineConfig(**{**SMALL, "n_scenes": 1,
-                              "output_dir": str(tmp_path / "elsewhere")})
-    assert moved.config_hash() == config.config_hash()
-    with pytest.raises(ValueError):
-        generate_dataset(PipelineConfig(**SMALL))
 
 
 def test_cli_losses_with_checkpoint(tmp_path):
@@ -612,6 +635,29 @@ def test_cli_match_subcommand(tmp_path):
                  "--m-seeds", "16"]) == 0
     doc = json.loads(dst.read_text())
     assert doc["n_matches"] == len(doc["matches"])
+
+
+# each edit turns the bundled distribution into a bad --distribution file
+DISTRIBUTION_FAULTS = {
+    "scene-prior-short": lambda doc: doc["scene_prior"].pop(),
+    "empty-instance-row":
+        lambda doc: doc["instance_given_category"].__setitem__(0, []),
+}
+
+
+@pytest.mark.parametrize("fault",
+                         [*DISTRIBUTION_FAULTS, "asset-dir-missing-instance"])
+def test_cli_generate_bad_distribution_or_assets_exit_2(tmp_path, fault):
+    if fault in DISTRIBUTION_FAULTS:
+        doc = load_default_scannet_parameters().to_dict()
+        DISTRIBUTION_FAULTS[fault](doc)
+        args = ["--distribution", str(tmp_path / "dist.json")]
+        (tmp_path / "dist.json").write_text(json.dumps(doc))
+    else:   # an asset directory without any instance file
+        (tmp_path / "assets").mkdir()
+        args = ["--asset-source", str(tmp_path / "assets")]
+    assert main(["generate", "--out", str(tmp_path / "ds"), "--seed", "0",
+                 "--n-scenes", "1", *args]) == 2
 
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
