@@ -10,16 +10,13 @@ losses with analytic gradients checked against finite differences.
 from .catalog import (CategoryTable, SceneDistribution, fit_categorical,
                       fit_scene_distribution, load_default_scannet_parameters)
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
-                             full_seed_pool, match_points, sample_seed_set,
-                             translate_seed)
+                             full_seed_pool, match_points, sample_seed_set)
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig,
                       PreparedPair, ReconstructionOutput, ToyEncoder,
                       build_targets, decode, forward_backward,
                       gradient_check, load_checkpoint, prepare_scene_pair,
                       save_checkpoint)
-from .losses import (FeatureBatch, LossReport, PairFeatures,
-                     chamfer_distance, info_nce_pairwise, object_level_loss,
-                     overall_loss, point_level_loss, reconstruction_loss)
+from .losses import LossReport, chamfer_distance
 from .occlusion import OcclusionRecord, occlude_scene, replay_occlusion
 from .pipeline import (PipelineConfig, PairManifest, evaluate_losses,
                        export_point_cloud, generate_dataset, load_pair,

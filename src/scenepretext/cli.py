@@ -16,7 +16,8 @@ from .assets import ProceduralAssetSource
 from .catalog import CategoryTable, fit_scene_distribution
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       gradient_check, prepare_scene_pair)
-from .errors import CorruptManifest, DimensionMismatch, ScenePretextError
+from .errors import (CorruptManifest, DimensionMismatch, ScenePretextError,
+                     TooFewPoints)
 from .pipeline import (PipelineConfig, evaluate_losses, generate_dataset,
                        match_pair_dir)
 from .scenegen import make_scene_pair
@@ -74,6 +75,8 @@ def _cmd_match(args) -> int:
     pair_dir = Path(args.pair)
     if not (pair_dir / "manifest.json").exists():
         raise UsageError(f"{pair_dir}: no manifest.json")
+    if args.m_seeds is not None and args.m_seeds < 1:
+        raise UsageError(f"--m-seeds must be >= 1, got {args.m_seeds}")
     matches = match_pair_dir(pair_dir, m_seeds=args.m_seeds,
                              theta=args.theta, full_pool=args.full_pool)
     doc = {"theta": matches.theta, "n_matches": len(matches),
@@ -95,7 +98,7 @@ def _cmd_losses(args) -> int:
     try:
         evaluate_losses(dataset, checkpoint=args.checkpoint,
                         report_path=args.report)
-    except (CorruptManifest, DimensionMismatch) as e:
+    except (CorruptManifest, DimensionMismatch, TooFewPoints) as e:
         raise UsageError(str(e))
     return EXIT_OK
 

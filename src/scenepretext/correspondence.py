@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewPoints
-from .scenegen import ScenePair, SceneInstance, Transform
+from .scenegen import ScenePair, SceneInstance
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def farthest_point_sample(points: np.ndarray, m: int,
 
     The first index is drawn from the seeded stream; each following pick
     maximizes the minimum distance to the chosen set, ties resolved toward
-    the lowest index. Deterministic under rng_seed.
+    the lowest index. Deterministic under rng_seed. Asking for fewer than
+    one or more than n points raises TooFewPoints.
 
     Rounding contract: every distance is computed as
     sqrt((dx*dx + dy*dy) + dz*dz), the summation order of
@@ -84,7 +85,7 @@ def farthest_point_sample(points: np.ndarray, m: int,
     n = points.shape[0]
     if n == 0:
         raise TooFewPoints("empty point set")
-    if m > n:
+    if not 1 <= m <= n:
         raise TooFewPoints(f"requested {m} seeds from {n} points")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     chosen = np.empty(m, dtype=np.intp)
@@ -133,38 +134,6 @@ def full_seed_pool(scene: SceneInstance) -> SeedSet:
     n = scene.points.shape[0]
     return SeedSet(np.arange(n, dtype=np.intp), scene.points,
                    scene.point_object_ids)
-
-
-def translate_seed(seed_coord: np.ndarray, t_a: Transform,
-                   t_b: Transform) -> np.ndarray:
-    """Carry a scene-A point onto scene B via t_b composed with t_a inverse."""
-    return t_b.compose(t_a.inverse()).apply(np.asarray(seed_coord))
-
-
-def exact_match_oracle(pair: ScenePair, seeds_a: SeedSet) -> MatchSet:
-    """Identical-canonical-point correspondences (test oracle only).
-
-    Valid only for complete, unoccluded pairs, where the two scenes list the
-    same canonical points object by object: seed i of object k in A is paired
-    with position i of object k in B. This is the rejected exact-matching
-    baseline; it exists to cross-check the relaxed matcher in tests and is
-    not a pipeline mode.
-    """
-    counts_a = [o.n_points for o in pair.scene_a.objects]
-    counts_b = [o.n_points for o in pair.scene_b.objects]
-    if counts_a != counts_b:
-        raise ValueError("exact matching requires unoccluded scenes")
-    carriers = [tb.compose(ta.inverse())
-                for ta, tb in zip(pair.transforms("a"), pair.transforms("b"))]
-    b_idx = np.empty(seeds_a.m, dtype=np.intp)
-    dists = np.empty(seeds_a.m)
-    for i in range(seeds_a.m):
-        y = int(seeds_a.object_ids[i])
-        b_idx[i] = seeds_a.indices[i]  # same object-major layout both sides
-        target = carriers[y].apply(seeds_a.coords[i])
-        dists[i] = np.linalg.norm(pair.scene_b.points[b_idx[i]] - target)
-    return MatchSet(seeds_a.indices.copy(), b_idx, dists,
-                    seeds_a.object_ids.copy(), theta=np.inf)
 
 
 def match_points(pair: ScenePair, seeds_a: SeedSet, seeds_b_pool: SeedSet,

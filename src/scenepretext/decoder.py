@@ -24,9 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
                              fps_subset, match_points, sample_seed_set)
-from .errors import CorruptManifest, DimensionMismatch, TooFewPoints
-from .losses import (FeatureBatch, LossReport, PairFeatures,
-                     object_level_graph, point_level_graph)
+from .errors import (CorruptManifest, DimensionMismatch, EmptyBatch,
+                     TooFewPoints)
+from .losses import LossReport, object_level_graph, point_level_graph
 from .occlusion import occlude_pair
 from .scenegen import ScenePair, SceneInstance
 from .seeding import (STREAM_MATCH_A, STREAM_MATCH_B, STREAM_SEEDS_A,
@@ -135,16 +135,6 @@ class ToyEncoder:
 
     def project_graph(self, params: dict[str, ad.Var], z: ad.Var) -> ad.Var:
         return ad.mlp(z, _mlp_layers(params, "proj", 2))
-
-    def encode(self, coords: np.ndarray, object_ids: np.ndarray,
-               n_objects: int) -> np.ndarray:
-        params = {k: ad.leaf(v) for k, v in self.params.items()}
-        return self.encode_graph(params, ad.leaf(coords), object_ids,
-                                 n_objects).data
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        params = {k: ad.leaf(v) for k, v in self.params.items()}
-        return self.project_graph(params, ad.leaf(z)).data
 
 
 @dataclass(frozen=True)
@@ -352,14 +342,11 @@ def _contrastive_graph(prepared: Sequence[PreparedPair],
     """l_obj and l_pts over the projected features of ``sides``."""
     h = [encoder.project_graph(params, z) for _, z in sides]
     h_vars = list(zip(h[0::2], h[1::2]))
-    batch = FeatureBatch(tuple(
-        PairFeatures(h_a=h_a.data, h_b=h_b.data,
-                     object_ids_a=pp.object_ids_a,
-                     object_ids_b=pp.object_ids_b, categories=pp.categories)
-        for (h_a, h_b), pp in zip(h_vars, prepared)))
-    l_obj, obj_counts = object_level_graph(h_vars, batch, tau)
+    object_ids = [(pp.object_ids_a, pp.object_ids_b) for pp in prepared]
+    l_obj, obj_counts = object_level_graph(
+        h_vars, object_ids, [pp.categories for pp in prepared], tau)
     l_pts, pts_counts = point_level_graph(
-        h_vars, batch, [pp.matches for pp in prepared], tau)
+        h_vars, object_ids, [pp.matches for pp in prepared], tau)
     counts = {"object_" + k: v for k, v in obj_counts.items()}
     counts.update({"point_" + k: v for k, v in pts_counts.items()})
     return {"l_obj": l_obj, "l_pts": l_pts}, counts
@@ -442,6 +429,8 @@ def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
     """
     if isinstance(prepared, PreparedPair):
         prepared = [prepared]
+    if not prepared:
+        raise EmptyBatch("no scene pairs")
     params, losses, counts = _overall_graph(
         prepared, _param_arrays(encoder, heads), encoder, heads, tau,
         lambda_pts, lambda_rec)
@@ -489,7 +478,8 @@ def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:
     """Load a checkpoint, validating every tensor against its shape entry.
 
     Bad structure (missing key, unknown config field or parameter scope)
-    raises CorruptManifest; a wrong tensor size or shape DimensionMismatch.
+    or a non-finite value raises CorruptManifest; a wrong tensor size or
+    shape DimensionMismatch.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -507,6 +497,9 @@ def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:
             raise CorruptManifest(
                 f"checkpoint {path}: {key!r} has unknown scope {scope!r}")
         arr = np.array(data, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise CorruptManifest(
+                f"checkpoint {path}: {key} holds non-finite values")
         if arr.size != int(np.prod(shape)):
             raise DimensionMismatch(
                 f"{key}: {arr.size} values for shape {shape}")

@@ -42,7 +42,7 @@ class NonFiniteInput(ScenePretextError):
 
 
 class EmptyBatch(ScenePretextError):
-    """A feature batch contains no scene pairs."""
+    """A loss batch contains no scene pairs."""
 
 
 class EmptySet(ScenePretextError):

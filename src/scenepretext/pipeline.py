@@ -91,6 +91,9 @@ class PipelineConfig:
             (self.lambda_pts >= 0, "lambda_pts >= 0"),
             (self.lambda_rec >= 0, "lambda_rec >= 0"),
             (self.u >= 1, "u >= 1"),
+            (self.n_objects_per_scene * self.points_per_object
+             >= self.u * self.u,
+             "n_objects_per_scene * points_per_object >= u * u"),
             (self.n_encoder_seeds >= 1, "n_encoder_seeds >= 1"),
             (self.export_format in FORMATS,
              f"export_format in {FORMATS}"),
@@ -166,6 +169,11 @@ def export_point_cloud(points: np.ndarray, path, fmt: str) -> None:
 
 
 def load_point_cloud(path, fmt: str) -> np.ndarray:
+    """Read a cloud written by export_point_cloud as (n, 3) float64.
+
+    A truncated or ragged file, or a NaN or infinite coordinate, raises
+    CorruptManifest.
+    """
     path = Path(path)
     if fmt == "ascii-ply":
         with open(path) as f:
@@ -193,10 +201,10 @@ def load_point_cloud(path, fmt: str) -> np.ndarray:
                         f"{path}: vertex row {len(rows) - 1} of {n} does "
                         f"not hold 3 values")
         try:
-            return np.array(rows, dtype=np.float64).reshape(n, 3)
+            pts = np.array(rows, dtype=np.float64).reshape(n, 3)
         except ValueError as e:
             raise CorruptManifest(f"{path}: {e}") from None
-    if fmt == "binary-f32":
+    elif fmt == "binary-f32":
         raw = path.read_bytes()
         if len(raw) < 8:
             raise CorruptManifest(
@@ -206,8 +214,12 @@ def load_point_cloud(path, fmt: str) -> np.ndarray:
             raise CorruptManifest(
                 f"{path}: {len(raw) - 8} payload bytes for {n} points")
         pts = np.frombuffer(raw, dtype="<f4", offset=8)
-        return pts.reshape(n, 3).astype(np.float64)
-    raise ValueError(f"unknown format {fmt!r}")
+        pts = pts.reshape(n, 3).astype(np.float64)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if not np.isfinite(pts).all():
+        raise CorruptManifest(f"{path}: non-finite coordinate")
+    return pts
 
 
 @dataclass

@@ -5,10 +5,11 @@ import pytest
 
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
+from oracles import exact_match_oracle
 from scenepretext.correspondence import (MatchSet, SeedSet,
                                          farthest_point_sample, fps_subset,
                                          full_seed_pool, match_points,
-                                         sample_seed_set, translate_seed)
+                                         sample_seed_set)
 from scenepretext.errors import TooFewPoints
 from scenepretext.occlusion import occlude_scene
 from scenepretext.scenegen import (LayoutParams, ScenePair, Transform,
@@ -56,8 +57,9 @@ def test_fps_deterministic_and_bounds():
     a = farthest_point_sample(pts, 12, 9)
     b = farthest_point_sample(pts, 12, 9)
     np.testing.assert_array_equal(a, b)
-    with pytest.raises(TooFewPoints):
-        farthest_point_sample(pts, 41, 0)
+    for m in (41, 0, -1):
+        with pytest.raises(TooFewPoints):
+            farthest_point_sample(pts, m, 0)
     with pytest.raises(TooFewPoints):
         farthest_point_sample(np.empty((0, 3)), 1, 0)
 
@@ -137,18 +139,20 @@ def test_fps_matches_norm_reference_at_target_scale():
 
 
 # ------------------------------------------------------------ translation
+# match_points carries a scene-A seed onto scene B by t_b after t_a inverse
 
 def test_translate_seed_identity():
     t = Transform(yaw(0.3), np.array([1.0, 2.0, 3.0]), 1.1)
     seed = np.array([0.5, -0.2, 0.9])
-    np.testing.assert_allclose(translate_seed(seed, t, t), seed, atol=1e-12)
+    np.testing.assert_allclose(t.compose(t.inverse()).apply(seed), seed,
+                               atol=1e-12)
 
 
 def test_translate_seed_pure_translation():
     ta = Transform(np.eye(3), np.zeros(3))
     tb = Transform(np.eye(3), np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(
-        translate_seed(np.array([0.2, 0.3, 0.4]), ta, tb),
+        tb.compose(ta.inverse()).apply(np.array([0.2, 0.3, 0.4])),
         [1.2, 0.3, 0.4], atol=1e-15)
 
 
@@ -161,7 +165,7 @@ def test_translate_seed_algebraic_oracle():
                        rng.uniform(0.8, 1.2))
         canonical = rng.normal(size=3)
         seed_in_a = ta.apply(canonical)
-        np.testing.assert_allclose(translate_seed(seed_in_a, ta, tb),
+        np.testing.assert_allclose(tb.compose(ta.inverse()).apply(seed_in_a),
                                    tb.apply(canonical), atol=1e-9)
 
 
@@ -348,7 +352,6 @@ def test_fps_only_on_foreground():
 
 
 def test_exact_match_oracle_agrees_with_relaxed_matcher():
-    from scenepretext.correspondence import exact_match_oracle
     pair = paired_scenes(seed=96, occlude=False)
     seeds_a = sample_seed_set(pair.scene_a, 60, 8)
     exact = exact_match_oracle(pair, seeds_a)
@@ -361,7 +364,6 @@ def test_exact_match_oracle_agrees_with_relaxed_matcher():
 
 
 def test_exact_match_oracle_rejects_occluded_pairs():
-    from scenepretext.correspondence import exact_match_oracle
     pair = paired_scenes(seed=97, occlude=True)
     seeds_a = sample_seed_set(pair.scene_a, 10, 8)
     with pytest.raises(ValueError):

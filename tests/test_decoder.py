@@ -385,7 +385,8 @@ def test_encoder_feature_shapes():
                                    embed_dim=16), rng_seed=4)
     coords = np.random.default_rng(0).normal(size=(20, 3))
     ids = np.repeat(np.arange(4), 5)
-    z = enc.encode(coords, ids, 4)
-    assert z.shape == (20, 8)
-    h = enc.project(z)
-    assert h.shape == (20, 16)
+    params = {k: ad.leaf(v) for k, v in enc.params.items()}
+    z = enc.encode_graph(params, ad.leaf(coords), ids, 4)
+    assert z.data.shape == (20, 8)
+    h = enc.project_graph(params, z)
+    assert h.data.shape == (20, 16)

@@ -1,16 +1,22 @@
-"""Loss values against independent scalar oracles, plus gradient checks."""
+"""Loss values against independent scalar oracles, plus gradient checks.
+
+The contrastive terms run through the program's graph builders; the
+reconstruction and overall terms through chamfer_distance and
+forward_backward.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import object_loss, point_loss
+from scenepretext.cli import gradcheck_batch
 from scenepretext.correspondence import MatchSet
-from scenepretext.errors import EmptyBatch, EmptySet, NonFiniteInput
-from scenepretext.losses import (FeatureBatch, PairFeatures,
-                                 chamfer_distance, info_nce_pairwise,
-                                 object_level_loss, overall_loss,
-                                 point_level_loss, reconstruction_loss)
+from scenepretext.decoder import DecoderHeads, ToyEncoder, forward_backward
+from scenepretext.errors import EmptyBatch, EmptySet
+from scenepretext.losses import chamfer_distance
+from scenepretext.pipeline import PipelineConfig
 
 
 def unit(v):
@@ -28,61 +34,61 @@ def scalar_info_nce(anchor, positive, negatives, tau):
 
 
 # ------------------------------------------------------------ info_nce
+# One point per instance and side, so each pooled feature is the point's own
+# and every row of the object-level graph is one single-anchor InfoNCE term.
 
 def test_info_nce_empty_negatives_exactly_zero():
-    e1 = np.array([1.0, 0.0, 0.0])
-    assert info_nce_pairwise(e1, e1, [], tau=0.03) == 0.0
+    e1 = np.array([[1.0, 0.0, 0.0]])
+    value, _ = one_pair_loss(e1, e1, [0], tau=0.03)
+    assert value == 0.0
 
 
 def test_info_nce_closed_form_value():
-    e1 = np.array([1.0, 0.0, 0.0])
-    got = info_nce_pairwise(e1, e1, [-e1], tau=1.0)
-    expected = -math.log(math.e / (math.e + math.exp(-1.0)))
-    assert got == pytest.approx(expected, abs=1e-12)
-    assert got == pytest.approx(0.126928, abs=1e-6)
+    # each of the 4 anchors: positive similarity 1, two negatives at -1
+    e1 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    got, _ = one_pair_loss(e1, e1, [0, 1], tau=1.0)
+    per_anchor = -math.log(math.e / (math.e + 2 * math.exp(-1.0)))
+    assert got == pytest.approx(4 * per_anchor / 2, abs=1e-12)
+    assert got == pytest.approx(0.479090, abs=1e-6)
 
 
 def test_info_nce_high_temperature_limit():
+    # 3 instances of distinct categories: 4 negatives for each of 6 anchors
     rng = np.random.default_rng(4)
-    anchor = unit(rng.normal(size=8))
-    pos = unit(rng.normal(size=8))
-    negs = [unit(rng.normal(size=8)) for _ in range(5)]
-    got = info_nce_pairwise(anchor, pos, negs, tau=1e6)
-    assert got == pytest.approx(math.log(1 + 5), abs=1e-3)
+    f_a = np.vstack([unit(rng.normal(size=8)) for _ in range(3)])
+    f_b = np.vstack([unit(rng.normal(size=8)) for _ in range(3)])
+    got, _ = one_pair_loss(f_a, f_b, [0, 1, 2], tau=1e6)
+    assert got == pytest.approx(6 * math.log(1 + 4) / 3, abs=1e-3)
 
 
 def test_info_nce_monotone_in_positive_similarity():
+    # negatives are orthogonal to the plane the positive turns in, so only
+    # the two terms anchored on instance 0 change
     rng = np.random.default_rng(5)
-    negs = [unit(rng.normal(size=4)) for _ in range(3)]
-    anchor = np.array([1.0, 0.0, 0.0, 0.0])
+    negs = [unit(np.r_[0.0, 0.0, rng.normal(size=4)]) for _ in range(3)]
+    anchor = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     previous = np.inf
     for cos in (0.0, 0.3, 0.6, 0.9, 1.0):
-        pos = np.array([cos, math.sqrt(1 - cos ** 2), 0.0, 0.0])
-        val = info_nce_pairwise(anchor, pos, negs, tau=0.1)
+        pos = np.array([cos, math.sqrt(1 - cos ** 2), 0.0, 0.0, 0.0, 0.0])
+        val, _ = one_pair_loss(np.vstack([anchor, *negs]),
+                               np.vstack([pos, *negs]), [0, 1, 2, 3],
+                               tau=0.1)
         assert val < previous
         previous = val
 
 
-def test_info_nce_rejects_nonfinite():
-    e1 = np.array([1.0, 0.0])
-    with pytest.raises(NonFiniteInput):
-        info_nce_pairwise(e1, np.array([np.nan, 0.0]), [], tau=1.0)
-
-
 # ------------------------------------------------------- object level
 
-def one_pair_batch(f_a, f_b, categories, d=None):
-    """Batch whose per-instance pools equal the given unit features.
+def one_pair_loss(f_a, f_b, categories, tau):
+    """Object-level loss of one pair whose per-instance pools equal the
+    given features.
 
     Each instance contributes exactly one point per side, so mean pooling
     returns the feature itself.
     """
-    f_a = np.asarray(f_a, dtype=float)
-    f_b = np.asarray(f_b, dtype=float)
-    k = f_a.shape[0]
-    ids = np.arange(k)
-    return FeatureBatch((PairFeatures(f_a, f_b, ids, ids,
-                                      np.asarray(categories)),))
+    ids = np.arange(len(categories))
+    return object_loss([(f_a, f_b)], [(ids, ids)], [np.asarray(categories)],
+                       tau)
 
 
 def eq_object_loss_oracle(f_a, f_b, categories, tau):
@@ -101,8 +107,7 @@ def eq_object_loss_oracle(f_a, f_b, categories, tau):
 
 def test_object_level_no_negatives_zero():
     f = np.array([[1.0, 0.0], [0.0, 1.0]])
-    batch = one_pair_batch(f, f, categories=[7, 7])
-    value, grads = object_level_loss(batch, tau=0.03)
+    value, grads = one_pair_loss(f, f, categories=[7, 7], tau=0.03)
     assert value == 0.0
     for ga, gb in grads:
         assert np.all(ga == 0.0) and np.all(gb == 0.0)
@@ -112,7 +117,7 @@ def test_object_level_two_instance_hand_computation():
     f_a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     f_b = np.array([[0.8, 0.6, 0.0], [0.0, 0.6, 0.8]])
     cats = [0, 1]
-    value, _ = object_level_loss(one_pair_batch(f_a, f_b, cats), tau=0.5)
+    value, _ = one_pair_loss(f_a, f_b, cats, tau=0.5)
     oracle = eq_object_loss_oracle(f_a, f_b, cats, tau=0.5)
     assert value == pytest.approx(oracle, abs=1e-10)
 
@@ -120,13 +125,11 @@ def test_object_level_two_instance_hand_computation():
 def test_object_level_monotone_in_positive_alignment():
     rng = np.random.default_rng(9)
     f = np.vstack([unit(rng.normal(size=6)) for _ in range(4)])
-    aligned, _ = object_level_loss(one_pair_batch(f, f, [0, 0, 1, 1]),
-                                   tau=0.3)
+    aligned, _ = one_pair_loss(f, f, [0, 0, 1, 1], tau=0.3)
     # orthogonalize positives while keeping the same negative pool size
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     f_b = f @ q  # rotated: positives no longer aligned
-    rotated, _ = object_level_loss(one_pair_batch(f, f_b, [0, 0, 1, 1]),
-                                   tau=0.3)
+    rotated, _ = one_pair_loss(f, f_b, [0, 0, 1, 1], tau=0.3)
     assert aligned < rotated
 
 
@@ -137,8 +140,7 @@ def test_object_level_gradients_match_finite_differences():
         f_a = rng.normal(size=(k, d))
         f_b = rng.normal(size=(k, d))
         cats = rng.integers(0, 2, size=k)
-        batch = one_pair_batch(f_a, f_b, cats)
-        value, grads = object_level_loss(batch, tau=0.2)
+        value, grads = one_pair_loss(f_a, f_b, cats, tau=0.2)
         g_a, g_b = grads[0]
         h = 1e-5
         for arr, grad in ((f_a, g_a), (f_b, g_b)):
@@ -146,11 +148,9 @@ def test_object_level_gradients_match_finite_differences():
             for i in range(0, flat.size, 3):
                 orig = flat[i]
                 flat[i] = orig + h
-                vp, _ = object_level_loss(one_pair_batch(f_a, f_b, cats),
-                                          tau=0.2)
+                vp, _ = one_pair_loss(f_a, f_b, cats, tau=0.2)
                 flat[i] = orig - h
-                vm, _ = object_level_loss(one_pair_batch(f_a, f_b, cats),
-                                          tau=0.2)
+                vm, _ = one_pair_loss(f_a, f_b, cats, tau=0.2)
                 flat[i] = orig
                 numeric = (vp - vm) / (2 * h)
                 analytic = grad.ravel()[i]
@@ -160,37 +160,17 @@ def test_object_level_gradients_match_finite_differences():
 
 def test_empty_batch_rejected():
     with pytest.raises(EmptyBatch):
-        FeatureBatch(())
-
-
-def test_feature_batch_rejects_nonfinite_and_mixed_dims():
-    h = np.ones((4, 3))
-    ids = np.zeros(4, dtype=int)
-    bad = h.copy()
-    bad[0, 0] = np.inf
-    with pytest.raises(NonFiniteInput):
-        PairFeatures(bad, h, ids, ids, np.array([0]))
-    other = PairFeatures(np.ones((4, 5)), np.ones((4, 5)), ids, ids,
-                         np.array([0]))
-    good = PairFeatures(h, h, ids, ids, np.array([0]))
-    with pytest.raises(EmptyBatch):
-        FeatureBatch((good, other))
+        forward_backward([], ToyEncoder(), DecoderHeads())
 
 
 # -------------------------------------------------------- point level
 
-def match_all(n, theta=1e9):
-    idx = np.arange(n)
-    return MatchSet(idx, idx, np.zeros(n), np.zeros(n, dtype=int), theta)
-
-
 def test_point_level_single_pair_no_other_objects_zero():
     h = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pf = PairFeatures(h, h, np.zeros(2, dtype=int), np.zeros(2, dtype=int),
-                      np.array([0]))
+    ids = np.zeros(2, dtype=int)
     ms = MatchSet(np.array([0]), np.array([0]), np.array([0.0]),
                   np.array([0]), theta=1.0)
-    value, grads = point_level_loss(FeatureBatch((pf,)), [ms], tau=0.03)
+    value, grads = point_loss([(h, h)], [(ids, ids)], [ms], tau=0.03)
     assert value == 0.0
 
 
@@ -204,10 +184,9 @@ def test_point_level_closed_form_orthogonal_negatives():
     h_a[1, 1] = h_b[1, 1] = 1.0          # object 1 endpoints (negatives)
     h_a[2, 2] = h_b[2, 2] = 1.0          # object 2 endpoints (negatives)
     ids = np.array([0, 1, 2])
-    pf = PairFeatures(h_a, h_b, ids, ids, np.array([0, 1, 2]))
     ms = MatchSet(np.array([0, 1, 2]), np.array([0, 1, 2]), np.zeros(3),
                   np.array([0, 1, 2]), theta=1.0)
-    value, _ = point_level_loss(FeatureBatch((pf,)), [ms], tau=tau)
+    value, _ = point_loss([(h_a, h_b)], [(ids, ids)], [ms], tau=tau)
     # per anchor: positive similarity 1, N=4 orthogonal negatives
     n_neg = 4
     per_anchor = math.log(1 + n_neg * math.exp(-1.0 / tau))
@@ -221,27 +200,24 @@ def test_point_level_permutation_invariant():
     h_a = rng.normal(size=(n, d))
     h_b = rng.normal(size=(n, d))
     ids = np.repeat(np.arange(3), 4)
-    cats = np.array([0, 1, 2])
     a_idx = np.array([0, 4, 8, 1, 5])
     b_idx = np.array([0, 4, 8, 2, 6])
     objs = ids[a_idx]
-    pf = PairFeatures(h_a, h_b, ids, ids, cats)
     ms = MatchSet(a_idx, b_idx, np.zeros(5), objs, theta=1.0)
-    base, _ = point_level_loss(FeatureBatch((pf,)), [ms], tau=0.07)
+    base, _ = point_loss([(h_a, h_b)], [(ids, ids)], [ms], tau=0.07)
     perm = np.array([3, 1, 4, 0, 2])
     ms_p = MatchSet(a_idx[perm], b_idx[perm], np.zeros(5), objs[perm],
                     theta=1.0)
-    permuted, _ = point_level_loss(FeatureBatch((pf,)), [ms_p], tau=0.07)
+    permuted, _ = point_loss([(h_a, h_b)], [(ids, ids)], [ms_p], tau=0.07)
     assert permuted == pytest.approx(base, abs=1e-12)
 
 
 def test_point_level_no_matches_zero_gradients():
     h = np.random.default_rng(3).normal(size=(4, 5))
     ids = np.zeros(4, dtype=int)
-    pf = PairFeatures(h, h, ids, ids, np.array([0]))
     empty = MatchSet(np.array([], dtype=int), np.array([], dtype=int),
                      np.array([]), np.array([], dtype=int), theta=0.1)
-    value, grads = point_level_loss(FeatureBatch((pf,)), [empty], tau=0.03)
+    value, grads = point_loss([(h, h)], [(ids, ids)], [empty], tau=0.03)
     assert value == 0.0
     assert np.all(grads[0][0] == 0.0)
 
@@ -253,24 +229,24 @@ def test_losses_give_every_pair_an_array_gradient():
     h = [rng.normal(size=(3, 4)) for _ in range(4)]
     ids0, ids1 = np.array([0, 0, 1]), np.array([1, 2, 2])
     cats = np.array([0, 1, 2])
-    batch = FeatureBatch((PairFeatures(h[0], h[1], ids0, ids0, cats),
-                          PairFeatures(h[2], h[3], np.zeros(3, dtype=int),
-                                       ids1, cats)))
+    features = [(h[0], h[1]), (h[2], h[3])]
+    object_ids = [(ids0, ids0), (np.zeros(3, dtype=int), ids1)]
     no_match = MatchSet(np.array([], dtype=int), np.array([], dtype=int),
                         np.array([]), np.array([], dtype=int), theta=0.1)
     ms = MatchSet(np.array([0, 2]), np.array([0, 2]), np.zeros(2),
                   np.array([0, 1]), theta=1.0)
-    for value, grads in (object_level_loss(batch, tau=0.1),
-                         point_level_loss(batch, [ms, no_match], tau=0.1)):
+    for value, grads in (
+            object_loss(features, object_ids, [cats, cats], tau=0.1),
+            point_loss(features, object_ids, [ms, no_match], tau=0.1)):
         assert value > 0.0
         assert all(isinstance(g, np.ndarray) for pair in grads for g in pair)
         assert np.any(grads[0][0] != 0.0)
         np.testing.assert_array_equal(grads[1][0], np.zeros((3, 4)))
         np.testing.assert_array_equal(grads[1][1], np.zeros((3, 4)))
     # fully degenerate batches: no negatives, no matches at all
-    for value, grads in (object_level_loss(one_pair_batch(h[0], h[0], [7] * 3),
-                                           tau=0.1),
-                         point_level_loss(batch, [no_match] * 2, tau=0.1)):
+    for value, grads in (
+            one_pair_loss(h[0], h[0], [7] * 3, tau=0.1),
+            point_loss(features, object_ids, [no_match] * 2, tau=0.1)):
         assert value == 0.0
         assert all(isinstance(g, np.ndarray) and not np.any(g)
                    for pair in grads for g in pair)
@@ -280,7 +256,6 @@ def test_point_level_gradients_match_finite_differences():
     rng = np.random.default_rng(77)
     n, d = 8, 5
     ids = np.repeat(np.arange(2), 4)
-    cats = np.array([0, 1])
     a_idx = np.array([0, 1, 4, 5])
     b_idx = np.array([1, 0, 5, 6])
     objs = ids[a_idx]
@@ -290,12 +265,10 @@ def test_point_level_gradients_match_finite_differences():
         h_b = rng.normal(size=(n, d))
 
         def value_of(ha, hb):
-            pf = PairFeatures(ha, hb, ids, ids, cats)
-            v, _ = point_level_loss(FeatureBatch((pf,)), [ms], tau=0.2)
+            v, _ = point_loss([(ha, hb)], [(ids, ids)], [ms], tau=0.2)
             return v
 
-        pf = PairFeatures(h_a, h_b, ids, ids, cats)
-        _, grads = point_level_loss(FeatureBatch((pf,)), [ms], tau=0.2)
+        _, grads = point_loss([(h_a, h_b)], [(ids, ids)], [ms], tau=0.2)
         h = 1e-5
         for arr, grad in ((h_a, grads[0][0]), (h_b, grads[0][1])):
             flat = arr.ravel()
@@ -357,10 +330,15 @@ def test_chamfer_empty_rejected():
 
 # ---------------------------------------------------- reconstruction/overall
 
+def reconstruction_terms(y_coarse, y_detail, gt_coarse, gt_detail):
+    return (chamfer_distance(y_coarse, gt_coarse),
+            chamfer_distance(y_detail, gt_detail))
+
+
 def test_reconstruction_perfect_zero():
     pts = np.random.default_rng(4).normal(size=(32, 3))
     dense = np.random.default_rng(5).normal(size=(96, 3))
-    assert reconstruction_loss(pts, dense, pts, dense) == (0.0, 0.0, 0.0)
+    assert reconstruction_terms(pts, dense, pts, dense) == (0.0, 0.0)
 
 
 def test_reconstruction_shift_oracle():
@@ -370,57 +348,64 @@ def test_reconstruction_shift_oracle():
     gt_c = rng.uniform(size=(16, 3))
     gt_d = rng.uniform(size=(48, 3))
     shifted = detail + 0.01
-    l_c, l_d, total = reconstruction_loss(coarse, shifted, gt_c, gt_d)
+    l_c, l_d = reconstruction_terms(coarse, shifted, gt_c, gt_d)
     assert l_c == pytest.approx(brute_chamfer(coarse, gt_c), abs=1e-12)
     assert l_d == pytest.approx(brute_chamfer(shifted, gt_d), abs=1e-12)
-    assert total == l_c + l_d
 
 
 def test_reconstruction_two_sided_symmetry():
     rng = np.random.default_rng(7)
     y_c, y_d = rng.uniform(size=(8, 3)), rng.uniform(size=(24, 3))
     g_c, g_d = rng.uniform(size=(8, 3)), rng.uniform(size=(24, 3))
-    a = reconstruction_loss(y_c, y_d, g_c, g_d)
-    b = reconstruction_loss(g_c, g_d, y_c, y_d)
+    a = reconstruction_terms(y_c, y_d, g_c, g_d)
+    b = reconstruction_terms(g_c, g_d, y_c, y_d)
     assert a == pytest.approx(b, abs=1e-15)
 
 
+def overall_report(lambda_pts, lambda_rec):
+    prepared, encoder, heads = gradcheck_batch()
+    return forward_backward(prepared, encoder, heads, lambda_pts=lambda_pts,
+                            lambda_rec=lambda_rec, with_gradients=False)
+
+
 def test_overall_loss_arithmetic():
-    assert overall_loss(1.0, 1.0, 1.0, 0.1, 100.0) == pytest.approx(101.1)
-    assert overall_loss(3.25, 9.0, 4.0, 0.0, 0.0) == 3.25
+    r = overall_report(0.1, 100.0)
+    assert r.l_pts > 0.0 and r.l_rec_coarse > 0.0 and r.l_rec_detail > 0.0
+    # l_rec is the sum of the two Chamfer terms
+    assert r.l_overall == (r.l_obj + 0.1 * r.l_pts
+                           + 100.0 * (r.l_rec_coarse + r.l_rec_detail))
+    assert overall_report(0.0, 0.0).l_overall == r.l_obj
 
 
 def test_overall_loss_affine_in_weights():
-    rng = np.random.default_rng(8)
-    lo, lp, lr = rng.uniform(size=3)
     for lam_p in (0.0, 0.1, 2.0):
-        delta = overall_loss(lo, lp, lr, lam_p + 1.0, 5.0) \
-            - overall_loss(lo, lp, lr, lam_p, 5.0)
-        assert delta == pytest.approx(lp, abs=1e-12)
+        low = overall_report(lam_p, 5.0)
+        delta = overall_report(lam_p + 1.0, 5.0).l_overall - low.l_overall
+        assert delta == pytest.approx(low.l_pts, abs=1e-12)
 
 
 def test_overall_rejects_negative_weights():
     with pytest.raises(ValueError):
-        overall_loss(1.0, 1.0, 1.0, -0.1, 1.0)
+        PipelineConfig(lambda_pts=-0.1, lambda_rec=1.0)
 
 
 def test_batch_permutation_invariance():
     rng = np.random.default_rng(123)
-    pairs = []
-    matches = []
+    features, object_ids, categories, matches = [], [], [], []
     for p in range(3):
         n = 8
         ids = np.repeat(np.arange(2), 4)
-        pairs.append(PairFeatures(rng.normal(size=(n, 4)),
-                                  rng.normal(size=(n, 4)),
-                                  ids, ids, np.array([2 * p, 2 * p + 1])))
+        features.append((rng.normal(size=(n, 4)), rng.normal(size=(n, 4))))
+        object_ids.append((ids, ids))
+        categories.append(np.array([2 * p, 2 * p + 1]))
         a_idx = np.array([0, 4])
         matches.append(MatchSet(a_idx, a_idx, np.zeros(2), ids[a_idx],
                                 theta=1.0))
-    v1, _ = object_level_loss(FeatureBatch(tuple(pairs)), tau=0.1)
-    v2, _ = object_level_loss(FeatureBatch(tuple(pairs[::-1])), tau=0.1)
+    v1, _ = object_loss(features, object_ids, categories, tau=0.1)
+    v2, _ = object_loss(features[::-1], object_ids[::-1], categories[::-1],
+                        tau=0.1)
     assert v2 == pytest.approx(v1, abs=1e-12)
-    p1, _ = point_level_loss(FeatureBatch(tuple(pairs)), matches, tau=0.1)
-    p2, _ = point_level_loss(FeatureBatch(tuple(pairs[::-1])),
-                             matches[::-1], tau=0.1)
+    p1, _ = point_loss(features, object_ids, matches, tau=0.1)
+    p2, _ = point_loss(features[::-1], object_ids[::-1], matches[::-1],
+                       tau=0.1)
     assert p2 == pytest.approx(p1, abs=1e-12)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -83,9 +84,14 @@ PLY_HEADER_2 = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
     ("ascii-ply", PLY_HEADER_2 + "1 2 3\n4 5 6 7\n"),
     ("ascii-ply", PLY_HEADER_2 + "1 2 3\n4 five 6\n"),
     ("ascii-ply", PLY_HEADER_2.replace("vertex 2", "vertex two")),
+    ("binary-f32", BIN_HEADER_3 + struct.pack("<9f", *[0.0] * 8, np.nan)),
+    ("binary-f32", BIN_HEADER_3 + struct.pack("<9f", -np.inf, *[0.0] * 8)),
+    ("ascii-ply", PLY_HEADER_2 + "1 2 3\n4 nan 6\n"),
+    ("ascii-ply", PLY_HEADER_2 + "inf 2 3\n4 5 6\n"),
 ], ids=["bin-empty", "bin-short-header", "bin-short-payload",
         "bin-long-payload", "ply-missing-row", "ply-short-row",
-        "ply-long-row", "ply-non-numeric", "ply-bad-count"])
+        "ply-long-row", "ply-non-numeric", "ply-bad-count", "bin-nan",
+        "bin-inf", "ply-nan", "ply-inf"])
 def test_truncated_or_ragged_geometry_raises_corrupt_manifest(
         tmp_path, fmt, content):
     path = tmp_path / "cloud"
@@ -170,6 +176,11 @@ def test_config_validation():
         PipelineConfig(**{**SMALL, "u": 0})
     with pytest.raises(ValueError):
         PipelineConfig(**{**SMALL, "lambda_rec": -1.0})
+    # the scenes must hold the u * u detail targets of at least one seed
+    tiny = {**SMALL, "n_objects_per_scene": 1, "u": 3}
+    with pytest.raises(ValueError):
+        PipelineConfig(**{**tiny, "points_per_object": 8})
+    PipelineConfig(**{**tiny, "points_per_object": 9})
 
 
 def test_seed_mixing_is_documented_finalizer():
@@ -467,6 +478,14 @@ def _unknown_scope(doc):
     doc["params"]["decoder.w"] = {"shape": [1], "data": [0.0]}
 
 
+def _nan_encoder_weight(doc):
+    doc["params"]["encoder.point_w1"]["data"][0] = float("nan")
+
+
+def _nan_head_weight(doc):
+    doc["params"]["heads.fold_b2"]["data"][0] = float("nan")
+
+
 def _wrong_shape(doc):
     rows, cols = doc["params"]["encoder.point_w1"]["shape"]
     doc["params"]["encoder.point_w1"] = {"shape": [rows, cols + 1],
@@ -478,22 +497,17 @@ def _wrong_shape(doc):
     (_drop_entry_data, CorruptManifest),
     (_unknown_config_field, CorruptManifest),
     (_unknown_scope, CorruptManifest),
+    (_nan_encoder_weight, CorruptManifest),
+    (_nan_head_weight, CorruptManifest),
     (_wrong_shape, DimensionMismatch),
 ], ids=["missing-key", "missing-entry-key", "unknown-config-field",
-        "unknown-scope", "wrong-shape"])
+        "unknown-scope", "nan-encoder-weight", "nan-head-weight",
+        "wrong-shape"])
 def test_cli_losses_bad_checkpoint_exit_2(tmp_path, corrupt, error):
-    config = PipelineConfig(**{**SMALL, "n_scenes": 1})
-    generate_dataset(config, tmp_path / "ds", progress=False)
-    ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(ToyEncoder(config.encoder_config()),
-                    DecoderHeads(config.heads_config()), ckpt)
-    doc = json.loads(ckpt.read_text())
-    corrupt(doc)
-    ckpt.write_text(json.dumps(doc))
+    argv = _losses_with_corrupt_checkpoint(tmp_path, corrupt)
     with pytest.raises(error):
-        load_checkpoint(ckpt)
-    assert main(["losses", str(tmp_path / "ds"), "--checkpoint",
-                 str(ckpt)]) == 2
+        load_checkpoint(argv[-1])
+    assert main(argv) == 2
 
 
 def test_thousand_scene_histogram_matches_published_shares(tmp_path):
@@ -658,6 +672,76 @@ def test_cli_generate_bad_distribution_or_assets_exit_2(tmp_path, fault):
         args = ["--asset-source", str(tmp_path / "assets")]
     assert main(["generate", "--out", str(tmp_path / "ds"), "--seed", "0",
                  "--n-scenes", "1", *args]) == 2
+
+
+def _tiny_dataset(tmp_path, **overrides):
+    config = PipelineConfig(**{**SMALL, "n_scenes": 1, **overrides})
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    return tmp_path / "ds", config
+
+
+def _nan_coordinate(tmp_path, fmt):
+    dataset, _ = _tiny_dataset(tmp_path, export_format=fmt)
+    path = list_pair_dirs(dataset)[0] / pair_files(fmt)["scene_a_complete"]
+    pts = load_point_cloud(path, fmt)
+    pts[0, 0] = np.nan
+    export_point_cloud(pts, path, fmt)
+    return ["losses", str(dataset)]
+
+
+def _losses_with_corrupt_checkpoint(tmp_path, corrupt):
+    dataset, config = _tiny_dataset(tmp_path)
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ToyEncoder(config.encoder_config()),
+                    DecoderHeads(config.heads_config()), ckpt)
+    doc = json.loads(ckpt.read_text())
+    corrupt(doc)
+    ckpt.write_text(json.dumps(doc))
+    return ["losses", str(dataset), "--checkpoint", str(ckpt)]
+
+
+def _match_zero_seeds(tmp_path):
+    dataset, _ = _tiny_dataset(tmp_path)
+    return ["match", str(list_pair_dirs(dataset)[0]), "--m-seeds", "0"]
+
+
+def _assets_below_u_squared(tmp_path):
+    # 8-point instances: one object cannot supply the u * u = 9 targets of
+    # a seed, which the config cannot see for a directory source
+    root = tmp_path / "assets"
+    dist = load_default_scannet_parameters()
+    cloud = np.random.default_rng(0).normal(scale=0.1, size=(8, 3))
+    for category, row in enumerate(dist.instance_given_category):
+        (root / str(category)).mkdir(parents=True)
+        for instance in range(len(row)):
+            export_point_cloud(cloud, root / str(category) / f"{instance}.bin",
+                               "binary-f32")
+    out = tmp_path / "ds"
+    assert main(["generate", "--out", str(out), "--seed", "0",
+                 "--n-scenes", "1", "--n-objects", "1", "--u", "3",
+                 "--asset-source", str(root)]) == 0
+    return ["losses", str(out)]
+
+
+# each case writes one malformed input and returns the CLI call that reads it
+CLI_INPUT_FAULTS = {
+    "nan-bin-coordinate": lambda tmp: _nan_coordinate(tmp, "binary-f32"),
+    "nan-ply-coordinate": lambda tmp: _nan_coordinate(tmp, "ascii-ply"),
+    "nan-encoder-weight":
+        lambda tmp: _losses_with_corrupt_checkpoint(tmp, _nan_encoder_weight),
+    "nan-head-weight":
+        lambda tmp: _losses_with_corrupt_checkpoint(tmp, _nan_head_weight),
+    "match-zero-seeds": _match_zero_seeds,
+    "config-below-u-squared": lambda tmp: [
+        "generate", "--out", str(tmp / "ds"), "--seed", "0",
+        "--n-objects", "1", "--points-per-object", "8", "--u", "3"],
+    "assets-below-u-squared": _assets_below_u_squared,
+}
+
+
+@pytest.mark.parametrize("fault", list(CLI_INPUT_FAULTS))
+def test_cli_malformed_input_exit_2(tmp_path, fault):
+    assert main(CLI_INPUT_FAULTS[fault](tmp_path)) == 2
 
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
