@@ -361,54 +361,47 @@ def _d2_block(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
     return d2
 
 
-def _nearest(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
-             b_sq: np.ndarray) -> np.ndarray:
-    """For each row of ``a``, the index of its nearest row of ``b``.
-
-    Distances are ``(|a|^2 + |b|^2) - 2 a.b`` from the given squared row
-    norms, taken over blocks of rows of ``a`` so that each d2 block and its
-    product buffer hold NN_BLOCK_BYTES at most (one row, if a row is
-    larger); ties go to the lowest index.
-    """
-    nb = b.shape[0]
-    rows = max(1, min(a.shape[0], NN_BLOCK_BYTES // (8 * nb)))
-    prod, d2 = _block_buffers(rows, nb)
-    nn = np.empty(a.shape[0], dtype=np.intp)
-    for i in range(0, a.shape[0], rows):
-        k = min(rows, a.shape[0] - i)
-        _d2_block(a[i:i + k], b, a_sq[i:i + k], b_sq, prod[:k],
-                  d2[:k]).argmin(axis=1, out=nn[i:i + k])
-    return nn
-
-
 def _nearest_both(x: np.ndarray, y: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The nearest row of ``y`` for each row of ``x``, and of ``x`` for
     each row of ``y``; see chamfer."""
     nx, ny = x.shape[0], y.shape[0]
     x_sq, y_sq = (x ** 2).sum(1), (y ** 2).sum(1)
-    if 8 * nx * ny > NN_BLOCK_BYTES:
-        return _nearest(x, y, x_sq, y_sq), _nearest(y, x, y_sq, x_sq)
-    # one d2 serves both directions, half the work of two block passes; its
-    # transpose goes into the spent product buffer, because argmin(axis=0)
-    # would copy it into a fresh array on every call
-    prod, d2 = _block_buffers(nx, ny)
-    nn_xy = _d2_block(x, y, x_sq, y_sq, prod, d2).argmin(axis=1)
-    d2_t = prod.reshape(ny, nx)
-    np.copyto(d2_t, d2.T)
-    return nn_xy, d2_t.argmin(axis=1)
+    rows = max(1, min(nx, NN_BLOCK_BYTES // (8 * ny)))
+    prod, d2 = _block_buffers(rows, ny)
+    nn_xy = np.empty(nx, dtype=np.intp)
+    for i in range(0, nx, rows):
+        k = min(rows, nx - i)
+        blk = _d2_block(x[i:i + k], y, x_sq[i:i + k], y_sq, prod[:k], d2[:k])
+        blk.argmin(axis=1, out=nn_xy[i:i + k])
+        if i == 0:
+            # the transpose goes into the spent product buffer, because
+            # argmin(axis=0) would copy it into a fresh array on every call
+            blk_t = prod.reshape(ny, k)
+            np.copyto(blk_t, blk.T)
+            nn_yx = blk_t.argmin(axis=1)
+            if k < nx:
+                col_min = blk_t.min(axis=1)
+            continue
+        # strict <: an equal distance in a later block keeps the lower index
+        blk_min = blk.min(axis=0)
+        better = np.flatnonzero(blk_min < col_min)
+        if better.size:
+            nn_yx[better] = i + blk.T[better].argmin(axis=1)
+            col_min[better] = blk_min[better]
+    return nn_xy, nn_yx
 
 
 def chamfer(x: Var, y: Var) -> Var:
     """Two-sided mean squared nearest-neighbor distance between point sets.
 
     Nearest neighbors are found exactly via the Gram expansion
-    ``(|x|^2 + |y|^2) - 2 x.y``; ties go to the lowest index. When the
-    whole nx-by-ny d2 matrix fits in NN_BLOCK_BYTES it is computed once
-    and read along both axes. Otherwise the search runs over row blocks of
-    that size, once from x and once from y with the roles swapped,
-    computing the same d2 entries, so memory stays O(block) instead of
-    O(nx * ny) and the result is the same.
+    ``(|x|^2 + |y|^2) - 2 x.y`` in one pass over row blocks of x of at
+    most NN_BLOCK_BYTES (one row, if a row is larger), so every d2 entry
+    is computed once and memory stays O(block). A block's row argmins are
+    the x-to-y neighbors; its column minima fold into a running minimum
+    and argmin per row of y, replaced only on a strict ``<``, so ties go
+    to the lowest index, as in one dense d2 read along both axes.
     The selected pair distances are then recomputed from coordinate
     differences, so chamfer(X, X) is exactly zero.
     """

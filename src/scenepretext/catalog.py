@@ -51,10 +51,6 @@ class CategoryTable:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def fit_categorical(table: CategoryTable) -> np.ndarray:
     """Maximum-likelihood categorical parameters: normalized counts.
@@ -138,13 +134,6 @@ class SceneDistribution:
     @property
     def n_categories(self) -> int:
         return len(self.category_labels)
-
-    def instances_per_category(self) -> list[int]:
-        return [row.size for row in self.instance_given_category]
-
-    def marginal_category_frequencies(self) -> np.ndarray:
-        """Category frequencies induced by mixing rows under the scene prior."""
-        return self.scene_prior @ self.category_given_scene
 
     def to_dict(self) -> dict:
         return {

@@ -16,8 +16,8 @@ from .assets import ProceduralAssetSource
 from .catalog import CategoryTable, fit_scene_distribution
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       gradient_check, prepare_scene_pair)
-from .errors import (CorruptManifest, DimensionMismatch, ScenePretextError,
-                     TooFewPoints)
+from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
+                     ScenePretextError, TooFewPoints)
 from .pipeline import (PipelineConfig, evaluate_losses, generate_dataset,
                        match_pair_dir)
 from .scenegen import make_scene_pair
@@ -98,7 +98,8 @@ def _cmd_losses(args) -> int:
     try:
         evaluate_losses(dataset, checkpoint=args.checkpoint,
                         report_path=args.report)
-    except (CorruptManifest, DimensionMismatch, TooFewPoints) as e:
+    except (CorruptManifest, DimensionMismatch, NonFiniteInput,
+            TooFewPoints) as e:
         raise UsageError(str(e))
     return EXIT_OK
 

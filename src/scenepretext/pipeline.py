@@ -25,7 +25,7 @@ from .correspondence import (MatchSet, fps_subset, full_seed_pool,
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, PreparedPair,
                       ToyEncoder, forward_backward, load_checkpoint,
                       prepare_scene_pair)
-from .errors import CorruptManifest, PlacementFailure
+from .errors import CorruptManifest, NonFiniteInput, PlacementFailure
 from .losses import LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
@@ -34,6 +34,7 @@ from .seeding import STREAM_MATCH_A, STREAM_MATCH_B, mix64
 
 FORMATS = ("ascii-ply", "binary-f32")
 _FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
+_LOSS_TERMS = ("l_obj", "l_pts", "l_rec_coarse", "l_rec_detail", "l_overall")
 
 
 def _from_dict(cls, doc: dict, what: str):
@@ -399,13 +400,18 @@ def generate_dataset(config: PipelineConfig, out_dir,
     return summary
 
 
-def _load_summary_config(dataset_dir: Path) -> PipelineConfig:
+def _load_summary(dataset_dir: Path) -> tuple[PipelineConfig, int]:
+    """The dataset's config and the pair count its summary.json records."""
     summary_path = dataset_dir / "summary.json"
     if not summary_path.exists():
         raise CorruptManifest(f"{summary_path}: missing")
     with open(summary_path) as f:
         summary = json.load(f)
-    return PipelineConfig.from_dict(summary["config"])
+    try:
+        return (PipelineConfig.from_dict(summary["config"]),
+                summary["pairs_produced"])
+    except (KeyError, TypeError) as e:
+        raise CorruptManifest(f"{summary_path}: {e!r}") from None
 
 
 def load_pair(pair_dir, config: PipelineConfig | None = None
@@ -477,8 +483,7 @@ def list_pair_dirs(dataset_dir) -> list[Path]:
     pairs_root = Path(dataset_dir) / "pairs"
     if not pairs_root.is_dir():
         return []
-    return sorted(p for p in pairs_root.iterdir()
-                  if p.is_dir() and (p / "manifest.json").exists())
+    return sorted(p for p in pairs_root.iterdir() if p.is_dir())
 
 
 def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
@@ -490,14 +495,20 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
     Pairs are grouped into batches of config.batch_pairs; each report is
     appended as one JSON line to report_path (when given). The encoder and
     heads come from the checkpoint if supplied, otherwise from a seeded
-    random initialization derived from the master seed.
+    random initialization derived from the master seed. Without a config,
+    summary.json supplies it and must count the pair directories. A NaN or
+    infinite loss term raises NonFiniteInput naming the batch's pair ids.
     """
     dataset_dir = Path(dataset_dir)
-    if config is None:
-        config = _load_summary_config(dataset_dir)
     pair_dirs = list_pair_dirs(dataset_dir)
+    if config is None:
+        config, produced = _load_summary(dataset_dir)
+        if len(pair_dirs) != produced:
+            raise CorruptManifest(
+                f"{dataset_dir}: {len(pair_dirs)} pair directories, "
+                f"summary.json records {produced}")
     if not pair_dirs:
-        raise CorruptManifest(f"{dataset_dir}: no pair manifests found")
+        raise CorruptManifest(f"{dataset_dir}: no pair directories found")
     if checkpoint:
         encoder, heads = load_checkpoint(checkpoint)
     else:
@@ -517,11 +528,17 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
             report = forward_backward(batch, encoder, heads, config.tau,
                                       config.lambda_pts, config.lambda_rec,
                                       with_gradients=with_gradients)
+            bad = [k for k in _LOSS_TERMS
+                   if not np.isfinite(getattr(report, k))]
+            if bad:
+                raise NonFiniteInput(f"pairs {batch_ids}: non-finite "
+                                     f"{', '.join(bad)}")
             reports.append(report)
             if out is not None:
                 doc = report.to_json_dict()
                 doc["pair_ids"] = list(batch_ids)
-                out.write(json.dumps(doc, sort_keys=True) + "\n")
+                out.write(json.dumps(doc, sort_keys=True, allow_nan=False)
+                          + "\n")
             batch.clear()
             batch_ids.clear()
 
@@ -541,8 +558,7 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
             out.close()
     if progress and reports:
         means = {k: float(np.mean([getattr(r, k) for r in reports]))
-                 for k in ("l_obj", "l_pts", "l_rec_coarse",
-                           "l_rec_detail", "l_overall")}
+                 for k in _LOSS_TERMS}
         for k, v in means.items():
             print(f"mean {k}: {v:.6f}")
     return reports
@@ -560,7 +576,7 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     pair_dir = Path(pair_dir)
     dataset_dir = pair_dir.parent.parent
     if config is None and (dataset_dir / "summary.json").exists():
-        config = _load_summary_config(dataset_dir)
+        config, _ = _load_summary(dataset_dir)
     pair, manifest = load_pair(pair_dir, config)
     occluded = ScenePair(
         replay_occlusion(pair.scene_a, manifest.occlusion_a),

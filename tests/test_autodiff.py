@@ -224,6 +224,10 @@ CHAMFER_CASES = {
     # decides dozens of argmins, so any reordering of its sums shows
     "far-from-origin": (_cloud(300, 23) * 1e-4 + 1e3,
                         _cloud(200, 24) * 1e-4 + 1e3),
+    # the full-scale training step's detail and coarse shapes: 165 blocks
+    # of 14 rows, and 2 blocks of 128 rows
+    "2304x2304": (_cloud(2304, 27), _cloud(2304, 28)),
+    "256x256": (_cloud(256, 29), _cloud(256, 30)),
 }
 
 
@@ -240,6 +244,23 @@ def test_chamfer_matches_dense_kernel_bit_for_bit(case):
     assert out.item() == val
     np.testing.assert_array_equal(x.grad, gx)
     np.testing.assert_array_equal(y.grad, gy)
+
+
+@pytest.mark.parametrize("nx,ny", [(64, 64), (256, 256), (2304, 2304),
+                                   (3, 40000), (40000, 3)])
+def test_nearest_both_computes_each_d2_block_once(monkeypatch, nx, ny):
+    calls = []
+    d2_block = ad._d2_block
+
+    def counting(a, *args):
+        calls.append(a.shape[0])
+        return d2_block(a, *args)
+
+    monkeypatch.setattr(ad, "_d2_block", counting)
+    ad._nearest_both(_cloud(nx, 31), _cloud(ny, 32))
+    rows = max(1, min(nx, BLOCK // ny))
+    assert len(calls) == -(-nx // rows)
+    assert sum(calls) == nx
 
 
 def test_diamond_graph_accumulates():

@@ -119,7 +119,7 @@ def test_default_parameters_marginal_frequencies():
     dist = load_default_scannet_parameters()
     counts = np.array(list(stats["object_counts"].values()), dtype=float)
     target = counts / counts.sum()
-    marginal = dist.marginal_category_frequencies()
+    marginal = dist.scene_prior @ dist.category_given_scene
     rel = np.abs(marginal - target) / target
     assert rel.max() < 0.02
     chair = dist.category_labels.index("chair")

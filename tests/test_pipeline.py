@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -700,6 +701,35 @@ def _losses_with_corrupt_checkpoint(tmp_path, corrupt):
     return ["losses", str(dataset), "--checkpoint", str(ckpt)]
 
 
+def _huge_offset_weight(doc):
+    # finite weights whose offsets overflow: the loss is inf, not the input
+    for key, entry in doc["params"].items():
+        if key.startswith("heads.offset_w"):
+            entry["data"] = [v * 1e160 for v in entry["data"]]
+
+
+def _losses_without_pair_file(tmp_path, name):
+    """Delete ``name`` from the last of two pairs; with ``name`` None the
+    whole pair directory goes."""
+    dataset, _ = _tiny_dataset(tmp_path, n_scenes=2)
+    pdirs = list_pair_dirs(dataset)
+    assert len(pdirs) == 2
+    if name is None:
+        shutil.rmtree(pdirs[-1])
+    else:
+        (pdirs[-1] / name).unlink()
+    return ["losses", str(dataset)]
+
+
+def _summary_without_config(tmp_path):
+    dataset, _ = _tiny_dataset(tmp_path)
+    path = dataset / "summary.json"
+    doc = json.loads(path.read_text())
+    del doc["config"]
+    path.write_text(json.dumps(doc))
+    return ["losses", str(dataset)]
+
+
 def _match_zero_seeds(tmp_path):
     dataset, _ = _tiny_dataset(tmp_path)
     return ["match", str(list_pair_dirs(dataset)[0]), "--m-seeds", "0"]
@@ -731,6 +761,12 @@ CLI_INPUT_FAULTS = {
         lambda tmp: _losses_with_corrupt_checkpoint(tmp, _nan_encoder_weight),
     "nan-head-weight":
         lambda tmp: _losses_with_corrupt_checkpoint(tmp, _nan_head_weight),
+    "huge-offset-weight":
+        lambda tmp: _losses_with_corrupt_checkpoint(tmp, _huge_offset_weight),
+    "missing-manifest":
+        lambda tmp: _losses_without_pair_file(tmp, "manifest.json"),
+    "missing-pair-dir": lambda tmp: _losses_without_pair_file(tmp, None),
+    "summary-without-config": _summary_without_config,
     "match-zero-seeds": _match_zero_seeds,
     "config-below-u-squared": lambda tmp: [
         "generate", "--out", str(tmp / "ds"), "--seed", "0",
