@@ -228,6 +228,30 @@ def slice_cols(a: Var, j0: int, j1: int) -> Var:
     return out
 
 
+def slice_rows(a: Var, i0: int, i1: int) -> Var:
+    # rows of a C-ordered array are contiguous, so a view needs no copy
+    out = Var(a.data[i0:i1], (a,))
+
+    def bwd(g):
+        _grad_buffer(a)[i0:i1] += g
+
+    out.bwd = bwd
+    return out
+
+
+def repeat_rows(a: Var, r: int) -> Var:
+    """Each row of ``a`` repeated ``r`` times in place, as
+    ``np.repeat(a, r, axis=0)``; row i*r + j of the result is row i."""
+    n, d = a.data.shape
+    out = Var(np.repeat(a.data, r, axis=0), (a,))
+
+    def bwd(g):
+        _accumulate(a, g.reshape(n, r, d).sum(axis=1))
+
+    out.bwd = bwd
+    return out
+
+
 def gather_rows(a: Var, idx: np.ndarray) -> Var:
     idx = np.asarray(idx, dtype=np.intp)
     out = Var(a.data[idx], (a,))

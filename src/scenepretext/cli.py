@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,13 +33,22 @@ class UsageError(Exception):
     pass
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"{what} must be a JSON object, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def _cmd_fit(args) -> int:
     with open(args.counts) as f:
-        doc = json.load(f)
+        doc = _json_object(json.load(f), "counts file")
     try:
-        scene_counts = doc["scene_counts"]
-        objects_per_scene = doc["objects_per_scene"]
-        instances = doc["instances_per_category"]
+        scene_counts = _json_object(doc["scene_counts"], "scene_counts")
+        objects_per_scene = _json_object(doc["objects_per_scene"],
+                                         "objects_per_scene")
+        instances = _json_object(doc["instances_per_category"],
+                                 "instances_per_category")
     except KeyError as e:
         raise UsageError(f"counts file missing key {e}")
     scene_table = CategoryTable(list(scene_counts.keys()),
@@ -46,7 +56,8 @@ def _cmd_fit(args) -> int:
     cat_labels = list(instances.keys())
     object_tables = []
     for scene in scene_table.labels:
-        per_scene = objects_per_scene.get(scene, {})
+        per_scene = _json_object(objects_per_scene.get(scene, {}),
+                                 f"objects_per_scene[{scene!r}]")
         object_tables.append(CategoryTable(
             cat_labels, [per_scene.get(c, 0) for c in cat_labels]))
     dist = fit_scene_distribution(
@@ -130,6 +141,10 @@ def gradcheck_batch(seed: int = 20240, n_objects: int = 4,
 
 
 def _cmd_gradcheck(args) -> int:
+    for flag in ("tau", "step", "rtol"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"--{flag} must be finite and > 0, got {value}")
     prepared, encoder, heads = gradcheck_batch(seed=args.seed)
     result = gradient_check(prepared, encoder, heads, tau=args.tau,
                             step=args.step, rtol=args.rtol)

@@ -200,7 +200,16 @@ class ReconstructionOutput:
 
 def decode_graph(params: dict[str, ad.Var], coords: ad.Var, z: ad.Var,
                  grid: np.ndarray) -> tuple[ad.Var, ad.Var, ad.Var]:
-    """Tape version of the decoder; returns (y_coarse, h_coarse, y_detail)."""
+    """Tape version of the decoder; returns (y_coarse, h_coarse, y_detail).
+
+    Row i*u*u + j of y_detail is y_coarse[i] plus the fold MLP applied to
+    [grid[j], h_coarse[i]]. The fold's first layer is linear in that
+    concatenation, so its pre-activation is computed factorised: with W_s
+    the first 2 rows of fold_w1 and W_h the rest,
+    tile(grid) @ W_s + repeat(h_coarse @ W_h + fold_b1, u*u). The wide
+    product h_coarse @ W_h then runs over n rows instead of u*u*n, and so
+    do both of its backward products and the bias.
+    """
     n = coords.data.shape[0]
     u2 = grid.shape[0]
     delta = ad.mlp(ad.concat_cols([coords, z]),
@@ -208,13 +217,15 @@ def decode_graph(params: dict[str, ad.Var], coords: ad.Var, z: ad.Var,
     y_coarse = ad.add(coords, ad.slice_cols(delta, 0, 3))
     feat = ad.add(z, ad.slice_cols(delta, 3, delta.data.shape[1]))
     h_coarse = ad.concat_cols([y_coarse, feat])
-    rep = np.repeat(np.arange(n), u2)
-    y_rc = ad.gather_rows(y_coarse, rep)
-    h_rc = ad.gather_rows(h_coarse, rep)
-    s_rc = ad.constant(np.tile(grid, (n, 1)))
-    fold = ad.mlp(ad.concat_cols([s_rc, h_rc]),
-                  _mlp_layers(params, "fold", 2))
-    y_detail = ad.add(y_rc, fold)
+    w1 = params["fold_w1"]
+    w_s = ad.slice_rows(w1, 0, 2)
+    w_h = ad.slice_rows(w1, 2, w1.data.shape[0])
+    grid_term = ad.matmul(ad.constant(np.tile(grid, (n, 1))), w_s)
+    feat_term = ad.repeat_rows(
+        ad.add(ad.matmul(h_coarse, w_h), params["fold_b1"]), u2)
+    hidden = ad.relu(ad.add(grid_term, feat_term))
+    fold = ad.add(ad.matmul(hidden, params["fold_w2"]), params["fold_b2"])
+    y_detail = ad.add(ad.repeat_rows(y_coarse, u2), fold)
     return y_coarse, h_coarse, y_detail
 
 

@@ -79,6 +79,71 @@ def test_relu_concat_slice_gather_grads():
     check_unary(build, x0)
 
 
+def through_rows(op, n_out, d, seed=0):
+    """Scalar builder: op(x) plus a fixed offset per output row, then
+    chamfer to fixed targets, so every output row carries its own upstream
+    gradient."""
+    r = np.random.default_rng(seed)
+    offset = ad.constant(r.normal(size=(n_out, d)))
+    target = ad.constant(r.normal(size=(5, d)))
+    return lambda x: ad.chamfer(ad.add(op(x), offset), target)
+
+
+def assert_matches_reference(build, reference, x0):
+    """Equal forward values and gradients within 1e-13 of the largest."""
+    x, x_ref = ad.leaf(x0.copy()), ad.leaf(x0.copy())
+    out, ref = build(x), reference(x_ref)
+    assert abs(out.item() - ref.item()) <= 1e-13 * abs(ref.item())
+    out.backward()
+    ref.backward()
+    assert np.abs(x.grad - x_ref.grad).max() \
+        <= 1e-13 * np.abs(x_ref.grad).max()
+
+
+# (n, r, d): r = 1, a single row, a small case, and the fold layer's
+# full-scale feature term (256 coarse points, u = 3, 3 + 256 columns)
+REPEAT_SHAPES = {"r=1": (5, 1, 3), "one-row": (1, 4, 3),
+                 "small": (4, 3, 2), "full-scale": (256, 9, 259)}
+
+
+@pytest.mark.parametrize("n,r,d", list(REPEAT_SHAPES.values()),
+                         ids=list(REPEAT_SHAPES))
+def test_repeat_rows_matches_gather_reference(n, r, d):
+    a0 = np.random.default_rng(n + r + d).normal(size=(n, d))
+    np.testing.assert_array_equal(ad.repeat_rows(ad.leaf(a0), r).data,
+                                  np.repeat(a0, r, axis=0))
+    rep = np.repeat(np.arange(n), r)
+    assert_matches_reference(
+        through_rows(lambda x: ad.repeat_rows(x, r), n * r, d),
+        through_rows(lambda x: ad.gather_rows(x, rep), n * r, d), a0)
+
+
+@pytest.mark.parametrize("n,r,d", [s for k, s in REPEAT_SHAPES.items()
+                                   if k != "full-scale"],
+                         ids=[k for k in REPEAT_SHAPES if k != "full-scale"])
+def test_repeat_rows_grad(n, r, d):
+    a0 = np.random.default_rng(n + r + d).normal(size=(n, d))
+    check_unary(through_rows(lambda x: ad.repeat_rows(x, r), n * r, d), a0)
+
+
+@pytest.mark.parametrize("i0,i1", [(0, 2), (2, 7), (3, 4), (0, 7)])
+def test_slice_rows_grad_and_gather_reference(i0, i1):
+    a0 = np.random.default_rng(i0 + 10 * i1).normal(size=(7, 3))
+    build = through_rows(lambda x: ad.slice_rows(x, i0, i1), i1 - i0, 3)
+    check_unary(build, a0)
+    assert_matches_reference(
+        build, through_rows(lambda x: ad.gather_rows(x, np.arange(i0, i1)),
+                            i1 - i0, 3), a0)
+
+
+def test_row_slices_of_one_leaf_fill_its_gradient():
+    # the fold layer takes its grid rows and feature rows of fold_w1 this way
+    a0 = np.random.default_rng(3).normal(size=(7, 3))
+    check_unary(through_rows(
+        lambda x: ad.concat_rows([ad.slice_rows(x, 2, 7),
+                                  ad.slice_rows(x, 0, 2)]), 7, 3), a0)
+
+
 def test_segment_mean_and_max_grads():
     x0 = rng.normal(size=(7, 3))
     seg = np.array([0, 1, 0, 2, 1, 2, 0])

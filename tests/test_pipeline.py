@@ -226,13 +226,19 @@ def test_generate_deterministic_byte_identical(tmp_path):
 # l_overall moved in every loss line, manifest.json and summary.json (no
 # `output_dir` key) were rewritten; every geometry file and every l_obj,
 # l_pts and l_rec_detail bit is unchanged.
+# Updated again when the fold layer's first product was factorised into a
+# grid term and a feature term repeated u*u times: l_rec_detail moved in its
+# last bit by summation-order rounding in one loss line of seed 1 and both
+# of seed 2 (l_overall with it in two of the three); every tree file and
+# every l_obj, l_pts and l_rec_coarse bit is unchanged, and seed 0's digest
+# did not move.
 GOLDEN = [
     (0, "binary-f32",
      "94938a4e65081c6f3dfd901addc74cc46cd954b63e61e75f9ef868e7d11fbd9a"),
     (1, "binary-f32",
-     "e8e8bd147f4479043674d3a058d392ef6b2997d6e71568326d21b21bb7bb1e1e"),
+     "85367f7381f7a10a9c6349893fd1bde78c1927213cd4d10b8a3f8fbfc34e471a"),
     (2, "ascii-ply",
-     "15bc24430996812eac95c8078e518f9ebeb6ab64e3cadeec360f8ca5c7ebbcd0"),
+     "ff618ab642024b8e248945ae648bf385f5c2625d97e4c2745389eb8b87f822b3"),
 ]
 
 
@@ -275,35 +281,37 @@ def test_losses_redraws_the_stored_occlusion(tmp_path, master_seed, fmt):
                 np.testing.assert_array_equal(k_got, k_stored)
 
 
-# sha256 over every tensor of all four forward_backward gradient dicts (sorted
-# term, then sorted parameter name; name, shape and float64 bytes) for the
-# gradcheck batch and for one full-width pair built as perfbench's TrainStep
-# builds it (workload seed 7). Recorded with the dense-d2 Chamfer and the
-# zeros_like-per-node tape, before the blocked nearest-neighbour search and
-# on-demand gradients replaced them: a tape change that moves any gradient
-# bit fails here. Which BLAS kernel a product uses can depend on the thread
-# count, so the digest is computed in a child process with one BLAS thread.
-# Updated once, when the coarse target became the detail FPS run's prefix:
-# the l_rec and l_overall gradients moved with l_rec_coarse; the l_obj and
-# l_pts gradients are bit-identical to the recorded ones.
+# One sha256 per forward_backward gradient term (sorted parameter name;
+# name, shape and float64 bytes) for the gradcheck batch and for one
+# full-width pair built as perfbench's TrainStep builds it (workload seed 7),
+# plus that batch's loss values as float.hex strings. A tape change that
+# moves any gradient bit fails here, and the failing entries name the terms
+# it moved. Which BLAS kernel a product uses can depend on the thread count,
+# so everything is computed in one child process with one BLAS thread.
 GRAD_GOLDEN_SCRIPT = """
 import hashlib
+import json
 from dataclasses import replace
 from scenepretext import decoder, pipeline, scenegen
 from scenepretext.cli import gradcheck_batch
 from scenepretext.seeding import mix64
 
-def digest(report):
-    h = hashlib.sha256()
+def summary(report):
+    digests = {}
     for term in sorted(report.gradients):
+        h = hashlib.sha256()
         for name in sorted(report.gradients[term]):
             g = report.gradients[term][name]
-            h.update(f"{term}/{name}{g.shape}".encode())
+            h.update(f"{name}{g.shape}".encode())
             h.update(g.tobytes())
-    return h.hexdigest()
+        digests[term] = h.hexdigest()
+    values = {t: getattr(report, t).hex()
+              for t in ("l_obj", "l_pts", "l_rec_coarse", "l_rec_detail")}
+    return {"gradients": digests, "values": values}
 
 prepared, encoder, heads = gradcheck_batch()
-print(digest(decoder.forward_backward(prepared, encoder, heads)))
+out = {"gradcheck": summary(decoder.forward_backward(prepared, encoder,
+                                                     heads))}
 c = replace(pipeline.PipelineConfig(), master_seed=7, batch_pairs=1,
             feature_dim=256, encoder_hidden=256, proj_hidden=256,
             decoder_hidden=256, n_encoder_seeds=256, u=3)
@@ -314,22 +322,70 @@ pp = decoder.prepare_scene_pair(pair, n_seeds=c.n_encoder_seeds,
                                 rng_seed=mix64(7, 0), occlude=c.occlude)
 encoder = decoder.ToyEncoder(c.encoder_config(), rng_seed=mix64(7, 0xE0C))
 heads = decoder.DecoderHeads(c.heads_config(), rng_seed=mix64(7, 0xDEC))
-print(digest(decoder.forward_backward([pp], encoder, heads, c.tau,
-                                      c.lambda_pts, c.lambda_rec)))
+out["train_step"] = summary(decoder.forward_backward(
+    [pp], encoder, heads, c.tau, c.lambda_pts, c.lambda_rec))
+print(json.dumps(out))
 """
-GRAD_GOLDEN = [
-    "b6f697cc5aec6bdc39b0df12d7338dec12710c72692ca00c3b72b648250b25bb",
-    "e9a613fcf3b5eea35a74d092afd6a3a6bff9dddce0ac2d0cf6c36148915960c4",
-]
+# First recorded per term at the commit whose Chamfer was one
+# nearest-neighbour pass, from the concatenated fold layer. Updated once
+# since, when the fold layer's first product was factorised into a grid
+# term and a feature term repeated u*u times: that moves only l_rec_detail
+# and its gradients, by summation-order rounding, so the l_rec and l_overall
+# digests were re-recorded; the l_obj and l_pts digests are the recorded
+# ones.
+GRAD_GOLDEN = {
+    "gradcheck": {
+        "l_obj":
+            "65a00bf24a9d25b1f27d273830550f6a93bfe35d4eb685f9d728284ad42db7db",
+        "l_pts":
+            "961cc5da4ec3f8007d05619622eb91a4e19ee620879cf0291727ac0d83b02314",
+        "l_rec":
+            "15a9da5ad63832295c71a02caed4773cd5425b8527a2a00a5bcafe246d132687",
+        "l_overall":
+            "21a0186ffeeca7c76399426cb67cc36aded8558c2e8d35c02422fec66c5e883a",
+    },
+    "train_step": {
+        "l_obj":
+            "95be42479bd0fe3a5b643f47981f4d008c62b3ba00b4db913eb6e171ad79aed6",
+        "l_pts":
+            "114ef8fb348d5b66462f65ebd630861141e6fd4a5f7cd77d8a88e4da104477f0",
+        "l_rec":
+            "24b01c6f4521141c2e3a121edb8e09fa1ecaaefada556d797107698df7edd996",
+        "l_overall":
+            "9cac4a177420d4a4378d2ec620352ef159f2520edf5a78d4904c5f63d737244d",
+    },
+}
+# The full-width TrainStep pair's loss values before the fold layer was
+# factorised. l_obj, l_pts and l_rec_coarse do not pass through the fold
+# layer and must stay bit-equal; l_rec_detail may move by rounding only.
+TRAIN_STEP_VALUES = {"l_obj": "0x1.6efcf52967f02p+2",
+                     "l_pts": "0x1.069b1271b33f1p+3",
+                     "l_rec_coarse": "0x1.46df2c54ab3efp-5",
+                     "l_rec_detail": "0x1.e70ce70f3c49fp-6"}
 
 
-def test_golden_gradient_digest():
+@pytest.fixture(scope="module")
+def grad_golden_run():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=str(Path(scenepretext.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", GRAD_GOLDEN_SCRIPT], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == GRAD_GOLDEN
+    return json.loads(out.stdout)
+
+
+def test_golden_gradient_digest(grad_golden_run):
+    got = {batch: run["gradients"] for batch, run in grad_golden_run.items()}
+    assert got == GRAD_GOLDEN
+
+
+def test_train_step_values_outside_the_fold_are_unmoved(grad_golden_run):
+    got = grad_golden_run["train_step"]["values"]
+    for term in ("l_obj", "l_pts", "l_rec_coarse"):
+        assert got[term] == TRAIN_STEP_VALUES[term], term
+    detail = float.fromhex(got["l_rec_detail"])
+    recorded = float.fromhex(TRAIN_STEP_VALUES["l_rec_detail"])
+    assert abs(detail - recorded) <= 1e-12 * recorded
 
 
 def test_generate_layout_and_manifest(tmp_path):
@@ -753,6 +809,17 @@ def _assets_below_u_squared(tmp_path):
     return ["losses", str(out)]
 
 
+def _fit_counts(tmp_path, doc):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(doc))
+    return ["fit", str(path), "--out", str(tmp_path / "dist.json")]
+
+
+FIT_COUNTS = {"scene_counts": {"kitchen": 3},
+              "objects_per_scene": {"kitchen": {"chair": 2}},
+              "instances_per_category": {"chair": 4}}
+
+
 # each case writes one malformed input and returns the CLI call that reads it
 CLI_INPUT_FAULTS = {
     "nan-bin-coordinate": lambda tmp: _nan_coordinate(tmp, "binary-f32"),
@@ -772,12 +839,28 @@ CLI_INPUT_FAULTS = {
         "generate", "--out", str(tmp / "ds"), "--seed", "0",
         "--n-objects", "1", "--points-per-object", "8", "--u", "3"],
     "assets-below-u-squared": _assets_below_u_squared,
+    "fit-counts-list": lambda tmp: _fit_counts(tmp, [FIT_COUNTS]),
+    "fit-scene-counts-list": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, scene_counts=[["kitchen", 3]])),
+    "fit-objects-per-scene-entry-list": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, objects_per_scene={"kitchen": ["chair"]})),
+    "gradcheck-step-0": lambda tmp: ["gradcheck", "--step", "0"],
+    "gradcheck-tau-0": lambda tmp: ["gradcheck", "--tau", "0"],
+    "gradcheck-rtol-0": lambda tmp: ["gradcheck", "--rtol", "0"],
+    "gradcheck-step-negative": lambda tmp: ["gradcheck", "--step=-1e-5"],
+    "gradcheck-tau-nan": lambda tmp: ["gradcheck", "--tau", "nan"],
+    "gradcheck-rtol-inf": lambda tmp: ["gradcheck", "--rtol", "inf"],
 }
 
 
 @pytest.mark.parametrize("fault", list(CLI_INPUT_FAULTS))
 def test_cli_malformed_input_exit_2(tmp_path, fault):
     assert main(CLI_INPUT_FAULTS[fault](tmp_path)) == 2
+
+
+def test_cli_fit_accepts_the_fault_table_counts(tmp_path):
+    # the fit rows above break one field each of this valid document
+    assert main(_fit_counts(tmp_path, FIT_COUNTS)) == 0
 
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
