@@ -21,6 +21,14 @@ from .errors import AllZeroCounts, CorruptManifest, DimensionMismatch
 SUM_TOL = 1e-9
 
 
+def _count(value) -> int:
+    """``int(value)``; a value that is not a number raises ValueError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"count {value!r} is not a number") from None
+
+
 @dataclass(frozen=True)
 class CategoryTable:
     """Occurrence counts per labeled category.
@@ -38,7 +46,7 @@ class CategoryTable:
 
     def __init__(self, labels: Sequence[str], counts: Sequence[int]):
         labels = tuple(labels)
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(_count(c) for c in counts)
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("labels must be unique")
         if len(labels) != len(counts):
@@ -208,12 +216,12 @@ def fit_scene_distribution(
         raise DimensionMismatch(
             f"{len(instances_per_category)} instance counts for "
             f"{len(cat_labels)} categories")
-    if any(int(n) < 1 for n in instances_per_category):
+    n_instances = [_count(n) for n in instances_per_category]
+    if any(n < 1 for n in n_instances):
         raise ValueError("instance counts must be >= 1")
     prior = fit_categorical(scene_table)
     cond = np.stack([fit_categorical(t) for t in per_scene_object_tables])
-    inst = tuple(np.full(int(n), 1.0 / int(n))
-                 for n in instances_per_category)
+    inst = tuple(np.full(n, 1.0 / n) for n in n_instances)
     return SceneDistribution(
         scene_labels=scene_table.labels,
         category_labels=cat_labels,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: fit, generate, match, losses, gradcheck. Exit codes: 0 ok,
-1 internal error, 2 invalid input.
+2 invalid input, 1 a failed gradcheck (or an uncaught bug, which ends with
+a traceback).
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from .assets import ProceduralAssetSource
 from .catalog import CategoryTable, fit_scene_distribution
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       gradient_check, prepare_scene_pair)
-from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
-                     ScenePretextError, TooFewPoints)
+from .errors import ScenePretextError
 from .pipeline import (PipelineConfig, evaluate_losses, generate_dataset,
                        match_pair_dir)
 from .scenegen import make_scene_pair
 from .seeding import mix64
 
 EXIT_OK = 0
-EXIT_INTERNAL = 1
+EXIT_GRADCHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
@@ -106,12 +106,8 @@ def _cmd_losses(args) -> int:
     dataset = Path(args.dataset)
     if not dataset.is_dir():
         raise UsageError(f"{dataset}: not a directory")
-    try:
-        evaluate_losses(dataset, checkpoint=args.checkpoint,
-                        report_path=args.report)
-    except (CorruptManifest, DimensionMismatch, NonFiniteInput,
-            TooFewPoints) as e:
-        raise UsageError(str(e))
+    evaluate_losses(dataset, checkpoint=args.checkpoint,
+                    report_path=args.report)
     return EXIT_OK
 
 
@@ -156,7 +152,7 @@ def _cmd_gradcheck(args) -> int:
           f"{result.n_kink_entries} argmin crossings confirmed at refined step")
     print(f"gradcheck {'PASSED' if result.ok else 'FAILED'} "
           f"(max {result.max_rel_error:.3e}, tolerance {args.rtol:.0e})")
-    return EXIT_OK if result.ok else EXIT_INTERNAL
+    return EXIT_OK if result.ok else EXIT_GRADCHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,20 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every error of its input exits 2.
+
+    The library raises ScenePretextError for input it cannot use, the
+    standard library OSError for an unreadable path and ValueError (a
+    json.JSONDecodeError too) for unparsable values. Any other exception is
+    a bug and propagates.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError, CorruptManifest,
-            ValueError) as e:
+    except (UsageError, ScenePretextError, OSError, ValueError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ScenePretextError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

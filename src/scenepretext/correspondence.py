@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import TooFewPoints
 from .scenegen import ScenePair, SceneInstance
+from .seeding import STREAM_MATCH_A, STREAM_MATCH_B, mix64
 
 
 @dataclass(frozen=True)
@@ -169,3 +170,18 @@ def match_points(pair: ScenePair, seeds_a: SeedSet, seeds_b_pool: SeedSet,
                     np.array(b_idx, dtype=np.intp),
                     np.array(dists, dtype=np.float64),
                     np.array(objs, dtype=np.intp), theta)
+
+
+def match_fps_pools(pair: ScenePair, pool_a: SeedSet, pool_b: SeedSet,
+                    m: int, theta: float, rng_seed: int,
+                    full_pool: bool = False) -> MatchSet:
+    """Match an FPS subset of ``pool_a`` into an FPS subset of ``pool_b``.
+
+    Each side keeps min(m, its pool size) seeds, drawn from its own match
+    stream of ``rng_seed``; with ``full_pool`` all of ``pool_b`` is the
+    candidate set instead. Matches carry the pools' indices.
+    """
+    seeds_a = fps_subset(pool_a, m, mix64(rng_seed, STREAM_MATCH_A))
+    if not full_pool:
+        pool_b = fps_subset(pool_b, m, mix64(rng_seed, STREAM_MATCH_B))
+    return match_points(pair, seeds_a, pool_b, theta)

@@ -23,15 +23,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
-                             fps_subset, match_points, sample_seed_set)
+                             match_fps_pools, sample_seed_set)
 from .errors import (CorruptManifest, DimensionMismatch, EmptyBatch,
                      TooFewPoints)
 from .losses import LossReport, object_level_graph, point_level_graph
 from .occlusion import occlude_pair
 from .scenegen import ScenePair, SceneInstance
-from .seeding import (STREAM_MATCH_A, STREAM_MATCH_B, STREAM_SEEDS_A,
-                      STREAM_SEEDS_B, STREAM_TARGETS_A, STREAM_TARGETS_B,
-                      mix64)
+from .seeding import (STREAM_SEEDS_A, STREAM_SEEDS_B, STREAM_TARGETS_A,
+                      STREAM_TARGETS_B, mix64)
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int,
@@ -311,12 +310,10 @@ def prepare_scene_pair(pair: ScenePair, n_seeds: int, m_matches: int,
     seeds_b = sample_seed_set(scene_b, n_cap_b,
                               mix64(rng_seed, STREAM_SEEDS_B))
     # match within the encoder seed arrays: positions, not scene indices
-    anchor_seeds, pool_seeds = (
-        fps_subset(SeedSet(np.arange(s.m), s.coords, s.object_ids),
-                   m_matches, mix64(rng_seed, stream))
-        for s, stream in ((seeds_a, STREAM_MATCH_A),
-                          (seeds_b, STREAM_MATCH_B)))
-    matches = match_points(occluded, anchor_seeds, pool_seeds, theta)
+    pool_a, pool_b = (SeedSet(np.arange(s.m), s.coords, s.object_ids)
+                      for s in (seeds_a, seeds_b))
+    matches = match_fps_pools(occluded, pool_a, pool_b, m_matches, theta,
+                              rng_seed)
     gt_coarse_a, gt_detail_a = build_targets(
         pair.scene_a, seeds_a.m, u, mix64(rng_seed, STREAM_TARGETS_A))
     gt_coarse_b, gt_detail_b = build_targets(

@@ -49,7 +49,8 @@ class LossReport:
     gradients: dict | None = None   # term -> {param name -> ndarray}
 
     def to_json_dict(self) -> dict:
-        doc = {
+        """The loss values, weights and counts; gradients are left out."""
+        return {
             "l_obj": self.l_obj,
             "l_pts": self.l_pts,
             "l_rec_coarse": self.l_rec_coarse,
@@ -59,20 +60,13 @@ class LossReport:
             "lambda_rec": self.lambda_rec,
             "counts": dict(self.counts),
         }
-        if self.gradients is not None:
-            doc["gradient_norms"] = {
-                term: {name: float(np.linalg.norm(g)) for name, g in gs.items()}
-                for term, gs in self.gradients.items()
-            }
-        return doc
 
 
 def _pooled_normalized(h: ad.Var, obj_ids: np.ndarray,
                        keep: np.ndarray) -> ad.Var:
-    """Mean-pool rows per kept instance, then L2-normalize the pools."""
-    pos = {int(k): i for i, k in enumerate(keep)}
+    """Mean-pool rows per kept instance (sorted ids), then L2-normalize."""
     rows = np.nonzero(np.isin(obj_ids, keep))[0]
-    seg = np.array([pos[int(obj_ids[r])] for r in rows], dtype=np.intp)
+    seg = np.searchsorted(keep, obj_ids[rows])
     pooled = ad.segment_mean(ad.gather_rows(h, rows), seg, len(keep))
     return ad.l2_normalize_rows(pooled)
 
@@ -86,46 +80,36 @@ def object_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
     Per pair: ``h_vars`` holds the (h_a, h_b) features, ``object_ids`` the
     owning instance of each of their rows, and ``categories[k]`` is
     instance k's category id (the draw is shared by both sides).
+
+    A pair whose sides share K instances adds K pooled rows for side a,
+    then the same K instances for side b, so the positive of a row is the
+    row K places after or before it within the pair's block.
     """
     pool_parts: list[ad.Var] = []
-    meta_pair: list[int] = []
-    meta_side: list[int] = []
-    meta_k: list[int] = []
-    meta_cat: list[int] = []
-    for p_idx, ((va, vb), (ids_a, ids_b), cats) in enumerate(
-            zip(h_vars, object_ids, categories)):
-        present = np.intersect1d(np.unique(ids_a), np.unique(ids_b))
-        if present.size == 0:
+    pos_idx, cats, weights = [], [], []
+    offset = 0
+    for (va, vb), (ids_a, ids_b), cat in zip(h_vars, object_ids, categories):
+        present = np.intersect1d(ids_a, ids_b)
+        k = present.size
+        if k == 0:
             continue
-        for side, (v, ids) in enumerate(((va, ids_a), (vb, ids_b))):
-            pool_parts.append(_pooled_normalized(v, ids, present))
-            meta_pair += [p_idx] * present.size
-            meta_side += [side] * present.size
-            meta_k += [int(k) for k in present]
-            meta_cat += [int(cats[k]) for k in present]
+        pool_parts += [_pooled_normalized(va, ids_a, present),
+                       _pooled_normalized(vb, ids_b, present)]
+        rows = offset + np.arange(k)
+        pos_idx += [rows + k, rows]
+        cats.append(np.tile(cat[present], 2))
+        # each pair's rows carry 1/K, and the batch averages over pairs
+        weights.append(np.full(2 * k, 1.0 / (len(h_vars) * k)))
+        offset += 2 * k
     if not pool_parts:
         return ad.constant(0.0), {"anchors": 0, "pool": 0}
     pool = ad.concat_rows(pool_parts)
-    pair_arr = np.array(meta_pair)
-    side_arr = np.array(meta_side)
-    k_arr = np.array(meta_k)
-    cat_arr = np.array(meta_cat)
-    n = pool.data.shape[0]
-    # positive of row i is the same (pair, instance) on the other side
-    pos_idx = np.empty(n, dtype=np.intp)
-    lookup = {(p, s, k): i for i, (p, s, k)
-              in enumerate(zip(meta_pair, meta_side, meta_k))}
-    for i in range(n):
-        pos_idx[i] = lookup[(meta_pair[i], 1 - meta_side[i], meta_k[i])]
+    cat_arr = np.concatenate(cats)
     neg_mask = cat_arr[None, :] != cat_arr[:, None]
-    # each pair's rows carry 1/K_p, and the batch averages over pairs
-    per_pair_k = {p: int((pair_arr == p).sum() // 2)
-                  for p in np.unique(pair_arr)}
-    weights = np.array([1.0 / (len(h_vars) * per_pair_k[p])
-                        for p in meta_pair])
     sim = ad.matmul_nt(pool, pool)
-    loss = ad.masked_info_nce(sim, pos_idx, neg_mask, tau, weights)
-    counts = {"anchors": n, "pool": n,
+    loss = ad.masked_info_nce(sim, np.concatenate(pos_idx), neg_mask, tau,
+                              np.concatenate(weights))
+    counts = {"anchors": offset, "pool": offset,
               "mean_negatives": float(neg_mask.sum(axis=1).mean())}
     return loss, counts
 
@@ -141,67 +125,51 @@ def point_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
     both endpoints of every kept match; the candidate pool is the
     deduplicated set of matched endpoints, and negatives for an anchor are
     pool entries on a different (pair, object).
+
+    A pair adds to the pool its distinct a ends, then its distinct b ends,
+    both sorted, and to the anchors its a ends, then its b ends, in match
+    order; an anchor's positive is found by binary search in the other
+    side's pool rows.
     """
     if len(matches) != len(h_vars):
         raise ValueError("one MatchSet required per pair")
     pool_parts: list[ad.Var] = []
-    pool_obj: list[tuple[int, int]] = []
-    pool_pos: dict[tuple[int, int, int], int] = {}
-    normalized = [(ad.l2_normalize_rows(va), ad.l2_normalize_rows(vb))
-                  for va, vb in h_vars]
-    offset = 0
-    for p_idx, (ids_ab, ms) in enumerate(zip(object_ids, matches)):
-        if len(ms) == 0:
-            continue
-        na, nb = normalized[p_idx]
-        ends = sorted(
-            {(0, int(i)) for i in ms.a_indices}
-            | {(1, int(j)) for j in ms.b_indices})
-        rows_a = [i for s, i in ends if s == 0]
-        rows_b = [i for s, i in ends if s == 1]
-        if rows_a:
-            pool_parts.append(ad.gather_rows(na, np.array(rows_a)))
-        if rows_b:
-            pool_parts.append(ad.gather_rows(nb, np.array(rows_b)))
-        for s, i in [(0, i) for i in rows_a] + [(1, i) for i in rows_b]:
-            pool_pos[(p_idx, s, i)] = offset
-            pool_obj.append((p_idx, int(ids_ab[s][i])))
-            offset += 1
-    total_matches = sum(len(ms) for ms in matches)
-    if total_matches == 0:
-        return ad.constant(0.0), {"matches": 0, "pool": 0}
-
-    # anchor row order: [pair0 A-anchors, pair0 B-anchors, pair1 A-anchors, ...]
     anchor_parts: list[ad.Var] = []
-    pos_idx: list[int] = []
-    anchor_obj: list[tuple[int, int]] = []
-    weights: list[float] = []
+    pos_idx, weights = [], []
+    pool_keys, anchor_keys = [], []   # (pair, object) of every row
+    offset = 0
     n_pairs = len(h_vars)
-    for p_idx, ms in enumerate(matches):
-        if len(ms) == 0:
+    for p, ((va, vb), (ids_a, ids_b), ms) in enumerate(
+            zip(h_vars, object_ids, matches)):
+        m = len(ms)
+        if m == 0:
             continue
-        na, nb = normalized[p_idx]
-        anchor_parts.append(ad.gather_rows(na, ms.a_indices))
-        anchor_parts.append(ad.gather_rows(nb, ms.b_indices))
-        w = 1.0 / (n_pairs * len(ms))
-        for b_i, obj in zip(ms.b_indices, ms.object_ids):
-            pos_idx.append(pool_pos[(p_idx, 1, int(b_i))])
-            anchor_obj.append((p_idx, int(obj)))
-            weights.append(w)
-        for a_i, obj in zip(ms.a_indices, ms.object_ids):
-            pos_idx.append(pool_pos[(p_idx, 0, int(a_i))])
-            anchor_obj.append((p_idx, int(obj)))
-            weights.append(w)
-    anchors = ad.concat_rows(anchor_parts)
-    pool = ad.concat_rows(pool_parts)
-    a_obj = np.array(anchor_obj, dtype=np.intp)
-    p_obj = np.array(pool_obj, dtype=np.intp)
-    neg_mask = (a_obj[:, None, 0] != p_obj[None, :, 0]) \
-        | (a_obj[:, None, 1] != p_obj[None, :, 1])
-    sim = ad.matmul_nt(anchors, pool)
-    loss = ad.masked_info_nce(sim, np.array(pos_idx, dtype=np.intp),
-                              neg_mask, tau, np.array(weights))
-    counts = {"matches": total_matches, "pool": len(pool_obj),
+        na, nb = ad.l2_normalize_rows(va), ad.l2_normalize_rows(vb)
+        ends_a, ends_b = np.unique(ms.a_indices), np.unique(ms.b_indices)
+        pool_parts += [ad.gather_rows(na, ends_a), ad.gather_rows(nb, ends_b)]
+        anchor_parts += [ad.gather_rows(na, ms.a_indices),
+                         ad.gather_rows(nb, ms.b_indices)]
+        # a-anchors take the b end of their match, b-anchors the a end
+        pos_idx += [offset + ends_a.size
+                    + np.searchsorted(ends_b, ms.b_indices),
+                    offset + np.searchsorted(ends_a, ms.a_indices)]
+        weights.append(np.full(2 * m, 1.0 / (n_pairs * m)))
+        pool_objs = np.concatenate([ids_a[ends_a], ids_b[ends_b]])
+        pool_keys.append(np.stack([np.full(pool_objs.size, p), pool_objs]))
+        anchor_keys.append(np.stack([np.full(2 * m, p),
+                                     np.tile(ms.object_ids, 2)]))
+        offset += pool_objs.size
+    if not pool_parts:
+        return ad.constant(0.0), {"matches": 0, "pool": 0}
+    a_key = np.concatenate(anchor_keys, axis=1)
+    p_key = np.concatenate(pool_keys, axis=1)
+    neg_mask = (a_key[0][:, None] != p_key[0][None, :]) \
+        | (a_key[1][:, None] != p_key[1][None, :])
+    sim = ad.matmul_nt(ad.concat_rows(anchor_parts),
+                       ad.concat_rows(pool_parts))
+    loss = ad.masked_info_nce(sim, np.concatenate(pos_idx), neg_mask, tau,
+                              np.concatenate(weights))
+    counts = {"matches": sum(len(ms) for ms in matches), "pool": offset,
               "mean_negatives": float(neg_mask.sum(axis=1).mean())}
     return loss, counts
 

@@ -20,17 +20,15 @@ import numpy as np
 
 from .assets import DirectoryAssetSource, ProceduralAssetSource
 from .catalog import SceneDistribution, load_default_scannet_parameters
-from .correspondence import (MatchSet, fps_subset, full_seed_pool,
-                             match_points)
-from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, PreparedPair,
-                      ToyEncoder, forward_backward, load_checkpoint,
-                      prepare_scene_pair)
+from .correspondence import MatchSet, full_seed_pool, match_fps_pools
+from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
+                      forward_backward, load_checkpoint, prepare_scene_pair)
 from .errors import CorruptManifest, NonFiniteInput, PlacementFailure
 from .losses import LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
                        ScenePair, Transform, make_scene_pair)
-from .seeding import STREAM_MATCH_A, STREAM_MATCH_B, mix64
+from .seeding import mix64
 
 FORMATS = ("ascii-ply", "binary-f32")
 _FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
@@ -307,22 +305,6 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
     return manifest
 
 
-def _match_occluded(occluded: ScenePair, m_seeds: int, theta: float,
-                    full_pool: bool = False) -> MatchSet:
-    """Match up to M FPS seeds of occluded scene A into scene B.
-
-    Each side draws min(M, its point count) seeds from its own match
-    stream; with ``full_pool`` every point of B is a candidate instead.
-    """
-    seeds_a = fps_subset(full_seed_pool(occluded.scene_a), m_seeds,
-                         mix64(occluded.pair_seed, STREAM_MATCH_A))
-    seeds_b = full_seed_pool(occluded.scene_b)
-    if not full_pool:
-        seeds_b = fps_subset(seeds_b, m_seeds,
-                             mix64(occluded.pair_seed, STREAM_MATCH_B))
-    return match_points(occluded, seeds_a, seeds_b, theta)
-
-
 def generate_pair(config: PipelineConfig, dist: SceneDistribution,
                   asset_source, pair_id: int
                   ) -> tuple[ScenePair, ScenePair, OcclusionRecord,
@@ -333,7 +315,9 @@ def generate_pair(config: PipelineConfig, dist: SceneDistribution,
     pair = make_scene_pair(dist, config.n_objects_per_scene, asset_source,
                            pair_seed, config.layout())
     occluded, rec_a, rec_b = occlude_pair(pair, pair_seed, config.occlude)
-    matches = _match_occluded(occluded, config.m_seeds, config.theta)
+    matches = match_fps_pools(occluded, full_seed_pool(occluded.scene_a),
+                              full_seed_pool(occluded.scene_b),
+                              config.m_seeds, config.theta, pair_seed)
     return pair, occluded, rec_a, rec_b, matches
 
 
@@ -488,8 +472,8 @@ def list_pair_dirs(dataset_dir) -> list[Path]:
 
 def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
                     checkpoint: str | None = None,
-                    report_path=None, with_gradients: bool = False,
-                    progress: bool = True) -> list[LossReport]:
+                    report_path=None, progress: bool = True
+                    ) -> list[LossReport]:
     """Batch loss reports over a generated dataset.
 
     Pairs are grouped into batches of config.batch_pairs; each report is
@@ -519,15 +503,18 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
     reports: list[LossReport] = []
     out = open(report_path, "w", newline="\n") if report_path else None
     try:
-        batch: list[PreparedPair] = []
-        batch_ids: list[int] = []
-
-        def flush():
-            if not batch:
-                return
+        for start in range(0, len(pair_dirs), config.batch_pairs):
+            batch, batch_ids = [], []
+            for pdir in pair_dirs[start:start + config.batch_pairs]:
+                pair, manifest = load_pair(pdir, config)
+                batch.append(prepare_scene_pair(
+                    pair, n_seeds=config.n_encoder_seeds,
+                    m_matches=config.m_seeds, theta=config.theta, u=config.u,
+                    rng_seed=manifest.pair_seed, occlude=config.occlude))
+                batch_ids.append(manifest.pair_id)
             report = forward_backward(batch, encoder, heads, config.tau,
                                       config.lambda_pts, config.lambda_rec,
-                                      with_gradients=with_gradients)
+                                      with_gradients=False)
             bad = [k for k in _LOSS_TERMS
                    if not np.isfinite(getattr(report, k))]
             if bad:
@@ -536,23 +523,9 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
             reports.append(report)
             if out is not None:
                 doc = report.to_json_dict()
-                doc["pair_ids"] = list(batch_ids)
+                doc["pair_ids"] = batch_ids
                 out.write(json.dumps(doc, sort_keys=True, allow_nan=False)
                           + "\n")
-            batch.clear()
-            batch_ids.clear()
-
-        for pdir in pair_dirs:
-            pair, manifest = load_pair(pdir, config)
-            prepared = prepare_scene_pair(
-                pair, n_seeds=config.n_encoder_seeds,
-                m_matches=config.m_seeds, theta=config.theta, u=config.u,
-                rng_seed=manifest.pair_seed, occlude=config.occlude)
-            batch.append(prepared)
-            batch_ids.append(manifest.pair_id)
-            if len(batch) >= config.batch_pairs:
-                flush()
-        flush()
     finally:
         if out is not None:
             out.close()
@@ -586,4 +559,6 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
         m_seeds = (config or PipelineConfig()).m_seeds
     if theta is None:
         theta = manifest.theta
-    return _match_occluded(occluded, m_seeds, theta, full_pool)
+    return match_fps_pools(occluded, full_seed_pool(occluded.scene_a),
+                           full_seed_pool(occluded.scene_b), m_seeds, theta,
+                           manifest.pair_seed, full_pool)

@@ -1,9 +1,14 @@
 """Reference code the tests compare the program against.
 
-Neither part is a program path. ``exact_match_oracle`` is the rejected
-exact-matching baseline, and ``object_loss``/``point_loss`` run one
-contrastive graph builder on plain feature arrays.
+None of it is a program path. ``exact_match_oracle`` is the rejected
+exact-matching baseline; ``object_loss``/``point_loss`` run one
+contrastive graph builder on plain feature arrays; the ``reference_*``
+builders are the contrastive graphs as first written, with per-row
+dictionaries where the program's builders use index arithmetic. Both
+build the same tape, so their values and gradients agree bit for bit.
 """
+
+from typing import Sequence
 
 import numpy as np
 
@@ -37,29 +42,162 @@ def exact_match_oracle(pair: ScenePair, seeds_a: SeedSet) -> MatchSet:
                     seeds_a.object_ids.copy(), theta=np.inf)
 
 
-def _value_and_grads(graph, features, object_ids, per_pair, tau):
+def _reference_pooled_normalized(h: ad.Var, obj_ids: np.ndarray,
+                                 keep: np.ndarray) -> ad.Var:
+    """Mean-pool rows per kept instance, then L2-normalize the pools."""
+    pos = {int(k): i for i, k in enumerate(keep)}
+    rows = np.nonzero(np.isin(obj_ids, keep))[0]
+    seg = np.array([pos[int(obj_ids[r])] for r in rows], dtype=np.intp)
+    pooled = ad.segment_mean(ad.gather_rows(h, rows), seg, len(keep))
+    return ad.l2_normalize_rows(pooled)
+
+
+def reference_object_level_graph(
+        h_vars: Sequence[tuple[ad.Var, ad.Var]],
+        object_ids: Sequence[tuple[np.ndarray, np.ndarray]],
+        categories: Sequence[np.ndarray], tau: float) -> tuple[ad.Var, dict]:
+    """object_level_graph with per-row (pair, side, instance) bookkeeping:
+    each row's positive is looked up by key, not found by position."""
+    pool_parts: list[ad.Var] = []
+    meta_pair: list[int] = []
+    meta_side: list[int] = []
+    meta_k: list[int] = []
+    meta_cat: list[int] = []
+    for p_idx, ((va, vb), (ids_a, ids_b), cats) in enumerate(
+            zip(h_vars, object_ids, categories)):
+        present = np.intersect1d(np.unique(ids_a), np.unique(ids_b))
+        if present.size == 0:
+            continue
+        for side, (v, ids) in enumerate(((va, ids_a), (vb, ids_b))):
+            pool_parts.append(_reference_pooled_normalized(v, ids, present))
+            meta_pair += [p_idx] * present.size
+            meta_side += [side] * present.size
+            meta_k += [int(k) for k in present]
+            meta_cat += [int(cats[k]) for k in present]
+    if not pool_parts:
+        return ad.constant(0.0), {"anchors": 0, "pool": 0}
+    pool = ad.concat_rows(pool_parts)
+    pair_arr = np.array(meta_pair)
+    side_arr = np.array(meta_side)
+    k_arr = np.array(meta_k)
+    cat_arr = np.array(meta_cat)
+    n = pool.data.shape[0]
+    # positive of row i is the same (pair, instance) on the other side
+    pos_idx = np.empty(n, dtype=np.intp)
+    lookup = {(p, s, k): i for i, (p, s, k)
+              in enumerate(zip(meta_pair, meta_side, meta_k))}
+    for i in range(n):
+        pos_idx[i] = lookup[(meta_pair[i], 1 - meta_side[i], meta_k[i])]
+    neg_mask = cat_arr[None, :] != cat_arr[:, None]
+    # each pair's rows carry 1/K_p, and the batch averages over pairs
+    per_pair_k = {p: int((pair_arr == p).sum() // 2)
+                  for p in np.unique(pair_arr)}
+    weights = np.array([1.0 / (len(h_vars) * per_pair_k[p])
+                        for p in meta_pair])
+    sim = ad.matmul_nt(pool, pool)
+    loss = ad.masked_info_nce(sim, pos_idx, neg_mask, tau, weights)
+    counts = {"anchors": n, "pool": n,
+              "mean_negatives": float(neg_mask.sum(axis=1).mean())}
+    return loss, counts
+
+
+def reference_point_level_graph(
+        h_vars: Sequence[tuple[ad.Var, ad.Var]],
+        object_ids: Sequence[tuple[np.ndarray, np.ndarray]],
+        matches: Sequence[MatchSet], tau: float) -> tuple[ad.Var, dict]:
+    """point_level_graph with a (pair, side, row) -> pool position dict:
+    two passes over the pairs, positives looked up by key."""
+    if len(matches) != len(h_vars):
+        raise ValueError("one MatchSet required per pair")
+    pool_parts: list[ad.Var] = []
+    pool_obj: list[tuple[int, int]] = []
+    pool_pos: dict[tuple[int, int, int], int] = {}
+    normalized = [(ad.l2_normalize_rows(va), ad.l2_normalize_rows(vb))
+                  for va, vb in h_vars]
+    offset = 0
+    for p_idx, (ids_ab, ms) in enumerate(zip(object_ids, matches)):
+        if len(ms) == 0:
+            continue
+        na, nb = normalized[p_idx]
+        ends = sorted(
+            {(0, int(i)) for i in ms.a_indices}
+            | {(1, int(j)) for j in ms.b_indices})
+        rows_a = [i for s, i in ends if s == 0]
+        rows_b = [i for s, i in ends if s == 1]
+        if rows_a:
+            pool_parts.append(ad.gather_rows(na, np.array(rows_a)))
+        if rows_b:
+            pool_parts.append(ad.gather_rows(nb, np.array(rows_b)))
+        for s, i in [(0, i) for i in rows_a] + [(1, i) for i in rows_b]:
+            pool_pos[(p_idx, s, i)] = offset
+            pool_obj.append((p_idx, int(ids_ab[s][i])))
+            offset += 1
+    total_matches = sum(len(ms) for ms in matches)
+    if total_matches == 0:
+        return ad.constant(0.0), {"matches": 0, "pool": 0}
+
+    # anchor rows: [pair0 A-anchors, pair0 B-anchors, pair1 A-anchors, ...]
+    anchor_parts: list[ad.Var] = []
+    pos_idx: list[int] = []
+    anchor_obj: list[tuple[int, int]] = []
+    weights: list[float] = []
+    n_pairs = len(h_vars)
+    for p_idx, ms in enumerate(matches):
+        if len(ms) == 0:
+            continue
+        na, nb = normalized[p_idx]
+        anchor_parts.append(ad.gather_rows(na, ms.a_indices))
+        anchor_parts.append(ad.gather_rows(nb, ms.b_indices))
+        w = 1.0 / (n_pairs * len(ms))
+        for b_i, obj in zip(ms.b_indices, ms.object_ids):
+            pos_idx.append(pool_pos[(p_idx, 1, int(b_i))])
+            anchor_obj.append((p_idx, int(obj)))
+            weights.append(w)
+        for a_i, obj in zip(ms.a_indices, ms.object_ids):
+            pos_idx.append(pool_pos[(p_idx, 0, int(a_i))])
+            anchor_obj.append((p_idx, int(obj)))
+            weights.append(w)
+    anchors = ad.concat_rows(anchor_parts)
+    pool = ad.concat_rows(pool_parts)
+    a_obj = np.array(anchor_obj, dtype=np.intp)
+    p_obj = np.array(pool_obj, dtype=np.intp)
+    neg_mask = (a_obj[:, None, 0] != p_obj[None, :, 0]) \
+        | (a_obj[:, None, 1] != p_obj[None, :, 1])
+    sim = ad.matmul_nt(anchors, pool)
+    loss = ad.masked_info_nce(sim, np.array(pos_idx, dtype=np.intp),
+                              neg_mask, tau, np.array(weights))
+    counts = {"matches": total_matches, "pool": len(pool_obj),
+              "mean_negatives": float(neg_mask.sum(axis=1).mean())}
+    return loss, counts
+
+
+def run_graph(graph, features, object_ids, per_pair, tau):
     """Leaves for the (h_a, h_b) arrays of each pair, the graph, backward.
 
-    Returns the loss and, per pair, the gradients of (h_a, h_b); a feature
-    the loss does not reach gets a zero gradient.
+    Returns the loss, the graph's counts and, per pair, the gradients of
+    (h_a, h_b); a feature the loss does not reach gets a zero gradient.
     """
     h_vars = [(ad.leaf(np.asarray(h_a, dtype=np.float64)),
                ad.leaf(np.asarray(h_b, dtype=np.float64)))
               for h_a, h_b in features]
-    loss, _ = graph(h_vars, object_ids, per_pair, tau)
+    loss, counts = graph(h_vars, object_ids, per_pair, tau)
     loss.backward()
-    return loss.item(), [
+    return loss.item(), counts, [
         tuple(v.grad if v.grad is not None else np.zeros_like(v.data)
               for v in pair) for pair in h_vars]
 
 
 def object_loss(features, object_ids, categories, tau):
-    """Object-level InfoNCE of plain features; see object_level_graph."""
-    return _value_and_grads(object_level_graph, features, object_ids,
-                            categories, tau)
+    """Object-level InfoNCE of plain features and its gradients; see
+    object_level_graph."""
+    value, _, grads = run_graph(object_level_graph, features, object_ids,
+                                categories, tau)
+    return value, grads
 
 
 def point_loss(features, object_ids, matches, tau):
-    """Point-level InfoNCE of plain features; see point_level_graph."""
-    return _value_and_grads(point_level_graph, features, object_ids,
-                            matches, tau)
+    """Point-level InfoNCE of plain features and its gradients; see
+    point_level_graph."""
+    value, _, grads = run_graph(point_level_graph, features, object_ids,
+                                matches, tau)
+    return value, grads

@@ -9,13 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import object_loss, point_loss
+from oracles import (object_loss, point_loss, reference_object_level_graph,
+                     reference_point_level_graph, run_graph)
 from scenepretext.cli import gradcheck_batch
 from scenepretext.correspondence import MatchSet
 from scenepretext.decoder import DecoderHeads, ToyEncoder, forward_backward
 from scenepretext.errors import EmptyBatch, EmptySet
-from scenepretext.losses import chamfer_distance
+from scenepretext.losses import (chamfer_distance, object_level_graph,
+                                 point_level_graph)
 from scenepretext.pipeline import PipelineConfig
 
 
@@ -283,6 +287,68 @@ def test_point_level_gradients_match_finite_differences():
                 analytic = grad.ravel()[i]
                 denom = max(abs(numeric), abs(analytic), 1e-6)
                 assert abs(numeric - analytic) / denom <= 1e-4
+
+
+# ------------------------------------------- builders against the reference
+# A pair is (object id of each A row, of each B row, category of each
+# instance, (a row, b row) of each match).
+
+@st.composite
+def contrastive_batches(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_obj = draw(st.integers(1, 3))
+        ids = st.lists(st.integers(0, n_obj - 1), min_size=1, max_size=5)
+        ids_a, ids_b = draw(ids), draw(ids)
+        cats = draw(st.lists(st.integers(0, 2), min_size=n_obj,
+                             max_size=n_obj))
+        ends = st.tuples(st.integers(0, len(ids_a) - 1),
+                         st.integers(0, len(ids_b) - 1))
+        pairs.append((ids_a, ids_b, cats, draw(st.lists(ends, max_size=4))))
+    return pairs, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _batch_arrays(pairs, seed):
+    rng = np.random.default_rng(seed)
+    features, object_ids, categories, matches = [], [], [], []
+    for ids_a, ids_b, cats, ends in pairs:
+        features.append((rng.normal(size=(len(ids_a), 4)),
+                         rng.normal(size=(len(ids_b), 4))))
+        ids_a, ids_b = np.array(ids_a), np.array(ids_b)
+        object_ids.append((ids_a, ids_b))
+        categories.append(np.array(cats))
+        a_idx = np.array([a for a, _ in ends], dtype=np.intp)
+        b_idx = np.array([b for _, b in ends], dtype=np.intp)
+        matches.append(MatchSet(a_idx, b_idx, np.zeros(len(ends)),
+                                ids_a[a_idx], theta=1.0))
+    return features, object_ids, categories, matches
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(contrastive_batches())
+# a pair without matches beside one with them
+@example(([([0, 1], [0, 1], [0, 1], []),
+           ([0, 0], [0], [1], [(1, 0)])], 1))
+# no instance on both sides of the first pair
+@example(([([0], [1], [0, 1], []), ([0, 1], [1, 0], [0, 1], [(0, 1)])], 2))
+# repeated b ends
+@example(([([0, 0, 1], [0, 1], [0, 1], [(0, 0), (1, 0), (2, 1)])], 3))
+# one-row sides
+@example(([([0], [0], [0], [(0, 0)]), ([0], [0], [1], [(0, 0)])], 4))
+def test_builders_equal_the_reference_bit_for_bit(batch):
+    features, object_ids, categories, matches = _batch_arrays(*batch)
+    for graph, reference, per_pair in (
+            (object_level_graph, reference_object_level_graph, categories),
+            (point_level_graph, reference_point_level_graph, matches)):
+        value, counts, grads = run_graph(graph, features, object_ids,
+                                         per_pair, tau=0.1)
+        ref_value, ref_counts, ref_grads = run_graph(
+            reference, features, object_ids, per_pair, tau=0.1)
+        assert value == ref_value
+        assert counts == ref_counts
+        for pair, ref_pair in zip(grads, ref_grads):
+            for g, ref in zip(pair, ref_pair):
+                assert g.tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------------------- chamfer

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -11,12 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import scenepretext
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.cli import main
-from scenepretext.decoder import (DecoderHeads, ToyEncoder, load_checkpoint,
-                                  save_checkpoint)
+from scenepretext.decoder import (DecoderHeads, ToyEncoder, forward_backward,
+                                  load_checkpoint, save_checkpoint)
 from scenepretext.errors import CorruptManifest, DimensionMismatch
 from scenepretext.losses import chamfer_distance
 from scenepretext.occlusion import occlude_pair
@@ -658,10 +661,16 @@ def test_evaluate_losses_object_without_encoder_seeds(tmp_path):
     pp = prepare_scene_pair(pair, config.n_encoder_seeds, config.m_seeds,
                             config.theta, config.u, manifest.pair_seed)
     assert 8 not in pp.object_ids_a and 8 in pp.object_ids_b
-    for with_gradients in (False, True):
-        (rep,) = evaluate_losses(tmp_path / "ds", config, progress=False,
-                                 with_gradients=with_gradients)
-        assert np.isfinite(rep.l_overall)
+    (rep,) = evaluate_losses(tmp_path / "ds", config, progress=False)
+    assert np.isfinite(rep.l_overall)
+    # the same pair and model, with gradients
+    encoder = ToyEncoder(config.encoder_config(),
+                         rng_seed=mix64(config.master_seed, 0xE0C))
+    heads = DecoderHeads(config.heads_config(),
+                         rng_seed=mix64(config.master_seed, 0xDEC))
+    rep = forward_backward(pp, encoder, heads, config.tau, config.lambda_pts,
+                           config.lambda_rec)
+    assert np.isfinite(rep.l_overall)
     assert all(np.all(np.isfinite(g)) for term in rep.gradients.values()
                for g in term.values())
 
@@ -820,6 +829,19 @@ FIT_COUNTS = {"scene_counts": {"kitchen": 3},
               "instances_per_category": {"chair": 4}}
 
 
+def _distribution_beyond_the_recipes(tmp_path):
+    # 40 categories, drawn mostly from ids 30-39: the procedural source
+    # has recipes for 29
+    row = [0.0] * 30 + [0.1] * 10
+    doc = {"scene_labels": ["room"],
+           "category_labels": [f"c{k}" for k in range(40)],
+           "scene_prior": [1.0], "category_given_scene": [row],
+           "instance_given_category": [[1.0]] * 40, "epsilon": 0.1}
+    (tmp_path / "dist.json").write_text(json.dumps(doc))
+    return ["generate", "--out", str(tmp_path / "ds"), "--seed", "0",
+            "--n-scenes", "1", "--distribution", str(tmp_path / "dist.json")]
+
+
 # each case writes one malformed input and returns the CLI call that reads it
 CLI_INPUT_FAULTS = {
     "nan-bin-coordinate": lambda tmp: _nan_coordinate(tmp, "binary-f32"),
@@ -844,6 +866,13 @@ CLI_INPUT_FAULTS = {
         tmp, dict(FIT_COUNTS, scene_counts=[["kitchen", 3]])),
     "fit-objects-per-scene-entry-list": lambda tmp: _fit_counts(
         tmp, dict(FIT_COUNTS, objects_per_scene={"kitchen": ["chair"]})),
+    "fit-scene-count-list": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, scene_counts={"kitchen": [3]})),
+    "fit-instance-count-null": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, instances_per_category={"chair": None})),
+    "fit-scene-counts-all-zero": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, scene_counts={"kitchen": 0})),
+    "distribution-beyond-the-recipes": _distribution_beyond_the_recipes,
     "gradcheck-step-0": lambda tmp: ["gradcheck", "--step", "0"],
     "gradcheck-tau-0": lambda tmp: ["gradcheck", "--tau", "0"],
     "gradcheck-rtol-0": lambda tmp: ["gradcheck", "--rtol", "0"],
@@ -861,6 +890,27 @@ def test_cli_malformed_input_exit_2(tmp_path, fault):
 def test_cli_fit_accepts_the_fault_table_counts(tmp_path):
     # the fit rows above break one field each of this valid document
     assert main(_fit_counts(tmp_path, FIT_COUNTS)) == 0
+
+
+# what a hand-written counts file may hold where a count belongs
+NOT_A_COUNT = st.one_of(
+    st.lists(st.integers(0, 9), max_size=2), st.none(), st.text(max_size=3),
+    st.integers(-10 ** 6, -1), st.just(0),
+    st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scene=st.one_of(st.just(3), NOT_A_COUNT),
+       objects=st.one_of(st.just(2), NOT_A_COUNT),
+       instances=st.one_of(st.just(4), NOT_A_COUNT))
+def test_cli_fit_bad_counts_exit_0_or_2(tmp_path, scene, objects,
+                                        instances):
+    # one file, rewritten for every example
+    doc = {"scene_counts": {"kitchen": scene},
+           "objects_per_scene": {"kitchen": {"chair": objects}},
+           "instances_per_category": {"chair": instances}}
+    assert main(_fit_counts(tmp_path, doc)) in (0, 2)
 
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
