@@ -116,14 +116,62 @@ def constant(x) -> Var:
     return v
 
 
-def matmul(a: Var, b: Var) -> Var:
-    out = Var(a.data @ b.data, (a, b))
+def linear(x: Var, w: Var, b: Var) -> Var:
+    """``x @ w + b`` as one node; ``b`` is a row vector broadcast over the
+    rows. The bias is added into the product in place, so the layer keeps
+    one output array instead of a product and a sum."""
+    y = x.data @ w.data
+    np.add(y, b.data, out=y)
+    out = Var(y, (x, w, b))
 
     def bwd(g):
-        if a.needs_grad:
-            _accumulate(a, g @ b.data.T)
         if b.needs_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, g.sum(axis=0))
+        if x.needs_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.needs_grad:
+            _accumulate(w, x.data.T @ g)
+
+    out.bwd = bwd
+    return out
+
+
+def fold(grid: np.ndarray, w_s: Var, f: Var, w2: Var) -> Var:
+    """``relu(tile(grid) @ w_s + repeat_rows(f, r)) @ w2`` as one node,
+    with r = len(grid): row i*r + j of the hidden layer is
+    ``relu(grid[j] @ w_s + f[i])``.
+
+    The hidden layer is the only (r*n, width) array the node keeps, with
+    its ReLU mask; the grid product, the repeated f and the pre-activation
+    are computed into it in place, and the backward pass uses one buffer
+    of that size for the gradient through the ReLU. Values and gradients
+    are bit-identical to the composition of matmul, repeat_rows, add and
+    relu nodes.
+    """
+    r = grid.shape[0]
+    n, width = f.data.shape
+    tile = np.tile(grid, (n, 1))
+    hidden = tile @ w_s.data
+    pre = hidden.reshape(n, r, width)
+    pre += f.data[:, None, :]
+    mask = hidden > 0.0
+    np.copyto(hidden, 0.0, where=~mask)
+    out = Var(hidden @ w2.data, (w_s, f, w2))
+
+    def bwd(g):
+        if w2.needs_grad:
+            _accumulate(w2, hidden.T @ g)
+        if not (w_s.needs_grad or f.needs_grad):
+            return
+        # through the ReLU; a masked entry may be -0.0, where a relu node
+        # stores +0.0, but the sign of a zero term cannot change a nonzero
+        # sum, and _accumulate stores a zero sum as +0.0
+        q = g @ w2.data.T
+        q *= mask
+        if w_s.needs_grad:
+            _accumulate(w_s, tile.T @ q)
+        if f.needs_grad:
+            _accumulate(f, q.reshape(n, r, width).sum(axis=1))
 
     out.bwd = bwd
     return out
@@ -457,7 +505,7 @@ def mlp(x: Var, layers: Sequence[tuple[Var, Var]]) -> Var:
     h = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        h = add(matmul(h, w), b)
+        h = linear(h, w, b)
         if i != last:
             h = relu(h)
     return h

@@ -20,9 +20,17 @@ from .errors import AllZeroCounts, CorruptManifest, DimensionMismatch
 
 SUM_TOL = 1e-9
 
+# most instances one category may have: fitting gives each a probability,
+# so a larger count would allocate that many floats
+MAX_INSTANCES = 1 << 20
+
 
 def _count(value) -> int:
-    """``int(value)``; a value that is not a number raises ValueError."""
+    """``value`` as an int; a value that is not a number, or a float that
+    is not a whole number, raises ValueError."""
+    if isinstance(value, (float, np.floating)) \
+            and not float(value).is_integer():
+        raise ValueError(f"count {value!r} is not a whole number")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -200,7 +208,8 @@ def fit_scene_distribution(
     Scene prior and per-scene category rows are fitted by normalized counts;
     instance rows are uniform 1/n (instance frequencies are not observed).
     One object table is required per scene type and all object tables must
-    share the same category labels.
+    share the same category labels. An instance count must lie in
+    [1, MAX_INSTANCES].
     """
     n_s = len(scene_table.labels)
     if len(per_scene_object_tables) != n_s:
@@ -217,8 +226,10 @@ def fit_scene_distribution(
             f"{len(instances_per_category)} instance counts for "
             f"{len(cat_labels)} categories")
     n_instances = [_count(n) for n in instances_per_category]
-    if any(n < 1 for n in n_instances):
-        raise ValueError("instance counts must be >= 1")
+    for n in n_instances:
+        if not 1 <= n <= MAX_INSTANCES:
+            raise ValueError(
+                f"instance count {n} outside [1, {MAX_INSTANCES}]")
     prior = fit_categorical(scene_table)
     cond = np.stack([fit_categorical(t) for t in per_scene_object_tables])
     inst = tuple(np.full(n, 1.0 / n) for n in n_instances)

@@ -126,11 +126,11 @@ class ToyEncoder:
                      object_ids: np.ndarray, n_objects: int) -> ad.Var:
         h = coords
         for w, b in _mlp_layers(params, "point", 2):
-            h = ad.relu(ad.add(ad.matmul(h, w), b))
+            h = ad.relu(ad.linear(h, w, b))
         pooled = ad.segment_max(h, object_ids, n_objects)
         context = ad.gather_rows(pooled, object_ids)
         mixed = ad.concat_cols([h, context])
-        return ad.add(ad.matmul(mixed, params["mix_w1"]), params["mix_b1"])
+        return ad.linear(mixed, params["mix_w1"], params["mix_b1"])
 
     def project_graph(self, params: dict[str, ad.Var], z: ad.Var) -> ad.Var:
         return ad.mlp(z, _mlp_layers(params, "proj", 2))
@@ -207,9 +207,10 @@ def decode_graph(params: dict[str, ad.Var], coords: ad.Var, z: ad.Var,
     the first 2 rows of fold_w1 and W_h the rest,
     tile(grid) @ W_s + repeat(h_coarse @ W_h + fold_b1, u*u). The wide
     product h_coarse @ W_h then runs over n rows instead of u*u*n, and so
-    do both of its backward products and the bias.
+    do both of its backward products and the bias. The grid term, the ReLU
+    and the second product run as one ``ad.fold`` node, so the tape holds
+    no (u*u*n, hidden) array but that node's hidden layer.
     """
-    n = coords.data.shape[0]
     u2 = grid.shape[0]
     delta = ad.mlp(ad.concat_cols([coords, z]),
                    _mlp_layers(params, "offset", 2))
@@ -219,11 +220,9 @@ def decode_graph(params: dict[str, ad.Var], coords: ad.Var, z: ad.Var,
     w1 = params["fold_w1"]
     w_s = ad.slice_rows(w1, 0, 2)
     w_h = ad.slice_rows(w1, 2, w1.data.shape[0])
-    grid_term = ad.matmul(ad.constant(np.tile(grid, (n, 1))), w_s)
-    feat_term = ad.repeat_rows(
-        ad.add(ad.matmul(h_coarse, w_h), params["fold_b1"]), u2)
-    hidden = ad.relu(ad.add(grid_term, feat_term))
-    fold = ad.add(ad.matmul(hidden, params["fold_w2"]), params["fold_b2"])
+    feat_term = ad.linear(h_coarse, w_h, params["fold_b1"])
+    fold = ad.add(ad.fold(grid, w_s, feat_term, params["fold_w2"]),
+                  params["fold_b2"])
     y_detail = ad.add(ad.repeat_rows(y_coarse, u2), fold)
     return y_coarse, h_coarse, y_detail
 

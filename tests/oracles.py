@@ -6,6 +6,9 @@ contrastive graph builder on plain feature arrays; the ``reference_*``
 builders are the contrastive graphs as first written, with per-row
 dictionaries where the program's builders use index arithmetic. Both
 build the same tape, so their values and gradients agree bit for bit.
+``reference_linear`` and ``reference_fold`` are ``ad.linear`` and
+``ad.fold`` composed from one node per step, as the decoder first built
+them.
 """
 
 from typing import Sequence
@@ -40,6 +43,32 @@ def exact_match_oracle(pair: ScenePair, seeds_a: SeedSet) -> MatchSet:
         dists[i] = np.linalg.norm(pair.scene_b.points[b_idx[i]] - target)
     return MatchSet(seeds_a.indices.copy(), b_idx, dists,
                     seeds_a.object_ids.copy(), theta=np.inf)
+
+
+def matmul(a: ad.Var, b: ad.Var) -> ad.Var:
+    """``a @ b`` as a tape node of its own."""
+    out = ad.Var(a.data @ b.data, (a, b))
+
+    def bwd(g):
+        if a.needs_grad:
+            ad._accumulate(a, g @ b.data.T)
+        if b.needs_grad:
+            ad._accumulate(b, a.data.T @ g)
+
+    out.bwd = bwd
+    return out
+
+
+def reference_linear(x: ad.Var, w: ad.Var, b: ad.Var) -> ad.Var:
+    return ad.add(matmul(x, w), b)
+
+
+def reference_fold(grid: np.ndarray, w_s: ad.Var, f: ad.Var,
+                   w2: ad.Var) -> ad.Var:
+    n = f.data.shape[0]
+    grid_term = matmul(ad.constant(np.tile(grid, (n, 1))), w_s)
+    hidden = ad.relu(ad.add(grid_term, ad.repeat_rows(f, grid.shape[0])))
+    return matmul(hidden, w2)
 
 
 def _reference_pooled_normalized(h: ad.Var, obj_ids: np.ndarray,

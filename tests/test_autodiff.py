@@ -5,6 +5,8 @@ import pytest
 
 from scenepretext import autodiff as ad
 
+from oracles import reference_fold, reference_linear
+
 
 def numeric_grad(f, x, h=1e-6):
     """Central differences of a scalar function of one array."""
@@ -34,16 +36,18 @@ def check_unary(build, x0, h=1e-6, tol=1e-6):
 rng = np.random.default_rng(99)
 
 
-def test_matmul_grad():
-    a0 = rng.normal(size=(4, 3))
-    b0 = rng.normal(size=(3, 5))
-    b = ad.leaf(b0)
-
-    def build(a):
-        out = ad.matmul(a, b)
-        return ad.chamfer(out, ad.constant(np.zeros((1, 5))))
-
-    check_unary(build, a0)
+def test_linear_grad():
+    x0 = rng.normal(size=(4, 3))
+    w0 = rng.normal(size=(3, 5))
+    b0 = rng.normal(size=5)
+    target = ad.constant(np.zeros((1, 5)))
+    # each argument in turn, the other two fixed
+    check_unary(lambda x: ad.chamfer(
+        ad.linear(x, ad.leaf(w0), ad.leaf(b0)), target), x0)
+    check_unary(lambda w: ad.chamfer(
+        ad.linear(ad.leaf(x0), w, ad.leaf(b0)), target), w0)
+    check_unary(lambda b: ad.chamfer(
+        ad.linear(ad.leaf(x0), ad.leaf(w0), b), target), b0)
 
 
 def test_matmul_nt_matches_manual_transpose():
@@ -142,6 +146,80 @@ def test_row_slices_of_one_leaf_fill_its_gradient():
     check_unary(through_rows(
         lambda x: ad.concat_rows([ad.slice_rows(x, 2, 7),
                                   ad.slice_rows(x, 0, 2)]), 7, 3), a0)
+
+
+def fold_inputs(n, r, width, seed):
+    """grid, w_s, f and w2 for ad.fold; the pre-activations take both
+    signs."""
+    g = np.random.default_rng(seed)
+    return (g.normal(size=(r, 2)), g.normal(size=(2, width)),
+            g.normal(size=(n, width)), g.normal(size=(width, 3)))
+
+
+def fold_op(op, grid):
+    return lambda w_s, f, w2: op(grid, w_s, f, w2)
+
+
+def test_fold_grad():
+    grid, *arrays = fold_inputs(18, 9, 24, 40)
+    op = fold_op(ad.fold, grid)
+    for k in range(3):
+        def build(v, k=k):
+            args = [ad.leaf(a) for a in arrays]
+            args[k] = v
+            return through_rows(lambda _: op(*args), 18 * 9, 3)(None)
+
+        check_unary(build, arrays[k].copy())
+
+
+def assert_bitwise_equal(op, reference, arrays, n_out, d):
+    """op and reference on fresh leaves of ``arrays``, each through the
+    same rows to a scalar: equal bytes in the output and every gradient."""
+    runs = []
+    for build in (op, reference):
+        leaves = [ad.leaf(a.copy()) for a in arrays]
+        node = build(*leaves)
+        through_rows(lambda _: node, n_out, d)(None).backward()
+        runs.append([node.data.tobytes()]
+                    + [v.grad.tobytes() for v in leaves])
+    assert runs[0] == runs[1]
+
+
+# (n, r, width): the gradcheck batch's fold layer (18 coarse points, u = 3,
+# hidden 24) and the full-scale one (256 coarse points, u = 3, hidden 256)
+FOLD_SHAPES = {"gradcheck": (18, 9, 24), "full-scale": (256, 9, 256)}
+
+
+@pytest.mark.parametrize("n,r,width", list(FOLD_SHAPES.values()),
+                         ids=list(FOLD_SHAPES))
+def test_fold_matches_unfused_reference_bit_for_bit(n, r, width):
+    grid, *arrays = fold_inputs(n, r, width, n + width)
+    assert_bitwise_equal(fold_op(ad.fold, grid), fold_op(reference_fold, grid),
+                         arrays, n * r, 3)
+
+
+# (n, in, out): the fold feature term's shapes in the gradcheck batch and
+# at full scale, 3 + s inputs each
+LINEAR_SHAPES = {"gradcheck": (18, 35, 24), "full-scale": (256, 259, 256)}
+
+
+@pytest.mark.parametrize("n,d_in,d_out", list(LINEAR_SHAPES.values()),
+                         ids=list(LINEAR_SHAPES))
+def test_linear_matches_unfused_reference_bit_for_bit(n, d_in, d_out):
+    g = np.random.default_rng(n + d_in)
+    arrays = [g.normal(size=(n, d_in)), g.normal(size=(d_in, d_out)),
+              g.normal(size=d_out)]
+    assert_bitwise_equal(ad.linear, reference_linear, arrays, n, d_out)
+
+
+def test_fold_gradients_hold_no_negative_zero():
+    # every pre-activation is negative, so the ReLU passes g * False, which
+    # is -0.0 wherever g < 0; the gradients must hold +0.0 there
+    grid, w_s0, f0, w20 = fold_inputs(6, 9, 5, 41)
+    leaves = [ad.leaf(w_s0), ad.leaf(-100.0 - np.abs(f0)), ad.leaf(w20)]
+    through_rows(lambda _: ad.fold(grid, *leaves), 6 * 9, 3)(None).backward()
+    for v in leaves:
+        assert not np.any(v.grad) and not np.any(np.signbit(v.grad))
 
 
 def test_segment_mean_and_max_grads():
@@ -377,17 +455,20 @@ def test_constants_get_no_gradient():
 
 def test_unreached_leaf_gets_zero_gradient():
     # e's rows fall in no segment, so segment_max routes nothing back and
-    # neither e nor w receives a contribution
+    # none of e, w and b receives a contribution
     e = ad.leaf(np.zeros((0, 3)))
     w = ad.leaf(rng.normal(size=(3, 3)))
-    empty = ad.segment_max(ad.matmul(e, w), np.zeros(0, dtype=np.intp), 1)
+    b = ad.leaf(rng.normal(size=3))
+    empty = ad.segment_max(ad.linear(e, w, b), np.zeros(0, dtype=np.intp),
+                           1)
     p = ad.leaf(rng.normal(size=(4, 3)))
     out = ad.chamfer(ad.concat_rows([p, empty]),
                      ad.constant(rng.normal(size=(5, 3))))
     out.backward()
-    for v in (e, w, p):
+    for v in (e, w, b, p):
         assert isinstance(v.grad, np.ndarray) and v.grad.shape == v.shape
     np.testing.assert_array_equal(w.grad, np.zeros((3, 3)))
+    np.testing.assert_array_equal(b.grad, np.zeros(3))
     assert np.any(p.grad != 0.0)
 
 

@@ -1,13 +1,15 @@
 """Categorical fitting, the bundled parameter set, and serialization."""
 
 import json
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from scenepretext.catalog import (CategoryTable, SceneDistribution,
-                                  fit_categorical, fit_scene_distribution,
+from scenepretext.catalog import (MAX_INSTANCES, CategoryTable,
+                                  SceneDistribution, fit_categorical,
+                                  fit_scene_distribution,
                                   load_default_scannet_parameters)
 from scenepretext.errors import AllZeroCounts, DimensionMismatch
 
@@ -62,6 +64,26 @@ def test_category_table_validation():
         CategoryTable(["a", "b"], [1])
     with pytest.raises(ValueError):
         CategoryTable(["a"], [-1])
+
+
+def test_counts_must_be_whole_numbers():
+    assert CategoryTable(["a", "b"], [3.0, np.float64(2)]).counts == (3, 2)
+    for bad in (0.7, np.float64(2.5), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=re.escape(f"count {bad!r} is")):
+            CategoryTable(["a", "b"], [1, bad])
+    scene, obj = CategoryTable(["s"], [1]), CategoryTable(["a"], [1])
+    with pytest.raises(ValueError, match="2.9"):
+        fit_scene_distribution(scene, [obj], [2.9])
+
+
+def test_instance_count_bounded_before_allocating():
+    scene, obj = CategoryTable(["s"], [1]), CategoryTable(["a"], [1])
+    dist = fit_scene_distribution(scene, [obj], [MAX_INSTANCES])
+    assert dist.instance_given_category[0].size == MAX_INSTANCES
+    # 10**13 instances would need 80 TB
+    for bad in (0, MAX_INSTANCES + 1, 10 ** 13):
+        with pytest.raises(ValueError, match=str(bad)):
+            fit_scene_distribution(scene, [obj], [bad])
 
 
 def test_fit_categorical_scale_invariant():

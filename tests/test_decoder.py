@@ -1,17 +1,21 @@
 """Decoder shapes and row laws, target construction, end-to-end gradients."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scenepretext import autodiff as ad
+from scenepretext import pipeline
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.correspondence import (SeedSet, farthest_point_sample,
                                          match_points, sample_seed_set)
 from scenepretext.decoder import (DecoderHeads, EncoderConfig, HeadsConfig,
                                   ToyEncoder, _loss_graph, build_targets,
-                                  decode, forward_backward, gradient_check,
-                                  load_checkpoint, make_grid,
+                                  decode, decode_graph, forward_backward,
+                                  gradient_check, load_checkpoint, make_grid,
                                   prepare_scene_pair, save_checkpoint)
 from scenepretext.errors import DimensionMismatch, TooFewPoints
 from scenepretext.losses import chamfer_distance
@@ -127,6 +131,28 @@ def test_decode_dimension_checks():
         decode(np.zeros((4, 3)), np.zeros((4, 5)), heads)
     with pytest.raises(DimensionMismatch):
         decode(np.zeros((0, 3)), np.zeros((0, 6)), heads)
+
+
+def test_decode_tape_has_no_node_of_the_fold_hidden_width():
+    # the fold's grid term, repeated feature term, pre-activation and ReLU
+    # output are (u*u*n, hidden) arrays, and a tape node keeps its array
+    # alive until backward; ad.fold keeps only the hidden layer, in its
+    # closure
+    rng = np.random.default_rng(12)
+    n, s, hidden, u = 16, 6, 8, 3
+    heads = small_heads(s=s, hidden=hidden, u=u, seed=12)
+    params = {k: ad.leaf(v) for k, v in heads.params.items()}
+    outputs = decode_graph(params, ad.leaf(rng.normal(size=(n, 3))),
+                           ad.leaf(rng.normal(size=(n, s))), heads.grid)
+    seen, stack = set(), list(outputs)
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        assert v.data.shape != (u * u * n, hidden)
+        stack.extend(v.parents)
+    assert outputs[2].data.shape == (u * u * n, 3)
 
 
 def test_grid_shapes_and_extent():
@@ -351,6 +377,29 @@ def test_gradient_check_with_unseeded_object():
                          rng_seed=2)
     result = gradient_check([pp], enc, heads)
     assert result.ok, f"max rel {result.max_rel_error} at {result.worst}"
+
+
+def test_full_width_step_traced_peak_stays_under_100_mb():
+    # perfbench's train_step pair (workload seed 7) at full-scale widths;
+    # with the fold layer as one node a step's traced peak is about 72 MB,
+    # with one node per step of the fold it was about 154 MB
+    c = replace(pipeline.PipelineConfig(), master_seed=7, batch_pairs=1,
+                feature_dim=256, encoder_hidden=256, proj_hidden=256,
+                decoder_hidden=256, n_encoder_seeds=256, u=3)
+    pair = make_scene_pair(c.load_distribution(), c.n_objects_per_scene,
+                           c.make_asset_source(), mix64(7, 0), c.layout())
+    pp = prepare_scene_pair(pair, n_seeds=c.n_encoder_seeds,
+                            m_matches=c.m_seeds, theta=c.theta, u=c.u,
+                            rng_seed=mix64(7, 0), occlude=c.occlude)
+    enc = ToyEncoder(c.encoder_config(), rng_seed=mix64(7, 0xE0C))
+    heads = DecoderHeads(c.heads_config(), rng_seed=mix64(7, 0xDEC))
+    tracemalloc.start()
+    try:
+        forward_backward([pp], enc, heads, c.tau, c.lambda_pts, c.lambda_rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -872,6 +872,14 @@ CLI_INPUT_FAULTS = {
         tmp, dict(FIT_COUNTS, instances_per_category={"chair": None})),
     "fit-scene-counts-all-zero": lambda tmp: _fit_counts(
         tmp, dict(FIT_COUNTS, scene_counts={"kitchen": 0})),
+    "fit-object-counts-fractional": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS,
+                  objects_per_scene={"kitchen": {"chair": 0.7, "desk": 0.4}},
+                  instances_per_category={"chair": 4, "desk": 2})),
+    "fit-instance-count-fractional": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, instances_per_category={"chair": 2.9})),
+    "fit-instance-count-huge": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, instances_per_category={"chair": 10 ** 13})),
     "distribution-beyond-the-recipes": _distribution_beyond_the_recipes,
     "gradcheck-step-0": lambda tmp: ["gradcheck", "--step", "0"],
     "gradcheck-tau-0": lambda tmp: ["gradcheck", "--tau", "0"],
