@@ -27,7 +27,10 @@ MAX_INSTANCES = 1 << 20
 
 def _count(value) -> int:
     """``value`` as an int; a value that is not a number, or a float that
-    is not a whole number, raises ValueError."""
+    is not a whole number, raises ValueError. Strings and booleans are not
+    numbers here, although int() takes "3", " 4 " and True."""
+    if isinstance(value, (str, bool, np.bool_)):
+        raise ValueError(f"count {value!r} is not a number")
     if isinstance(value, (float, np.floating)) \
             and not float(value).is_integer():
         raise ValueError(f"count {value!r} is not a whole number")

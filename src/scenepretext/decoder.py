@@ -8,9 +8,10 @@ offsets to form a coarse completion, then folds a small 2D grid around each
 coarse point to upsample it u*u-fold.
 
 Everything runs on the autodiff tape, so `forward_backward` returns every
-loss term together with analytic gradients for all encoder and head
-parameters, and `gradient_check` verifies those gradients against central
-finite differences.
+loss term together with the analytic gradient of the training objective
+l_overall for all encoder and head parameters, from one reverse sweep.
+`gradient_check` verifies that gradient, and the per-term gradients of
+l_obj, l_pts and l_rec, against central finite differences.
 """
 
 from __future__ import annotations
@@ -429,10 +430,11 @@ def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
 
     Returns a LossReport whose overall value satisfies
     overall = obj + lambda_pts * pts + lambda_rec * (coarse + detail)
-    exactly, and (optionally) per-term analytic gradients for every encoder
-    and head parameter, keyed "encoder.<name>" / "heads.<name>". The
-    l_overall gradient is the same lambda-weighted sum of the l_obj, l_pts
-    and l_rec gradients, so it costs no backward pass of its own.
+    exactly, and (optionally) the analytic gradient of l_overall, the
+    objective training minimises, for every encoder and head parameter:
+    gradients = {"l_overall": {"encoder.<name>" / "heads.<name>": array}}.
+    That gradient comes from one reverse sweep of the l_overall root, so
+    the encoder is swept once, not once per term.
     """
     if isinstance(prepared, PreparedPair):
         prepared = [prepared]
@@ -443,22 +445,7 @@ def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
         lambda_pts, lambda_rec)
     gradients = None
     if with_gradients:
-        gradients = {}
-        for term in ("l_obj", "l_pts", "l_rec"):
-            for v in params.values():
-                v.grad = None
-            losses[term].backward()
-            # backward() gives every parameter it reaches a fresh array,
-            # so the dicts of earlier terms are never overwritten
-            gradients[term] = {
-                name: (v.grad if v.grad is not None
-                       else np.zeros_like(v.data))
-                for name, v in params.items()}
-        gradients["l_overall"] = {
-            name: (gradients["l_obj"][name]
-                   + lambda_pts * gradients["l_pts"][name]
-                   + lambda_rec * gradients["l_rec"][name])
-            for name in params}
+        gradients = {"l_overall": _sweep(losses["l_overall"], params)}
     return LossReport(
         l_obj=losses["l_obj"].item(), l_pts=losses["l_pts"].item(),
         l_rec_coarse=losses["l_rec_coarse"].item(),
@@ -466,6 +453,33 @@ def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
         l_overall=losses["l_overall"].item(),
         lambda_pts=lambda_pts, lambda_rec=lambda_rec,
         counts=counts, gradients=gradients)
+
+
+def _sweep(root: ad.Var, params: dict[str, ad.Var]
+           ) -> dict[str, np.ndarray]:
+    """One reverse sweep of ``root``; a parameter it does not reach gets
+    zeros."""
+    for v in params.values():
+        # backward() resets only what it reaches, so an unreached leaf
+        # would keep the gradient of an earlier sweep of the same tape
+        v.grad = None
+    root.backward()
+    # backward() gives every parameter it reaches a fresh array, so the
+    # dicts of earlier sweeps are never overwritten
+    return {name: v.grad if v.grad is not None else np.zeros_like(v.data)
+            for name, v in params.items()}
+
+
+def _term_gradients(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
+                    heads: DecoderHeads, tau: float, lambda_pts: float,
+                    lambda_rec: float) -> dict[str, dict[str, np.ndarray]]:
+    """The l_obj, l_pts and l_rec gradients, one sweep each, keyed like
+    forward_backward's; a verification product for gradient_check."""
+    params, losses, _ = _overall_graph(
+        prepared, _param_arrays(encoder, heads), encoder, heads, tau,
+        lambda_pts, lambda_rec)
+    return {term: _sweep(losses[term], params)
+            for term in ("l_obj", "l_pts", "l_rec")}
 
 
 def save_checkpoint(encoder: ToyEncoder, heads: DecoderHeads, path) -> None:
@@ -542,6 +556,11 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
                    kink_refine: int = 16) -> GradientCheckResult:
     """Central finite differences against the analytic gradients.
 
+    The l_obj, l_pts and l_rec gradients come from one sweep of each term;
+    the l_overall gradient is forward_backward's, the one training uses,
+    from its own single sweep, so it is checked as computed, not as a
+    recombination of the other three.
+
     For every scalar parameter the full forward pass is evaluated at +/-
     step and compared per term. The per-entry relative error is
     |analytic - numeric| / max(|analytic|, |numeric|, floor); entries
@@ -565,8 +584,10 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
     """
     if isinstance(prepared, PreparedPair):
         prepared = [prepared]
-    report = forward_backward(prepared, encoder, heads, tau,
-                              lambda_pts, lambda_rec, with_gradients=True)
+    analytic = _term_gradients(prepared, encoder, heads, tau, lambda_pts,
+                               lambda_rec)
+    analytic.update(forward_backward(prepared, encoder, heads, tau,
+                                     lambda_pts, lambda_rec).gradients)
     terms = ["l_obj", "l_pts", "l_rec", "l_overall"]
     leaves = {k: ad.leaf(v.copy())
               for k, v in _param_arrays(encoder, heads).items()}
@@ -620,7 +641,7 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
             numeric = fd_at(work, name, i, step)
             refined = None
             for t in terms:
-                a = float(report.gradients[t][name].ravel()[i])
+                a = float(analytic[t][name].ravel()[i])
                 rel = rel_err(a, numeric[t])
                 if rel > rtol:
                     if refined is None:

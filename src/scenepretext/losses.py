@@ -36,7 +36,7 @@ from .errors import EmptySet, NonFiniteInput
 
 @dataclass
 class LossReport:
-    """All loss terms of one batch plus optional per-term gradients."""
+    """All loss terms of one batch plus the optional l_overall gradient."""
 
     l_obj: float
     l_pts: float
@@ -46,7 +46,7 @@ class LossReport:
     lambda_pts: float
     lambda_rec: float
     counts: dict = field(default_factory=dict)
-    gradients: dict | None = None   # term -> {param name -> ndarray}
+    gradients: dict | None = None   # "l_overall" -> {param -> ndarray}
 
     def to_json_dict(self) -> dict:
         """The loss values, weights and counts; gradients are left out."""

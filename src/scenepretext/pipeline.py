@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -328,6 +329,10 @@ def generate_dataset(config: PipelineConfig, out_dir,
     Deterministic under the master seed: the same config always produces a
     byte-identical tree. Placement failures are counted and reported, not
     fatal. Returns the summary dict (also written as summary.json).
+
+    summary.json is written last, into a temporary file that is then
+    renamed into place, so its presence marks a complete dataset and an
+    interrupted write leaves no summary.json, or the previous one intact.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -370,9 +375,16 @@ def generate_dataset(config: PipelineConfig, out_dir,
             float(np.mean(occ_fracs)) if occ_fracs else 0.0,
         "mean_matches": float(np.mean(match_counts)) if match_counts else 0.0,
     }
-    with open(out_dir / "summary.json", "w", newline="\n") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+    path = out_dir / "summary.json"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="\n") as f:
+            json.dump(summary, f, indent=1, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     if progress:
         print(f"pairs: {produced}  placement failures: {failures}")
         print(f"mean occlusion fraction: "

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from scenepretext.catalog import (MAX_INSTANCES, CategoryTable,
+from scenepretext.catalog import (MAX_INSTANCES, CategoryTable, _count,
                                   SceneDistribution, fit_categorical,
                                   fit_scene_distribution,
                                   load_default_scannet_parameters)
@@ -67,13 +67,29 @@ def test_category_table_validation():
 
 
 def test_counts_must_be_whole_numbers():
-    assert CategoryTable(["a", "b"], [3.0, np.float64(2)]).counts == (3, 2)
+    counts = CategoryTable(["a", "b", "c", "d"],
+                           [3.0, np.float64(2), np.int64(4), 0]).counts
+    assert counts == (3, 2, 4, 0)
+    assert all(type(c) is int for c in counts)
     for bad in (0.7, np.float64(2.5), float("nan"), float("inf")):
         with pytest.raises(ValueError, match=re.escape(f"count {bad!r} is")):
             CategoryTable(["a", "b"], [1, bad])
     scene, obj = CategoryTable(["s"], [1]), CategoryTable(["a"], [1])
     with pytest.raises(ValueError, match="2.9"):
         fit_scene_distribution(scene, [obj], [2.9])
+
+
+def test_counts_must_be_numbers_not_strings_or_booleans():
+    # int() takes all of these; JSON counts must be numbers
+    for bad in ("3", " 4 ", "", True, False, np.bool_(True)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"count {bad!r} is not a number")):
+            _count(bad)
+    scene, obj = CategoryTable(["s"], [1]), CategoryTable(["a"], [1])
+    with pytest.raises(ValueError, match="' 4 '"):
+        fit_scene_distribution(scene, [obj], [" 4 "])
+    with pytest.raises(ValueError, match="True"):
+        CategoryTable(["a", "b"], [1, True])
 
 
 def test_instance_count_bounded_before_allocating():

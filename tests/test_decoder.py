@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from scenepretext import autodiff as ad
-from scenepretext import pipeline
+from scenepretext import decoder, pipeline
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.correspondence import (SeedSet, farthest_point_sample,
                                          match_points, sample_seed_set)
 from scenepretext.decoder import (DecoderHeads, EncoderConfig, HeadsConfig,
-                                  ToyEncoder, _loss_graph, build_targets,
-                                  decode, decode_graph, forward_backward,
-                                  gradient_check, load_checkpoint, make_grid,
+                                  ToyEncoder, _loss_graph, _term_gradients,
+                                  build_targets, decode, decode_graph,
+                                  forward_backward, gradient_check,
+                                  load_checkpoint, make_grid,
                                   prepare_scene_pair, save_checkpoint)
 from scenepretext.errors import DimensionMismatch, TooFewPoints
 from scenepretext.losses import chamfer_distance
@@ -245,6 +246,7 @@ def test_forward_backward_deterministic():
         assert value >= 0.0 and np.isfinite(value)
     assert r1.l_overall == r2.l_overall
     assert r1.l_obj == r2.l_obj and r1.l_pts == r2.l_pts
+    assert set(r1.gradients) == set(r2.gradients) == {"l_overall"}
     for term in r1.gradients:
         for name in r1.gradients[term]:
             np.testing.assert_array_equal(r1.gradients[term][name],
@@ -275,15 +277,36 @@ def test_overall_gradient_matches_weighted_root_backward(lam_p, lam_r):
     root = ad.wsum([losses["l_obj"], losses["l_pts"], losses["l_rec_coarse"],
                     losses["l_rec_detail"]], [1.0, lam_p, lam_r, lam_r])
     root.backward()
-    assert set(rep.gradients) == {"l_obj", "l_pts", "l_rec", "l_overall"}
+    assert set(rep.gradients) == {"l_overall"}
     # every term reaches the parameters, so a dropped lambda shows
+    terms = _term_gradients(prepared, enc, heads, 0.03, lam_p, lam_r)
     for term in ("l_obj", "l_pts", "l_rec"):
-        assert any(np.abs(g).max() > 0 for g in rep.gradients[term].values())
+        assert any(np.abs(g).max() > 0 for g in terms[term].values())
     for name, v in params.items():
         expected = v.grad if v.grad is not None else np.zeros_like(v.data)
         got = rep.gradients["l_overall"][name]
         tol = 1e-12 * max(np.abs(expected).max(), np.finfo(float).tiny)
         assert np.abs(got - expected).max() <= tol, name
+        # and the per-term sweeps add up to it
+        recombined = (terms["l_obj"][name] + lam_p * terms["l_pts"][name]
+                      + lam_r * terms["l_rec"][name])
+        assert np.abs(recombined - expected).max() <= tol, name
+
+
+def test_forward_backward_sweeps_once(monkeypatch):
+    prepared, enc, heads = tiny_batch()
+    calls = []
+    sweep = ad.Var.backward
+
+    def counted(self):
+        calls.append(self)
+        sweep(self)
+
+    monkeypatch.setattr(ad.Var, "backward", counted)
+    rep = forward_backward(prepared, enc, heads)
+    assert len(calls) == 1
+    assert set(rep.gradients) == {"l_overall"}
+    assert calls[0].item() == rep.l_overall
 
 
 def test_zero_parameters_constant_features_scalar_oracle():
@@ -362,6 +385,31 @@ def test_gradient_check_tiny_batch():
         + sum(v.size for v in heads.params.values())
 
 
+def test_gradient_check_checks_the_training_gradient(monkeypatch):
+    # one l_overall entry of forward_backward's sweep off by 1e-3 relative:
+    # gradient_check must see it, so it checks that sweep itself rather
+    # than a recombination of the per-term gradients
+    prepared, enc, heads = tiny_batch()
+    grads = forward_backward(prepared, enc, heads,
+                             tau=0.1).gradients["l_overall"]
+    name = max(grads, key=lambda k: np.abs(grads[k]).max())
+    i = int(np.abs(grads[name]).argmax())
+    exact = decoder.forward_backward
+
+    def skewed(*args, **kwargs):
+        report = exact(*args, **kwargs)
+        report.gradients["l_overall"][name].flat[i] *= 1 + 1e-3
+        return report
+
+    monkeypatch.setattr(decoder, "forward_backward", skewed)
+    result = gradient_check(prepared, enc, heads, tau=0.1)
+    assert not result.ok
+    assert result.worst["l_overall"] == f"{name}[{i}]"
+    assert 0.5e-3 < result.per_term["l_overall"] < 2e-3
+    for term in ("l_obj", "l_pts", "l_rec"):
+        assert result.per_term[term] <= 1e-4, term
+
+
 def test_gradient_check_with_unseeded_object():
     # 6 encoder seeds over 4 objects: on side B object 1 gets none, so its
     # max-pooled row is empty
@@ -381,8 +429,9 @@ def test_gradient_check_with_unseeded_object():
 
 def test_full_width_step_traced_peak_stays_under_100_mb():
     # perfbench's train_step pair (workload seed 7) at full-scale widths;
-    # with the fold layer as one node a step's traced peak is about 72 MB,
-    # with one node per step of the fold it was about 154 MB
+    # with the fold layer as one node and one reverse sweep a step's traced
+    # peak is about 61 MB (72 MB with a sweep per term); with one node per
+    # step of the fold it was about 154 MB
     c = replace(pipeline.PipelineConfig(), master_seed=7, batch_pairs=1,
                 feature_dim=256, encoder_hidden=256, proj_hidden=256,
                 decoder_hidden=256, n_encoder_seeds=256, u=3)

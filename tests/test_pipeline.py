@@ -217,6 +217,36 @@ def test_generate_deterministic_byte_identical(tmp_path):
         assert t1[name] == t2[name], name
 
 
+def test_interrupted_summary_write_leaves_no_partial_summary(tmp_path,
+                                                             monkeypatch):
+    dump = json.dump
+
+    def dump_half_then_fail(obj, fp, **kwargs):
+        if "pairs_produced" not in obj:
+            return dump(obj, fp, **kwargs)
+        text = json.dumps(obj, **kwargs)
+        fp.write(text[:len(text) // 2])
+        raise OSError("no space left on device")
+
+    # a fresh dataset: no summary.json, so it does not look complete
+    out = tmp_path / "ds"
+    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+    with pytest.raises(OSError):
+        generate_dataset(PipelineConfig(**SMALL), out, progress=False)
+    assert [p.name for p in out.iterdir()] == ["pairs"]
+    # over a complete dataset: the previous summary.json is kept unchanged
+    monkeypatch.setattr(json, "dump", dump)
+    generate_dataset(PipelineConfig(**SMALL), out, progress=False)
+    before = tree_bytes(out)
+    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+    with pytest.raises(OSError):
+        generate_dataset(PipelineConfig(**dict(SMALL, master_seed=8)), out,
+                         progress=False)
+    after = tree_bytes(out)
+    assert after.keys() == before.keys()
+    assert after["summary.json"] == before["summary.json"]
+
+
 # sha256 over every file of a 4-pair default-config dataset and its loss
 # report JSONL. First recorded with the norm-based FPS loop, before the
 # columnar kernel replaced it: a change to any tree byte or loss bit shows
@@ -284,13 +314,15 @@ def test_losses_redraws_the_stored_occlusion(tmp_path, master_seed, fmt):
                 np.testing.assert_array_equal(k_got, k_stored)
 
 
-# One sha256 per forward_backward gradient term (sorted parameter name;
-# name, shape and float64 bytes) for the gradcheck batch and for one
-# full-width pair built as perfbench's TrainStep builds it (workload seed 7),
-# plus that batch's loss values as float.hex strings. A tape change that
-# moves any gradient bit fails here, and the failing entries name the terms
-# it moved. Which BLAS kernel a product uses can depend on the thread count,
-# so everything is computed in one child process with one BLAS thread.
+# One sha256 per gradient term (sorted parameter name; name, shape and
+# float64 bytes) for the gradcheck batch and for one full-width pair built as
+# perfbench's TrainStep builds it (workload seed 7), plus that batch's loss
+# values as float.hex strings. l_overall is forward_backward's single sweep,
+# the gradient training uses; l_obj, l_pts and l_rec come from the per-term
+# sweeps gradient_check checks. A tape change that moves any gradient bit
+# fails here, and the failing entries name the terms it moved. Which BLAS
+# kernel a product uses can depend on the thread count, so everything is
+# computed in one child process with one BLAS thread.
 GRAD_GOLDEN_SCRIPT = """
 import hashlib
 import json
@@ -299,12 +331,17 @@ from scenepretext import decoder, pipeline, scenegen
 from scenepretext.cli import gradcheck_batch
 from scenepretext.seeding import mix64
 
-def summary(report):
+def summary(prepared, encoder, heads, tau=0.03, lambda_pts=0.1,
+            lambda_rec=100.0):
+    weights = (tau, lambda_pts, lambda_rec)
+    report = decoder.forward_backward(prepared, encoder, heads, *weights)
+    gradients = decoder._term_gradients(prepared, encoder, heads, *weights)
+    gradients.update(report.gradients)
     digests = {}
-    for term in sorted(report.gradients):
+    for term in sorted(gradients):
         h = hashlib.sha256()
-        for name in sorted(report.gradients[term]):
-            g = report.gradients[term][name]
+        for name in sorted(gradients[term]):
+            g = gradients[term][name]
             h.update(f"{name}{g.shape}".encode())
             h.update(g.tobytes())
         digests[term] = h.hexdigest()
@@ -312,9 +349,7 @@ def summary(report):
               for t in ("l_obj", "l_pts", "l_rec_coarse", "l_rec_detail")}
     return {"gradients": digests, "values": values}
 
-prepared, encoder, heads = gradcheck_batch()
-out = {"gradcheck": summary(decoder.forward_backward(prepared, encoder,
-                                                     heads))}
+out = {"gradcheck": summary(*gradcheck_batch())}
 c = replace(pipeline.PipelineConfig(), master_seed=7, batch_pairs=1,
             feature_dim=256, encoder_hidden=256, proj_hidden=256,
             decoder_hidden=256, n_encoder_seeds=256, u=3)
@@ -325,8 +360,8 @@ pp = decoder.prepare_scene_pair(pair, n_seeds=c.n_encoder_seeds,
                                 rng_seed=mix64(7, 0), occlude=c.occlude)
 encoder = decoder.ToyEncoder(c.encoder_config(), rng_seed=mix64(7, 0xE0C))
 heads = decoder.DecoderHeads(c.heads_config(), rng_seed=mix64(7, 0xDEC))
-out["train_step"] = summary(decoder.forward_backward(
-    [pp], encoder, heads, c.tau, c.lambda_pts, c.lambda_rec))
+out["train_step"] = summary([pp], encoder, heads, c.tau, c.lambda_pts,
+                            c.lambda_rec)
 print(json.dumps(out))
 """
 # First recorded per term at the commit whose Chamfer was one
@@ -335,7 +370,11 @@ print(json.dumps(out))
 # term and a feature term repeated u*u times: that moves only l_rec_detail
 # and its gradients, by summation-order rounding, so the l_rec and l_overall
 # digests were re-recorded; the l_obj and l_pts digests are the recorded
-# ones.
+# ones. The l_overall digests were re-recorded once more when
+# forward_backward began to sweep the l_overall root once instead of adding
+# the lambda-weighted per-term gradients: that moves every l_overall tensor
+# by summation order only (largest deviation 8.7e-15 of the tensor's
+# maximum); the l_obj, l_pts and l_rec digests pass unedited.
 GRAD_GOLDEN = {
     "gradcheck": {
         "l_obj":
@@ -345,7 +384,7 @@ GRAD_GOLDEN = {
         "l_rec":
             "15a9da5ad63832295c71a02caed4773cd5425b8527a2a00a5bcafe246d132687",
         "l_overall":
-            "21a0186ffeeca7c76399426cb67cc36aded8558c2e8d35c02422fec66c5e883a",
+            "b180ac044e0bdae5394753339bd8fcb01c4b54bfe5554fd5e25a7f2249b2c478",
     },
     "train_step": {
         "l_obj":
@@ -355,7 +394,7 @@ GRAD_GOLDEN = {
         "l_rec":
             "24b01c6f4521141c2e3a121edb8e09fa1ecaaefada556d797107698df7edd996",
         "l_overall":
-            "9cac4a177420d4a4378d2ec620352ef159f2520edf5a78d4904c5f63d737244d",
+            "5ede23141f8d5e2d36fa7313e5528fd118c975d199057f5ee812c623694be786",
     },
 }
 # The full-width TrainStep pair's loss values before the fold layer was
@@ -880,6 +919,12 @@ CLI_INPUT_FAULTS = {
         tmp, dict(FIT_COUNTS, instances_per_category={"chair": 2.9})),
     "fit-instance-count-huge": lambda tmp: _fit_counts(
         tmp, dict(FIT_COUNTS, instances_per_category={"chair": 10 ** 13})),
+    "fit-scene-count-string": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, scene_counts={"kitchen": "3"})),
+    "fit-object-count-boolean": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, objects_per_scene={"kitchen": {"chair": True}})),
+    "fit-instance-count-padded-string": lambda tmp: _fit_counts(
+        tmp, dict(FIT_COUNTS, instances_per_category={"chair": " 4 "})),
     "distribution-beyond-the-recipes": _distribution_beyond_the_recipes,
     "gradcheck-step-0": lambda tmp: ["gradcheck", "--step", "0"],
     "gradcheck-tau-0": lambda tmp: ["gradcheck", "--tau", "0"],
