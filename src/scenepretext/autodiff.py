@@ -422,12 +422,12 @@ def _block_buffers(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return buf[:n].reshape(rows, cols), buf[n:2 * n].reshape(rows, cols)
 
 
-def _d2_block(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
+def _d2_block(a2: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
               b_sq: np.ndarray, prod: np.ndarray, d2: np.ndarray
               ) -> np.ndarray:
-    """Write ``(|a|^2 + |b|^2) - 2 a.b`` into ``d2``, using ``prod``."""
-    np.matmul(a, b.T, out=prod)
-    np.multiply(prod, 2.0, out=prod)
+    """Write ``(|a|^2 + |b|^2) - (2a).b`` into ``d2``, using ``prod``;
+    ``a2`` is ``2 * a``."""
+    np.matmul(a2, b.T, out=prod)
     np.add(a_sq[:, None], b_sq[None, :], out=d2)
     np.subtract(d2, prod, out=d2)
     return d2
@@ -439,12 +439,16 @@ def _nearest_both(x: np.ndarray, y: np.ndarray
     each row of ``y``; see chamfer."""
     nx, ny = x.shape[0], y.shape[0]
     x_sq, y_sq = (x ** 2).sum(1), (y ** 2).sum(1)
+    # (2x).y is 2(x.y) bit for bit: scaling by a power of two commutes
+    # with rounding while no product or sum is subnormal or overflows
+    x2 = x * 2.0
     rows = max(1, min(nx, NN_BLOCK_BYTES // (8 * ny)))
     prod, d2 = _block_buffers(rows, ny)
     nn_xy = np.empty(nx, dtype=np.intp)
     for i in range(0, nx, rows):
         k = min(rows, nx - i)
-        blk = _d2_block(x[i:i + k], y, x_sq[i:i + k], y_sq, prod[:k], d2[:k])
+        blk = _d2_block(x2[i:i + k], y, x_sq[i:i + k], y_sq, prod[:k],
+                        d2[:k])
         blk.argmin(axis=1, out=nn_xy[i:i + k])
         if i == 0:
             # the transpose goes into the spent product buffer, because

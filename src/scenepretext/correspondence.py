@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewPoints
-from .scenegen import ScenePair, SceneInstance
+from .scenegen import ScenePair, SceneInstance, Transform
 from .seeding import STREAM_MATCH_A, STREAM_MATCH_B, mix64
 
 
@@ -28,7 +28,11 @@ class SeedSet:
     object_ids: np.ndarray   # (m,)
 
     def __post_init__(self):
-        if len(np.unique(self.indices)) != self.indices.shape[0]:
+        idx = self.indices
+        # strictly increasing indices (every full pool) are unique as they
+        # stand; only other orders pay for the sort
+        if not np.all(idx[1:] > idx[:-1]) \
+                and len(np.unique(idx)) != idx.shape[0]:
             raise ValueError("seed indices must be unique")
         if not (self.indices.shape[0] == self.coords.shape[0]
                 == self.object_ids.shape[0]):
@@ -137,6 +141,13 @@ def full_seed_pool(scene: SceneInstance) -> SeedSet:
                    scene.point_object_ids)
 
 
+def _carry(t: Transform, points: np.ndarray) -> np.ndarray:
+    """``t.apply`` of each (3,) row alone, bit for bit, in one call: a
+    stack of (1, 3) @ (3, 3) products, not one (k, 3) @ (3, 3) product."""
+    pts = np.asarray(points, dtype=np.float64)[:, None, :]
+    return (t.scale * pts @ t.rotation.T)[:, 0, :] + t.translation
+
+
 def match_points(pair: ScenePair, seeds_a: SeedSet, seeds_b_pool: SeedSet,
                  theta: float) -> MatchSet:
     """Relaxed object-aware matching of A seeds into the B candidate pool.
@@ -145,31 +156,43 @@ def match_points(pair: ScenePair, seeds_a: SeedSet, seeds_b_pool: SeedSet,
     nearest candidate to the translated seed wins (ties to the lowest pool
     position) and the pair is kept only if its distance is strictly below
     theta. Seeds with an empty candidate set are dropped silently. Distinct
-    seeds may match the same candidate.
+    seeds may match the same candidate. Matches come out in seed order.
+
+    The work is done per object that owns seeds, not per seed. Bit
+    contract: the seeds of one object are carried over as one stacked
+    product ``(scale * coords[:, None, :]) @ R.T`` (``_carry``), which
+    numpy evaluates as one (1, 3) @ (3, 3) product per seed, so every
+    target equals ``Transform.apply`` on that seed alone, bit for bit.
+    ``Transform.apply`` on the whole batch is not used: its (k, 3) @ (3, 3)
+    matrix-matrix product rounds differently from the per-vector one, in
+    the last bits, which would move stored distances and matches. The
+    (seeds x candidates) distances sum each difference's three squares in
+    the same order as the per-seed norm.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     t_a = pair.transforms("a")
     t_b = pair.transforms("b")
-    carriers = [tb.compose(ta.inverse()) for ta, tb in zip(t_a, t_b)]
-    a_idx, b_idx, dists, objs = [], [], [], []
-    for i in range(seeds_a.m):
-        y = int(seeds_a.object_ids[i])
-        cand = np.nonzero(seeds_b_pool.object_ids == y)[0]
+    ids_a, ids_b = seeds_a.object_ids, seeds_b_pool.object_ids
+    best = np.full(seeds_a.m, -1, dtype=np.intp)
+    dist = np.empty(seeds_a.m)
+    for y in np.unique(ids_a).tolist():
+        cand = np.flatnonzero(ids_b == y)
         if cand.size == 0:
             continue
-        target = carriers[y].apply(seeds_a.coords[i])
-        d = np.linalg.norm(seeds_b_pool.coords[cand] - target, axis=1)
-        j = int(np.argmin(d))
-        if d[j] < theta:
-            a_idx.append(int(seeds_a.indices[i]))
-            b_idx.append(int(seeds_b_pool.indices[cand[j]]))
-            dists.append(float(d[j]))
-            objs.append(y)
-    return MatchSet(np.array(a_idx, dtype=np.intp),
-                    np.array(b_idx, dtype=np.intp),
-                    np.array(dists, dtype=np.float64),
-                    np.array(objs, dtype=np.intp), theta)
+        rows = np.flatnonzero(ids_a == y)
+        targets = _carry(t_b[y].compose(t_a[y].inverse()),
+                         seeds_a.coords[rows])
+        d = np.linalg.norm(seeds_b_pool.coords[cand] - targets[:, None, :],
+                           axis=-1)
+        j = d.argmin(axis=1)
+        best[rows] = cand[j]
+        dist[rows] = d[np.arange(rows.size), j]
+    keep = np.flatnonzero(best >= 0)
+    keep = keep[dist[keep] < theta]
+    return MatchSet(seeds_a.indices[keep].astype(np.intp),
+                    seeds_b_pool.indices[best[keep]].astype(np.intp),
+                    dist[keep], ids_a[keep].astype(np.intp), theta)
 
 
 def match_fps_pools(pair: ScenePair, pool_a: SeedSet, pool_b: SeedSet,

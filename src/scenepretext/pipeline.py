@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import struct
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -274,8 +275,32 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
                 rec_b: OcclusionRecord, matches: MatchSet,
                 dist: SceneDistribution,
                 config: PipelineConfig) -> PairManifest:
-    pdir = _pair_dir(out_dir, pair_id)
-    pdir.mkdir(parents=True, exist_ok=True)
+    """Write one pair's clouds and manifest into ``pairs/.pair_NNNNN.tmp``,
+    then rename that directory into place, replacing an earlier pair of the
+    same id. An interrupted write leaves no ``pair_NNNNN`` directory, and
+    ``list_pair_dirs`` skips the dot-prefixed temporary."""
+    final = _pair_dir(out_dir, pair_id)
+    pdir = final.with_name(f".{final.name}.tmp")
+    if pdir.exists():
+        shutil.rmtree(pdir)
+    pdir.mkdir(parents=True)
+    try:
+        manifest = _write_pair_files(pdir, pair_id, pair, occluded, rec_a,
+                                     rec_b, matches, dist, config)
+        if final.exists():
+            shutil.rmtree(final)
+        os.replace(pdir, final)
+    except BaseException:
+        shutil.rmtree(pdir, ignore_errors=True)
+        raise
+    return manifest
+
+
+def _write_pair_files(pdir: Path, pair_id: int, pair: ScenePair,
+                      occluded: ScenePair, rec_a: OcclusionRecord,
+                      rec_b: OcclusionRecord, matches: MatchSet,
+                      dist: SceneDistribution,
+                      config: PipelineConfig) -> PairManifest:
     clouds = (pair.scene_a, pair.scene_b, occluded.scene_a, occluded.scene_b)
     for fname, scene in zip(pair_files(config.export_format).values(),
                             clouds):
@@ -479,7 +504,8 @@ def list_pair_dirs(dataset_dir) -> list[Path]:
     pairs_root = Path(dataset_dir) / "pairs"
     if not pairs_root.is_dir():
         return []
-    return sorted(p for p in pairs_root.iterdir() if p.is_dir())
+    return sorted(p for p in pairs_root.iterdir()
+                  if p.is_dir() and not p.name.startswith("."))
 
 
 def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,

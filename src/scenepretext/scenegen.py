@@ -185,10 +185,6 @@ def _random_yaw(rng: np.random.Generator) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _boxes_overlap(lo1, hi1, lo2, hi2) -> bool:
-    return bool(np.all(lo1 <= hi2) and np.all(lo2 <= hi1))
-
-
 def realize_scene(spec: SceneSpec, asset_source: AssetSource,
                   layout: LayoutParams, rng_seed: int) -> SceneInstance:
     """Place every object of a SceneSpec without bounding-box overlap.
@@ -212,7 +208,11 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
     order = sorted(range(len(canonicals)),
                    key=lambda k: -(extents[k][0] * extents[k][1]))
     placed_by_k: dict[int, ObjectInstance] = {}
-    boxes: list[tuple[np.ndarray, np.ndarray]] = []
+    # boxes placed so far, rows [0, n_placed); an attempt overlaps a box
+    # when their closed intervals meet on all three axes
+    placed_lo = np.empty((len(canonicals), 3))
+    placed_hi = np.empty((len(canonicals), 3))
+    n_placed = 0
     room = layout.room_size
     for k in order:
         cat, inst = spec.draws[k]
@@ -220,8 +220,11 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
         for attempt in range(layout.max_attempts):
             rot = _random_yaw(rng)
             scale = rng.uniform(*layout.scale_range)
-            body = scale * canonical @ rot.T
-            lo, hi = body.min(axis=0), body.max(axis=0)
+            # min and max round nothing, so reducing contiguous columns
+            # gives body.min(axis=0)'s values (a zero minimum's sign aside)
+            # in a fifth of the time
+            cols = np.ascontiguousarray((scale * canonical @ rot.T).T)
+            lo, hi = cols.min(axis=1), cols.max(axis=1)
             x = rng.uniform(-lo[0], room - hi[0]) if room > hi[0] - lo[0] \
                 else rng.uniform(0.0, room)
             y = rng.uniform(-lo[1], room - hi[1]) if room > hi[1] - lo[1] \
@@ -230,12 +233,13 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
             blo, bhi = lo + t, hi + t
             if blo[0] < 0 or blo[1] < 0 or bhi[0] > room or bhi[1] > room:
                 continue
-            if any(_boxes_overlap(blo, bhi, plo, phi)
-                   for plo, phi in boxes):
+            if ((blo <= placed_hi[:n_placed])
+                    & (placed_lo[:n_placed] <= bhi)).all(axis=1).any():
                 continue
             placed_by_k[k] = ObjectInstance(cat, inst, canonical,
                                             Transform(rot, t, scale))
-            boxes.append((blo, bhi))
+            placed_lo[n_placed], placed_hi[n_placed] = blo, bhi
+            n_placed += 1
             break
         else:
             raise PlacementFailure(

@@ -1,7 +1,10 @@
 """Reference code the tests compare the program against.
 
 None of it is a program path. ``exact_match_oracle`` is the rejected
-exact-matching baseline; ``object_loss``/``point_loss`` run one
+exact-matching baseline; ``reference_match_points`` and
+``reference_realize_scene`` are matching and placement as first written,
+one seed and one placed box at a time, and the program's vectorised
+versions must agree with them byte for byte; ``object_loss``/``point_loss`` run one
 contrastive graph builder on plain feature arrays; the ``reference_*``
 builders are the contrastive graphs as first written, with per-row
 dictionaries where the program's builders use index arithmetic. Both
@@ -17,8 +20,12 @@ import numpy as np
 
 from scenepretext import autodiff as ad
 from scenepretext.correspondence import MatchSet, SeedSet
+from scenepretext.errors import DegenerateObject, PlacementFailure
 from scenepretext.losses import object_level_graph, point_level_graph
-from scenepretext.scenegen import ScenePair
+from scenepretext.scenegen import (MIN_OBJECT_POINTS, AssetSource,
+                                   LayoutParams, ObjectInstance,
+                                   SceneInstance, ScenePair, SceneSpec,
+                                   Transform, _random_yaw)
 
 
 def exact_match_oracle(pair: ScenePair, seeds_a: SeedSet) -> MatchSet:
@@ -43,6 +50,90 @@ def exact_match_oracle(pair: ScenePair, seeds_a: SeedSet) -> MatchSet:
         dists[i] = np.linalg.norm(pair.scene_b.points[b_idx[i]] - target)
     return MatchSet(seeds_a.indices.copy(), b_idx, dists,
                     seeds_a.object_ids.copy(), theta=np.inf)
+
+
+def reference_match_points(pair: ScenePair, seeds_a: SeedSet,
+                           seeds_b_pool: SeedSet, theta: float) -> MatchSet:
+    """match_points with one iteration per seed: ``Transform.apply`` on
+    the seed alone, then the norm over its object's candidates."""
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    t_a = pair.transforms("a")
+    t_b = pair.transforms("b")
+    carriers = [tb.compose(ta.inverse()) for ta, tb in zip(t_a, t_b)]
+    a_idx, b_idx, dists, objs = [], [], [], []
+    for i in range(seeds_a.m):
+        y = int(seeds_a.object_ids[i])
+        cand = np.nonzero(seeds_b_pool.object_ids == y)[0]
+        if cand.size == 0:
+            continue
+        target = carriers[y].apply(seeds_a.coords[i])
+        d = np.linalg.norm(seeds_b_pool.coords[cand] - target, axis=1)
+        j = int(np.argmin(d))
+        if d[j] < theta:
+            a_idx.append(int(seeds_a.indices[i]))
+            b_idx.append(int(seeds_b_pool.indices[cand[j]]))
+            dists.append(float(d[j]))
+            objs.append(y)
+    return MatchSet(np.array(a_idx, dtype=np.intp),
+                    np.array(b_idx, dtype=np.intp),
+                    np.array(dists, dtype=np.float64),
+                    np.array(objs, dtype=np.intp), theta)
+
+
+def _boxes_overlap(lo1, hi1, lo2, hi2) -> bool:
+    return bool(np.all(lo1 <= hi2) and np.all(lo2 <= hi1))
+
+
+def reference_realize_scene(spec: SceneSpec, asset_source: AssetSource,
+                            layout: LayoutParams,
+                            rng_seed: int) -> SceneInstance:
+    """realize_scene testing each attempt against the placed boxes one
+    box at a time, held in a list of (lo, hi) pairs."""
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    canonicals = []
+    for k, (cat, inst) in enumerate(spec.draws):
+        canonical = np.asarray(asset_source(cat, inst), dtype=np.float64)
+        if canonical.shape[0] < MIN_OBJECT_POINTS:
+            raise DegenerateObject(
+                f"object {k}: {canonical.shape[0]} points "
+                f"(assets must supply >= {MIN_OBJECT_POINTS})")
+        canonicals.append(canonical)
+    extents = [c.max(axis=0) - c.min(axis=0) for c in canonicals]
+    order = sorted(range(len(canonicals)),
+                   key=lambda k: -(extents[k][0] * extents[k][1]))
+    placed_by_k: dict[int, ObjectInstance] = {}
+    boxes: list[tuple[np.ndarray, np.ndarray]] = []
+    room = layout.room_size
+    for k in order:
+        cat, inst = spec.draws[k]
+        canonical = canonicals[k]
+        for attempt in range(layout.max_attempts):
+            rot = _random_yaw(rng)
+            scale = rng.uniform(*layout.scale_range)
+            body = scale * canonical @ rot.T
+            lo, hi = body.min(axis=0), body.max(axis=0)
+            x = rng.uniform(-lo[0], room - hi[0]) if room > hi[0] - lo[0] \
+                else rng.uniform(0.0, room)
+            y = rng.uniform(-lo[1], room - hi[1]) if room > hi[1] - lo[1] \
+                else rng.uniform(0.0, room)
+            t = np.array([x, y, -lo[2]])
+            blo, bhi = lo + t, hi + t
+            if blo[0] < 0 or blo[1] < 0 or bhi[0] > room or bhi[1] > room:
+                continue
+            if any(_boxes_overlap(blo, bhi, plo, phi)
+                   for plo, phi in boxes):
+                continue
+            placed_by_k[k] = ObjectInstance(cat, inst, canonical,
+                                            Transform(rot, t, scale))
+            boxes.append((blo, bhi))
+            break
+        else:
+            raise PlacementFailure(
+                f"object {k} (category {cat}) not placed after "
+                f"{layout.max_attempts} attempts")
+    placed = [placed_by_k[k] for k in range(len(spec.draws))]
+    return SceneInstance.from_objects(spec.scene_type_id, placed)
 
 
 def matmul(a: ad.Var, b: ad.Var) -> ad.Var:

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
-from oracles import exact_match_oracle
-from scenepretext.correspondence import (MatchSet, SeedSet,
+from oracles import exact_match_oracle, reference_match_points
+from scenepretext.correspondence import (MatchSet, SeedSet, _carry,
                                          farthest_point_sample, fps_subset,
                                          full_seed_pool, match_points,
                                          sample_seed_set)
@@ -317,8 +319,82 @@ def test_match_set_validation_and_records():
 
 
 def test_seed_set_uniqueness_enforced():
-    with pytest.raises(ValueError):
-        SeedSet(np.array([0, 0]), np.zeros((2, 3)), np.array([0, 1]))
+    # sorted and unsorted duplicates alike
+    for indices in ([0, 0], [0, 1, 1, 2], [3, 1, 3], [5, 2, 7, 2]):
+        n = len(indices)
+        with pytest.raises(ValueError, match="unique"):
+            SeedSet(np.array(indices), np.zeros((n, 3)), np.zeros(n, int))
+
+
+@pytest.mark.parametrize("indices", [[], [4], [0, 1, 2], [2, 0, 1],
+                                     [9, 3, 5, 0]])
+def test_seed_set_accepts_unique_indices_in_any_order(indices):
+    n = len(indices)
+    seeds = SeedSet(np.array(indices, dtype=np.intp), np.zeros((n, 3)),
+                    np.zeros(n, int))
+    assert seeds.m == n
+
+
+# ------------------------------------------------- per-seed matching oracle
+
+def assert_same_matches(got: MatchSet, want: MatchSet):
+    for field in ("a_indices", "b_indices", "distances", "object_ids"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype, field
+        assert g.shape == w.shape, field
+        assert g.tobytes() == w.tobytes(), field
+    assert got.theta == want.theta
+
+
+def test_carry_is_per_seed_apply_bit_for_bit():
+    """match_points carries an object's seeds in one stacked product; each
+    row must be Transform.apply on that seed alone. A numpy or BLAS change
+    that breaks this fails here, not only in a GOLDEN digest."""
+    rng = np.random.default_rng(12)
+    for _ in range(240):
+        ta, tb = (Transform(yaw(rng.uniform(0, 2 * np.pi)),
+                            np.append(rng.uniform(0, 6, 2), rng.uniform()),
+                            rng.uniform(0.9, 1.1)) for _ in range(2))
+        carrier = tb.compose(ta.inverse())
+        coords = ta.apply(rng.normal(scale=0.5, size=(100, 3)))
+        want = np.array([carrier.apply(c) for c in coords])
+        assert _carry(carrier, coords).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), n_objects=st.integers(1, 8),
+       occlude=st.booleans(), m=st.integers(1, 120),
+       pool=st.sampled_from(["fps", "full_pool", "object-without-candidates",
+                             "every-candidate-twice"]),
+       theta=st.sampled_from([0.02, 0.1, np.inf]))
+def test_match_points_equals_per_seed_loop(seed, n_objects, occlude, m,
+                                           pool, theta):
+    pair = paired_scenes(seed, n_objects, occlude)
+    seeds_a = sample_seed_set(pair.scene_a,
+                              min(m, pair.scene_a.points.shape[0]), seed + 3)
+    scene_b = pair.scene_b
+    if pool == "fps":
+        pool_b = sample_seed_set(scene_b, min(m, scene_b.points.shape[0]),
+                                 seed + 4)
+    elif pool == "full_pool":
+        pool_b = full_seed_pool(scene_b)
+    elif pool == "every-candidate-twice":
+        # each nearest candidate ties with its copy: the lower position wins
+        n = scene_b.points.shape[0]
+        pool_b = SeedSet(np.arange(2 * n), np.tile(scene_b.points, (2, 1)),
+                         np.tile(scene_b.point_object_ids, 2))
+    else:
+        # the first seed's object has no candidates in B
+        keep = scene_b.point_object_ids != seeds_a.object_ids[0]
+        pool_b = SeedSet(np.flatnonzero(keep), scene_b.points[keep],
+                         scene_b.point_object_ids[keep])
+    got = match_points(pair, seeds_a, pool_b, theta)
+    assert_same_matches(got, reference_match_points(pair, seeds_a, pool_b,
+                                                    theta))
+    if pool == "object-without-candidates":
+        assert seeds_a.object_ids[0] not in got.object_ids
+    if pool == "every-candidate-twice":
+        assert np.all(got.b_indices < scene_b.points.shape[0])
 
 
 @pytest.mark.parametrize("m", [1, 40, 300, 10_000])

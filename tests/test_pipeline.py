@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scenepretext
+from scenepretext import pipeline
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.cli import main
 from scenepretext.decoder import (DecoderHeads, ToyEncoder, forward_backward,
@@ -245,6 +246,64 @@ def test_interrupted_summary_write_leaves_no_partial_summary(tmp_path,
     after = tree_bytes(out)
     assert after.keys() == before.keys()
     assert after["summary.json"] == before["summary.json"]
+
+
+def test_interrupted_pair_write_leaves_no_pair_dir(tmp_path, monkeypatch):
+    export = pipeline.export_point_cloud
+    calls = []
+
+    def export_then_fail_halfway(points, path, fmt, fail_at):
+        calls.append(path)
+        if len(calls) == fail_at:
+            path.write_bytes(b"ply\nformat ascii 1.0\n")  # a cut file
+            raise OSError("no space left on device")
+        return export(points, path, fmt)
+
+    def generate_failing_at(fail_at, config):
+        calls.clear()
+        monkeypatch.setattr(pipeline, "export_point_cloud",
+                            lambda *args: export_then_fail_halfway(
+                                *args, fail_at=fail_at))
+        with pytest.raises(OSError):
+            generate_dataset(config, out, progress=False)
+        monkeypatch.setattr(pipeline, "export_point_cloud", export)
+
+    # a fresh dataset, cut in the third of pair 0's four clouds
+    out = tmp_path / "ds"
+    generate_failing_at(3, PipelineConfig(**SMALL))
+    assert list((out / "pairs").iterdir()) == []
+    assert list_pair_dirs(out) == []
+    # over a complete dataset, cut in pair 1: pair 0 is the new one, whole,
+    # and pair 1 the previous one, unchanged
+    generate_dataset(PipelineConfig(**SMALL), out, progress=False)
+    before = tree_bytes(out)
+    pair_dirs = list_pair_dirs(out)
+    other = PipelineConfig(**dict(SMALL, master_seed=8))
+    generate_failing_at(6, other)
+    assert list_pair_dirs(out) == pair_dirs
+    assert sorted(p.name for p in (out / "pairs").iterdir()) == [
+        p.name for p in pair_dirs]
+    after = tree_bytes(out)
+    assert after.keys() == before.keys()
+    generate_dataset(other, tmp_path / "other", progress=False)
+    want = tree_bytes(tmp_path / "other")
+    for name in after:
+        if name.startswith("pairs/pair_00000/"):
+            assert after[name] == want[name], name
+        else:
+            assert after[name] == before[name], name
+
+
+def test_pair_write_replaces_a_leftover_temporary(tmp_path):
+    out = tmp_path / "ds"
+    leftover = out / "pairs" / ".pair_00001.tmp"
+    leftover.mkdir(parents=True)
+    (leftover / "manifest.json").write_text("{")
+    assert list_pair_dirs(out) == []
+    generate_dataset(PipelineConfig(**SMALL), out, progress=False)
+    generate_dataset(PipelineConfig(**SMALL), tmp_path / "clean",
+                     progress=False)
+    assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
 
 
 # sha256 over every file of a 4-pair default-config dataset and its loss

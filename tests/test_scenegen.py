@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_realize_scene
 from scenepretext.assets import (CATEGORY_LABELS, ProceduralAssetSource,
                                  procedural_asset)
 from scenepretext.catalog import SceneDistribution, \
@@ -172,6 +175,42 @@ def test_placement_failure_when_room_too_small():
                           max_attempts=50)
     with pytest.raises(PlacementFailure):
         realize_scene(spec, CubeSource(side=1.0), layout, 1)
+
+
+def _realized(realize, spec, source, layout, seed):
+    try:
+        return realize(spec, source, layout, seed)
+    except PlacementFailure as e:
+        return str(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec_seed=st.integers(0, 2 ** 63), layout_seed=st.integers(0, 2 ** 63),
+       n_objects=st.integers(1, 20),
+       room_size=st.sampled_from([1.5, 3.0, 6.0]),
+       max_attempts=st.sampled_from([3, 40, 1000]))
+def test_realize_scene_equals_per_box_loop(spec_seed, layout_seed, n_objects,
+                                           room_size, max_attempts):
+    spec = sample_scene_spec(load_default_scannet_parameters(), n_objects,
+                             spec_seed)
+    source = ProceduralAssetSource(n_points=32)
+    layout = LayoutParams(room_size=room_size, max_attempts=max_attempts)
+    got = _realized(realize_scene, spec, source, layout, layout_seed)
+    want = _realized(reference_realize_scene, spec, source, layout,
+                     layout_seed)
+    if isinstance(want, str):
+        assert got == want  # the same object fails, with the same message
+        return
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.point_object_ids.dtype == want.point_object_ids.dtype
+    assert got.point_object_ids.tobytes() == want.point_object_ids.tobytes()
+    for g, w in zip(got.objects, want.objects, strict=True):
+        assert (g.category_id, g.instance_id) == (w.category_id,
+                                                  w.instance_id)
+        assert g.transform.rotation.tobytes() == w.transform.rotation.tobytes()
+        assert (g.transform.translation.tobytes()
+                == w.transform.translation.tobytes())
+        assert g.transform.scale == w.transform.scale
 
 
 def test_merged_points_match_transform_invariant():
