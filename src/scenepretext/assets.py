@@ -230,10 +230,8 @@ def procedural_asset(category_id: int, instance_id: int,
 class ProceduralAssetSource:
     """Asset source backed by the procedural generator."""
 
-    def __init__(self, n_points: int = 256,
-                 labels: tuple[str, ...] = CATEGORY_LABELS):
+    def __init__(self, n_points: int = 256):
         self.n_points = int(n_points)
-        self.labels = labels
 
     def __call__(self, category_id: int, instance_id: int) -> np.ndarray:
         return procedural_asset(category_id, instance_id, self.n_points)

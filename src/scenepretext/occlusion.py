@@ -3,9 +3,10 @@
 For a scene, one viewpoint is drawn uniformly inside the scene's bounding
 box inflated by 20%; each object then loses floor(f * n) of its points
 furthest from that viewpoint, with f drawn uniformly from [0, 0.5]. Ties in
-distance keep the lower original index. The record returned alongside the
-occluded scene replays the operation exactly. The two scenes of a pair are
-occluded from their own streams of the pair seed (`occlude_pair`).
+distance keep the lower original index. Occlusion selects rows of each
+object's scene-frame points; the record returned alongside the occluded
+scene replays it exactly. The two scenes of a pair are occluded from their
+own streams of the pair seed (`occlude_pair`).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def occlude_scene(scene: SceneInstance, rng_seed: int,
     for k, obj in enumerate(scene.objects):
         if obj.n_points < 2:
             raise DegenerateObject(f"object {k} has {obj.n_points} points")
-        kept_lists.append(_kept_for_fraction(obj.placed_points(), viewpoint,
+        kept_lists.append(_kept_for_fraction(obj.points, viewpoint,
                                              float(fractions[k])))
     record = OcclusionRecord(viewpoint, fractions, tuple(kept_lists))
     return replay_occlusion(scene, record), record
@@ -100,10 +101,9 @@ def occlude_pair(pair: ScenePair, rng_seed: int, occlude: bool
 
 def replay_occlusion(scene: SceneInstance,
                      record: OcclusionRecord) -> SceneInstance:
-    """Rebuild the occluded scene from a stored record."""
-    new_objects = [
-        ObjectInstance(o.category_id, o.instance_id,
-                       o.canonical_points[kept], o.transform)
-        for o, kept in zip(scene.objects, record.kept_indices)
-    ]
-    return SceneInstance.from_objects(scene.scene_type_id, new_objects)
+    """Rebuild the occluded scene from a stored record: each object keeps
+    the rows of its scene-frame points that the record lists."""
+    return SceneInstance.from_objects(scene.scene_type_id, [
+        ObjectInstance(o.category_id, o.instance_id, o.points[kept],
+                       o.transform)
+        for o, kept in zip(scene.objects, record.kept_indices)])

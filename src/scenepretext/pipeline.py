@@ -439,8 +439,8 @@ def load_pair(pair_dir, config: PipelineConfig | None = None
               ) -> tuple[ScenePair, PairManifest]:
     """Rebuild a ScenePair (complete scenes) from a pair directory.
 
-    Canonical object clouds are recovered by inverting the recorded
-    transforms on the stored complete geometry, so the returned pair
+    Each object holds its slice of the stored complete cloud as it is, in
+    the scene frame, and its recorded transform, so the returned pair
     replays occlusion and matching exactly as generated. Validates the
     config hash when a config is supplied. A missing manifest or file, a
     field of the wrong type, a record without a required key or an
@@ -486,10 +486,8 @@ def load_pair(pair_dir, config: PipelineConfig | None = None
         start = 0
         for (category_id, instance_id, n), tf in zip(draws,
                                                      transforms[side]):
-            placed = pts[start:start + n]
-            canonical = tf.inverse().apply(placed)
             objects.append(ObjectInstance(category_id, instance_id,
-                                          canonical, tf))
+                                          pts[start:start + n], tf))
             start += n
         if start != pts.shape[0]:
             raise CorruptManifest(
@@ -581,20 +579,20 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     """Recompute the match set of a stored pair (CLI `match` backend).
 
     Without a config, the dataset's own (``pair_dir/../../summary.json``)
-    is used when present, so that with no overrides the result is the
-    stored match set and the config hash is checked.
+    is used, so that with no overrides the result is the stored match set;
+    a missing summary.json raises CorruptManifest. Either config's hash is
+    checked against the manifest.
     """
     pair_dir = Path(pair_dir)
-    dataset_dir = pair_dir.parent.parent
-    if config is None and (dataset_dir / "summary.json").exists():
-        config, _ = _load_summary(dataset_dir)
+    if config is None:
+        config, _ = _load_summary(pair_dir.parent.parent)
     pair, manifest = load_pair(pair_dir, config)
     occluded = ScenePair(
         replay_occlusion(pair.scene_a, manifest.occlusion_a),
         replay_occlusion(pair.scene_b, manifest.occlusion_b),
         manifest.pair_seed)
     if m_seeds is None:
-        m_seeds = (config or PipelineConfig()).m_seeds
+        m_seeds = config.m_seeds
     if theta is None:
         theta = manifest.theta
     return match_fps_pools(occluded, full_seed_pool(occluded.scene_a),

@@ -79,19 +79,18 @@ class Transform:
 
 @dataclass(frozen=True)
 class ObjectInstance:
-    """One placed object: canonical points plus its scene transform."""
+    """One placed object: its points in the scene frame and the transform
+    that placed its canonical cloud there, which matching carries seeds
+    with and manifests record."""
 
     category_id: int
     instance_id: int
-    canonical_points: np.ndarray
+    points: np.ndarray
     transform: Transform
 
     @property
     def n_points(self) -> int:
-        return self.canonical_points.shape[0]
-
-    def placed_points(self) -> np.ndarray:
-        return self.transform.apply(self.canonical_points)
+        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,10 @@ class SceneInstance:
     @classmethod
     def from_objects(cls, scene_type_id: int,
                      objects: Sequence[ObjectInstance]) -> "SceneInstance":
-        parts = [o.placed_points() for o in objects]
-        ids = np.concatenate([np.full(p.shape[0], k, dtype=np.intp)
-                              for k, p in enumerate(parts)])
+        ids = np.concatenate([np.full(o.n_points, k, dtype=np.intp)
+                              for k, o in enumerate(objects)])
         return cls(scene_type_id, tuple(objects),
-                   np.concatenate(parts, axis=0), ids)
+                   np.concatenate([o.points for o in objects], axis=0), ids)
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,8 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
 
     Each object gets an independent transform; placement is rejection
     sampling of the floor position until the transformed axis-aligned box
-    neither leaves the room nor intersects an already placed box. Raises
+    neither leaves the room nor intersects an already placed box; the object
+    keeps its cloud placed once by the accepted transform. Raises
     PlacementFailure once an object exhausts layout.max_attempts.
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
@@ -236,8 +235,9 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
             if ((blo <= placed_hi[:n_placed])
                     & (placed_lo[:n_placed] <= bhi)).all(axis=1).any():
                 continue
-            placed_by_k[k] = ObjectInstance(cat, inst, canonical,
-                                            Transform(rot, t, scale))
+            tf = Transform(rot, t, scale)
+            placed_by_k[k] = ObjectInstance(cat, inst, tf.apply(canonical),
+                                            tf)
             placed_lo[n_placed], placed_hi[n_placed] = blo, bhi
             n_placed += 1
             break

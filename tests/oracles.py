@@ -4,14 +4,16 @@ None of it is a program path. ``exact_match_oracle`` is the rejected
 exact-matching baseline; ``reference_match_points`` and
 ``reference_realize_scene`` are matching and placement as first written,
 one seed and one placed box at a time, and the program's vectorised
-versions must agree with them byte for byte; ``object_loss``/``point_loss`` run one
-contrastive graph builder on plain feature arrays; the ``reference_*``
-builders are the contrastive graphs as first written, with per-row
-dictionaries where the program's builders use index arithmetic. Both
-build the same tape, so their values and gradients agree bit for bit.
-``reference_linear`` and ``reference_fold`` are ``ad.linear`` and
-``ad.fold`` composed from one node per step, as the decoder first built
-them.
+versions must agree with them byte for byte, as must
+``reference_occluded_points``, which transforms an object's kept canonical
+points where the program selects rows of its placed points;
+``object_loss``/``point_loss`` run one contrastive graph builder on plain
+feature arrays; the ``reference_*`` graph builders are the contrastive
+graphs as first written, with per-row dictionaries where the program's
+builders use index arithmetic. Both build the same tape, so their values
+and gradients agree bit for bit. ``reference_linear`` and
+``reference_fold`` are ``ad.linear`` and ``ad.fold`` composed from one
+node per step, as the decoder first built them.
 """
 
 from typing import Sequence
@@ -124,8 +126,9 @@ def reference_realize_scene(spec: SceneSpec, asset_source: AssetSource,
             if any(_boxes_overlap(blo, bhi, plo, phi)
                    for plo, phi in boxes):
                 continue
-            placed_by_k[k] = ObjectInstance(cat, inst, canonical,
-                                            Transform(rot, t, scale))
+            tf = Transform(rot, t, scale)
+            placed_by_k[k] = ObjectInstance(cat, inst, tf.apply(canonical),
+                                            tf)
             boxes.append((blo, bhi))
             break
         else:
@@ -134,6 +137,17 @@ def reference_realize_scene(spec: SceneSpec, asset_source: AssetSource,
                 f"{layout.max_attempts} attempts")
     placed = [placed_by_k[k] for k in range(len(spec.draws))]
     return SceneInstance.from_objects(spec.scene_type_id, placed)
+
+
+def reference_occluded_points(asset_source: AssetSource,
+                               obj: ObjectInstance,
+                               kept: np.ndarray) -> np.ndarray:
+    """An occluded object's points the canonical way: the kept rows of its
+    asset's canonical cloud, then its transform. The program selects the
+    kept rows of the points already placed."""
+    canonical = np.asarray(asset_source(obj.category_id, obj.instance_id),
+                           dtype=np.float64)
+    return obj.transform.apply(canonical[kept])
 
 
 def matmul(a: ad.Var, b: ad.Var) -> ad.Var:

@@ -122,8 +122,8 @@ def test_criterion_4_occlusion_contract():
         for k in range(10):
             pts = rng.normal(size=(60, 3))
             pts -= pts.mean(axis=0)
-            objs.append(ObjectInstance(
-                k, 0, pts, Transform(np.eye(3), rng.uniform(0, 6, 3))))
+            tf = Transform(np.eye(3), rng.uniform(0, 6, 3))
+            objs.append(ObjectInstance(k, 0, tf.apply(pts), tf))
         scene = SceneInstance.from_objects(0, objs)
         occluded, record = occlude_scene(scene, 100_000 + scene_idx)
         for k, obj in enumerate(scene.objects):
@@ -136,8 +136,7 @@ def test_criterion_4_occlusion_contract():
             if kept.size != expected_kept:
                 report("4 occlusion contract", False,
                        f"kept {kept.size} != {expected_kept}")
-            d = np.linalg.norm(obj.placed_points() - record.viewpoint,
-                               axis=1)
+            d = np.linalg.norm(obj.points - record.viewpoint, axis=1)
             removed = np.setdiff1d(np.arange(60), kept)
             if removed.size and kept.size \
                     and d[removed].min() < d[kept].max() - 1e-12:

@@ -246,7 +246,7 @@ def test_matching_invariant_to_joint_rigid_motion_of_b():
 
     motion = Transform(yaw(1.234), np.array([3.0, -2.0, 0.7]))
     moved_objects = [
-        type(o)(o.category_id, o.instance_id, o.canonical_points,
+        type(o)(o.category_id, o.instance_id, motion.apply(o.points),
                 motion.compose(o.transform))
         for o in pair.scene_b.objects
     ]

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenepretext.errors import DegenerateObject
-from scenepretext.occlusion import occlude_scene, replay_occlusion
-from scenepretext.scenegen import ObjectInstance, SceneInstance, Transform
+from oracles import reference_occluded_points
+from scenepretext.assets import ProceduralAssetSource
+from scenepretext.catalog import load_default_scannet_parameters
+from scenepretext.errors import DegenerateObject, PlacementFailure
+from scenepretext.occlusion import (occlude_pair, occlude_scene,
+                                    replay_occlusion)
+from scenepretext.scenegen import (ObjectInstance, SceneInstance, Transform,
+                                   make_scene_pair)
 
 
 def toy_scene(n_objects=3, n_points=100, seed=0):
@@ -14,9 +21,10 @@ def toy_scene(n_objects=3, n_points=100, seed=0):
     for k in range(n_objects):
         pts = rng.normal(size=(n_points, 3))
         pts -= pts.mean(axis=0)
+        tf = Transform(np.eye(3), rng.uniform(0, 5, size=3))
         objects.append(ObjectInstance(
-            category_id=k, instance_id=0, canonical_points=pts,
-            transform=Transform(np.eye(3), rng.uniform(0, 5, size=3))))
+            category_id=k, instance_id=0, points=tf.apply(pts),
+            transform=tf))
     return SceneInstance.from_objects(0, objects)
 
 
@@ -34,7 +42,7 @@ def test_half_fraction_sort_oracle():
     scene = toy_scene(n_objects=1, n_points=100)
     occluded, record = occlude_scene(scene, 2, fractions=np.array([0.5]))
     assert occluded.objects[0].n_points == 50
-    placed = scene.objects[0].placed_points()
+    placed = scene.objects[0].points
     d = np.linalg.norm(placed - record.viewpoint, axis=1)
     kept = record.kept_indices[0]
     removed = np.setdiff1d(np.arange(100), kept)
@@ -119,9 +127,8 @@ def test_surviving_point_order_preserved():
     occluded, record = occlude_scene(scene, 9, fractions=np.array([0.3]))
     kept = record.kept_indices[0]
     assert np.all(np.diff(kept) > 0)
-    np.testing.assert_array_equal(
-        occluded.objects[0].canonical_points,
-        scene.objects[0].canonical_points[kept])
+    np.testing.assert_array_equal(occluded.objects[0].points,
+                                  scene.objects[0].points[kept])
 
 
 def test_degenerate_object_rejected():
@@ -142,3 +149,26 @@ def test_record_roundtrip_via_dict():
     np.testing.assert_array_equal(back.fractions, record.fractions)
     for a, b in zip(back.kept_indices, record.kept_indices):
         np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair_seed=st.integers(0, 2 ** 64 - 1), n_objects=st.integers(1, 14),
+       n_points=st.sampled_from([8, 9, 33, 256]))
+def test_row_selection_equals_canonical_path(pair_seed, n_objects, n_points):
+    """Selecting kept rows of the placed points gives the bytes of placing
+    the kept canonical points, object by object and merged."""
+    source = ProceduralAssetSource(n_points=n_points)
+    try:
+        pair = make_scene_pair(load_default_scannet_parameters(), n_objects,
+                               source, pair_seed)
+    except PlacementFailure:
+        return
+    occluded, rec_a, rec_b = occlude_pair(pair, pair_seed, occlude=True)
+    for scene, record in ((occluded.scene_a, rec_a),
+                          (occluded.scene_b, rec_b)):
+        want = [reference_occluded_points(source, obj, kept)
+                for obj, kept in zip(scene.objects, record.kept_indices,
+                                     strict=True)]
+        for obj, points in zip(scene.objects, want):
+            assert obj.points.tobytes() == points.tobytes()
+        assert scene.points.tobytes() == np.concatenate(want).tobytes()

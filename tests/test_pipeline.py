@@ -23,7 +23,7 @@ from scenepretext.decoder import (DecoderHeads, ToyEncoder, forward_backward,
                                   load_checkpoint, save_checkpoint)
 from scenepretext.errors import CorruptManifest, DimensionMismatch
 from scenepretext.losses import chamfer_distance
-from scenepretext.occlusion import occlude_pair
+from scenepretext.occlusion import occlude_pair, replay_occlusion
 from scenepretext.pipeline import (PairManifest, PipelineConfig,
                                    evaluate_losses, export_point_cloud,
                                    generate_dataset, list_pair_dirs,
@@ -324,13 +324,19 @@ def test_pair_write_replaces_a_leftover_temporary(tmp_path):
 # of seed 2 (l_overall with it in two of the three); every tree file and
 # every l_obj, l_pts and l_rec_coarse bit is unchanged, and seed 0's digest
 # did not move.
+# Updated again when objects began to hold their points in the scene frame:
+# load_pair used to rebuild each object's canonical cloud by inverting its
+# transform and re-apply the transform to it, and now keeps the stored
+# float32 cloud as it is, so only the loss report moved, by rounding: the
+# largest relative move of any loss term is 4.4e-16 (l_obj, seed 1; at most
+# 2.7e-16 on l_overall). A tree-only digest of each config is unchanged.
 GOLDEN = [
     (0, "binary-f32",
-     "94938a4e65081c6f3dfd901addc74cc46cd954b63e61e75f9ef868e7d11fbd9a"),
+     "113a8f9fee70eeceabcc314237896a0935c2934f24e5d3a2e1d36b5933cead73"),
     (1, "binary-f32",
-     "85367f7381f7a10a9c6349893fd1bde78c1927213cd4d10b8a3f8fbfc34e471a"),
+     "201b323768727e6059b62e0dafd715202c91410957519a3812f94d1c2b85d696"),
     (2, "ascii-ply",
-     "ff618ab642024b8e248945ae648bf385f5c2625d97e4c2745389eb8b87f822b3"),
+     "3e00fbd4a054104c75926c9f0b124d908026190d5a6c35809e5e88c3de6ba86a"),
 ]
 
 
@@ -371,6 +377,34 @@ def test_losses_redraws_the_stored_occlusion(tmp_path, master_seed, fmt):
             for k_got, k_stored in zip(got.kept_indices,
                                        stored.kept_indices):
                 np.testing.assert_array_equal(k_got, k_stored)
+
+
+@pytest.mark.parametrize("fmt", ["binary-f32", "ascii-ply"])
+def test_loaded_pair_holds_the_stored_clouds(tmp_path, fmt):
+    """Each loaded object is its slice of the stored complete cloud, and
+    replaying the stored occlusion on the loaded scene gives the stored
+    occluded cloud byte for byte."""
+    config = PipelineConfig(n_scenes=4, master_seed=5, export_format=fmt)
+    generate_dataset(config, tmp_path / "ds", progress=False)
+    names = pair_files(fmt)
+    for pdir in list_pair_dirs(tmp_path / "ds"):
+        pair, manifest = load_pair(pdir, config)
+        for side, scene in (("a", pair.scene_a), ("b", pair.scene_b)):
+            complete = load_point_cloud(
+                pdir / names[f"scene_{side}_complete"], fmt)
+            start = 0
+            for obj in scene.objects:
+                stop = start + obj.n_points
+                assert obj.points.tobytes() == complete[start:stop].tobytes()
+                start = stop
+            assert start == complete.shape[0]
+            replayed = replay_occlusion(
+                scene, getattr(manifest, f"occlusion_{side}"))
+            stored = pdir / names[f"scene_{side}_occluded"]
+            assert (replayed.points.astype("<f4").tobytes()
+                    == load_point_cloud(stored, fmt).astype("<f4").tobytes())
+            export_point_cloud(replayed.points, tmp_path / "replayed", fmt)
+            assert (tmp_path / "replayed").read_bytes() == stored.read_bytes()
 
 
 # One sha256 per gradient term (sorted parameter name; name, shape and
@@ -583,6 +617,16 @@ def test_match_reads_and_validates_dataset_config(tmp_path):
     doc["config"]["bogus"] = 1
     summary.write_text(json.dumps(doc))
     assert main(["match", str(list_pair_dirs(tmp_path / "ds")[0])]) == 2
+    # without summary.json the dataset's M is unknown; a config passed in
+    # is still checked against the manifest
+    summary.unlink()
+    pdir = list_pair_dirs(tmp_path / "ds")[0]
+    with pytest.raises(CorruptManifest):
+        match_pair_dir(pdir)
+    with pytest.raises(CorruptManifest):
+        match_pair_dir(pdir, PipelineConfig(**dict(SMALL, m_seeds=100)))
+    stored = json.loads((pdir / "manifest.json").read_text())["matches"]
+    assert len(match_pair_dir(pdir, config)) == len(stored)
 
 
 def test_pair_generation_is_order_independent(tmp_path):
@@ -898,6 +942,13 @@ def _match_zero_seeds(tmp_path):
     return ["match", str(list_pair_dirs(dataset)[0]), "--m-seeds", "0"]
 
 
+def _match_without_summary(tmp_path):
+    # summary.json holds the M the stored matches were drawn with
+    dataset, _ = _tiny_dataset(tmp_path)
+    (dataset / "summary.json").unlink()
+    return ["match", str(list_pair_dirs(dataset)[0])]
+
+
 def _assets_below_u_squared(tmp_path):
     # 8-point instances: one object cannot supply the u * u = 9 targets of
     # a seed, which the config cannot see for a directory source
@@ -955,6 +1006,7 @@ CLI_INPUT_FAULTS = {
     "missing-pair-dir": lambda tmp: _losses_without_pair_file(tmp, None),
     "summary-without-config": _summary_without_config,
     "match-zero-seeds": _match_zero_seeds,
+    "match-without-summary": _match_without_summary,
     "config-below-u-squared": lambda tmp: [
         "generate", "--out", str(tmp / "ds"), "--seed", "0",
         "--n-objects", "1", "--points-per-object", "8", "--u", "3"],

@@ -221,10 +221,12 @@ def test_merged_points_match_transform_invariant():
     assert sorted(np.unique(scene.point_object_ids)) == list(range(8))
     for k, obj in enumerate(scene.objects):
         tagged = scene.points[scene.point_object_ids == k]
+        canonical = src(obj.category_id, obj.instance_id)
         expected = obj.transform.scale * \
-            obj.canonical_points @ obj.transform.rotation.T \
+            canonical @ obj.transform.rotation.T \
             + obj.transform.translation
         assert np.abs(tagged - expected).max() < 1e-9
+        np.testing.assert_array_equal(obj.points, tagged)
 
 
 # -------------------------------------------------------------- scene pair
