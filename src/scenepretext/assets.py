@@ -63,11 +63,7 @@ def _box_parts(cx, cy, cz, w, d, h):
 def _build_parts(kind: str, w: float, d: float, h: float):
     """Primitive composition for one archetype; z spans [0, h]."""
     t = 0.05  # slab thickness used by legs/panels
-    if kind == "box":
-        return _box_parts(0, 0, h / 2, w, d, h)
-    if kind == "slab":
-        return _box_parts(0, 0, h / 2, w, d, h)
-    if kind == "tall_box":
+    if kind in ("box", "slab", "tall_box"):
         return _box_parts(0, 0, h / 2, w, d, h)
     if kind == "panel":
         return (_box_parts(0, 0, 0.04, w * 0.4, d * 2, 0.08)

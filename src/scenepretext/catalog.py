@@ -20,6 +20,9 @@ from .errors import AllZeroCounts, CorruptManifest, DimensionMismatch
 
 SUM_TOL = 1e-9
 
+# the paper's uniform-mixing weight of the epsilon-greedy category sampler
+EPSILON = 0.1
+
 # most instances one category may have: fitting gives each a probability,
 # so a larger count would allocate that many floats
 MAX_INSTANCES = 1 << 20
@@ -110,7 +113,7 @@ class SceneDistribution:
     scene_prior: np.ndarray
     category_given_scene: np.ndarray
     instance_given_category: tuple[np.ndarray, ...]
-    epsilon: float = 0.1
+    epsilon: float = EPSILON
 
     def __post_init__(self):
         object.__setattr__(self, "scene_labels", tuple(self.scene_labels))
@@ -204,7 +207,7 @@ def fit_scene_distribution(
     scene_table: CategoryTable,
     per_scene_object_tables: Sequence[CategoryTable],
     instances_per_category: Sequence[int],
-    epsilon: float = 0.1,
+    epsilon: float = EPSILON,
 ) -> SceneDistribution:
     """Fit the full chain from occurrence counts.
 
@@ -275,7 +278,7 @@ def _ipf_conditional(prior: np.ndarray, marginal: np.ndarray,
 
 
 def load_default_scannet_parameters(
-    epsilon: float = 0.1,
+    epsilon: float = EPSILON,
     instances_per_category: int = 8,
 ) -> SceneDistribution:
     """Bundled default parameters built from ScanNetV2 statistics.

@@ -15,10 +15,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from .assets import ProceduralAssetSource
-from .catalog import CategoryTable, fit_scene_distribution
+from .catalog import EPSILON, CategoryTable, fit_scene_distribution
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       gradient_check, prepare_scene_pair)
 from .errors import ScenePretextError
+from .losses import TAU
 from .pipeline import (PipelineConfig, evaluate_losses, generate_dataset,
                        match_pair_dir)
 from .scenegen import make_scene_pair
@@ -86,8 +87,6 @@ def _cmd_match(args) -> int:
     pair_dir = Path(args.pair)
     if not (pair_dir / "manifest.json").exists():
         raise UsageError(f"{pair_dir}: no manifest.json")
-    if args.m_seeds is not None and args.m_seeds < 1:
-        raise UsageError(f"--m-seeds must be >= 1, got {args.m_seeds}")
     matches = match_pair_dir(pair_dir, m_seeds=args.m_seeds,
                              theta=args.theta, full_pool=args.full_pool)
     doc = {"theta": matches.theta, "n_matches": len(matches),
@@ -165,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("counts", help="JSON with scene_counts, objects_per_scene,"
                                   " instances_per_category")
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("generate", help="generate a paired-scene dataset")
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="verify analytic gradients by finite differences")
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--tau", type=float, default=0.03)
+    p.add_argument("--tau", type=float, default=TAU)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--rtol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)

@@ -27,7 +27,8 @@ from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
                              match_fps_pools, sample_seed_set)
 from .errors import (CorruptManifest, DimensionMismatch, EmptyBatch,
                      TooFewPoints)
-from .losses import LossReport, object_level_graph, point_level_graph
+from .losses import (LAMBDA_PTS, LAMBDA_REC, TAU, LossReport,
+                     object_level_graph, point_level_graph)
 from .occlusion import occlude_pair
 from .scenegen import ScenePair, SceneInstance
 from .seeding import (STREAM_SEEDS_A, STREAM_SEEDS_B, STREAM_TARGETS_A,
@@ -378,16 +379,6 @@ def _reconstruction_graph(prepared: Sequence[PreparedPair],
             "l_rec_detail": ad.wsum(detail, w)}
 
 
-def _loss_graph(prepared: Sequence[PreparedPair], params: dict[str, ad.Var],
-                encoder: ToyEncoder, heads: DecoderHeads, tau: float
-                ) -> tuple[dict[str, ad.Var], dict]:
-    """Full forward tape over a batch; returns loss Vars and count info."""
-    sides = _encoded_sides(prepared, params, encoder)
-    losses, counts = _contrastive_graph(prepared, params, encoder, sides, tau)
-    losses.update(_reconstruction_graph(prepared, params, heads, sides))
-    return losses, counts
-
-
 def _param_arrays(encoder: ToyEncoder, heads: DecoderHeads
                   ) -> dict[str, np.ndarray]:
     """Every parameter, keyed "encoder.<name>" / "heads.<name>"."""
@@ -398,12 +389,15 @@ def _param_arrays(encoder: ToyEncoder, heads: DecoderHeads
 
 def _overall_graph(prepared, param_arrays, encoder, heads, tau, lambda_pts,
                    lambda_rec) -> tuple[dict[str, ad.Var], dict, dict]:
-    """Leaf Vars for ``param_arrays``, the loss Vars and counts; the losses
-    add l_rec = coarse + detail and l_overall = obj + lambda_pts * pts +
-    lambda_rec * rec to the four reported terms."""
+    """The full forward tape over a batch: leaf Vars for ``param_arrays``,
+    the loss Vars and counts; the losses add l_rec = coarse + detail and
+    l_overall = obj + lambda_pts * pts + lambda_rec * rec to the four
+    reported terms."""
     params = {k: ad.leaf(v) for k, v in param_arrays.items()}
-    losses, counts = _loss_graph(prepared, _short_names(params), encoder,
-                                 heads, tau)
+    short = _short_names(params)
+    sides = _encoded_sides(prepared, short, encoder)
+    losses, counts = _contrastive_graph(prepared, short, encoder, sides, tau)
+    losses.update(_reconstruction_graph(prepared, short, heads, sides))
     return params, _add_overall(losses, lambda_pts, lambda_rec), counts
 
 
@@ -421,10 +415,10 @@ def _add_overall(losses: dict[str, ad.Var], lambda_pts: float,
     return losses
 
 
-def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
+def forward_backward(prepared: Sequence[PreparedPair],
                      encoder: ToyEncoder, heads: DecoderHeads,
-                     tau: float = 0.03, lambda_pts: float = 0.1,
-                     lambda_rec: float = 100.0,
+                     tau: float = TAU, lambda_pts: float = LAMBDA_PTS,
+                     lambda_rec: float = LAMBDA_REC,
                      with_gradients: bool = True) -> LossReport:
     """Evaluate all pretext losses on a batch of prepared pairs.
 
@@ -436,8 +430,6 @@ def forward_backward(prepared: PreparedPair | Sequence[PreparedPair],
     That gradient comes from one reverse sweep of the l_overall root, so
     the encoder is swept once, not once per term.
     """
-    if isinstance(prepared, PreparedPair):
-        prepared = [prepared]
     if not prepared:
         raise EmptyBatch("no scene pairs")
     params, losses, counts = _overall_graph(
@@ -540,20 +532,18 @@ class GradientCheckResult:
     n_kink_entries: int = 0
 
 
-def _forward_values(prepared, param_arrays, encoder, heads, tau,
-                    lambda_pts, lambda_rec) -> dict[str, float]:
-    _, losses, _ = _overall_graph(prepared, param_arrays, encoder, heads,
-                                  tau, lambda_pts, lambda_rec)
-    return {t: losses[t].item()
-            for t in ("l_obj", "l_pts", "l_rec", "l_overall")}
+# gradient_check compares entries below this magnitude absolutely
+GRADCHECK_FLOOR = 1e-3
+# a failing entry is re-probed at step / GRADCHECK_KINK_REFINE
+GRADCHECK_KINK_REFINE = 16
 
 
 def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
-                   heads: DecoderHeads, tau: float = 0.03,
-                   lambda_pts: float = 0.1, lambda_rec: float = 100.0,
-                   step: float = 1e-5, rtol: float = 1e-4,
-                   floor: float = 1e-3,
-                   kink_refine: int = 16) -> GradientCheckResult:
+                   heads: DecoderHeads, tau: float = TAU,
+                   lambda_pts: float = LAMBDA_PTS,
+                   lambda_rec: float = LAMBDA_REC,
+                   step: float = 1e-5,
+                   rtol: float = 1e-4) -> GradientCheckResult:
     """Central finite differences against the analytic gradients.
 
     The l_obj, l_pts and l_rec gradients come from one sweep of each term;
@@ -563,27 +553,26 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
 
     For every scalar parameter the full forward pass is evaluated at +/-
     step and compared per term. The per-entry relative error is
-    |analytic - numeric| / max(|analytic|, |numeric|, floor); entries
-    smaller than the floor are thus compared absolutely at floor * rtol
-    (1e-7 by default), which sits well above central-difference roundoff
-    (about eps * |loss| / step, around 1e-9 here) and well below the
-    magnitude any genuinely wrong gradient produces.
+    |analytic - numeric| / max(|analytic|, |numeric|, GRADCHECK_FLOOR);
+    entries smaller than the floor are thus compared absolutely at
+    floor * rtol (1e-7 by default), which sits well above
+    central-difference roundoff (about eps * |loss| / step, around 1e-9
+    here) and well below the magnitude any genuinely wrong gradient
+    produces.
 
     The losses are piecewise smooth (ReLU, max-pooling, nearest-neighbor
     assignments), so a probe of +/- step occasionally straddles an argmin
     reassignment where the finite difference no longer estimates the
     derivative. Entries that fail at the primary step are therefore
-    re-probed at step/kink_refine: a genuinely wrong gradient still fails,
-    while a crossing is confirmed against the refined estimate. Confirmed
-    crossings are counted in n_kink_entries.
+    re-probed at step / GRADCHECK_KINK_REFINE: a genuinely wrong gradient
+    still fails, while a crossing is confirmed against the refined
+    estimate. Confirmed crossings are counted in n_kink_entries.
 
     A parameter the features z do not depend on (a projection or head
     weight) moves only one half of the loss graph, so its probes rebuild
     that half on the unperturbed z and reuse the other half's values;
     every probe value is bit-identical to a full forward pass.
     """
-    if isinstance(prepared, PreparedPair):
-        prepared = [prepared]
     analytic = _term_gradients(prepared, encoder, heads, tau, lambda_pts,
                                lambda_rec)
     analytic.update(forward_backward(prepared, encoder, heads, tau,
@@ -610,12 +599,13 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
 
     def values(name) -> dict[str, float]:
         if name in feeds_z:
-            return _forward_values(prepared, work, encoder, heads, tau,
-                                   lambda_pts, lambda_rec)
-        losses = {}
-        for half, fixed, feeds in zip(halves, base, feeds_half):
-            losses.update(half() if name in feeds else fixed)
-        losses = _add_overall(losses, lambda_pts, lambda_rec)
+            _, losses, _ = _overall_graph(prepared, work, encoder, heads,
+                                          tau, lambda_pts, lambda_rec)
+        else:
+            losses = {}
+            for half, fixed, feeds in zip(halves, base, feeds_half):
+                losses.update(half() if name in feeds else fixed)
+            losses = _add_overall(losses, lambda_pts, lambda_rec)
         return {t: losses[t].item() for t in terms}
 
     def fd_at(work, name, i, h) -> dict[str, float]:
@@ -629,7 +619,7 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
         return {t: (plus[t] - minus[t]) / (2 * h) for t in terms}
 
     def rel_err(a: float, n: float) -> float:
-        return abs(a - n) / max(abs(a), abs(n), floor)
+        return abs(a - n) / max(abs(a), abs(n), GRADCHECK_FLOOR)
 
     per_term = {t: 0.0 for t in terms}
     worst = {t: "" for t in terms}
@@ -645,7 +635,8 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
                 rel = rel_err(a, numeric[t])
                 if rel > rtol:
                     if refined is None:
-                        refined = fd_at(work, name, i, step / kink_refine)
+                        refined = fd_at(work, name, i,
+                                        step / GRADCHECK_KINK_REFINE)
                         n_kink += 1
                     rel = rel_err(a, refined[t])
                 if rel > per_term[t]:

@@ -34,6 +34,13 @@ from . import autodiff as ad
 from .correspondence import MatchSet
 from .errors import EmptySet, NonFiniteInput
 
+# the paper's InfoNCE temperature and the weights of l_pts and l_rec in
+# l_overall
+TAU = 0.03
+LAMBDA_PTS = 0.1
+LAMBDA_REC = 100.0
+
+
 @dataclass
 class LossReport:
     """All loss terms of one batch plus the optional l_overall gradient."""

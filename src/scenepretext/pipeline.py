@@ -21,12 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .assets import DirectoryAssetSource, ProceduralAssetSource
-from .catalog import SceneDistribution, load_default_scannet_parameters
+from .catalog import (EPSILON, SceneDistribution,
+                      load_default_scannet_parameters)
 from .correspondence import MatchSet, full_seed_pool, match_fps_pools
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       forward_backward, load_checkpoint, prepare_scene_pair)
 from .errors import CorruptManifest, NonFiniteInput, PlacementFailure
-from .losses import LossReport
+from .losses import LAMBDA_PTS, LAMBDA_REC, TAU, LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
                        ScenePair, Transform, make_scene_pair)
@@ -49,19 +50,20 @@ def _from_dict(cls, doc: dict, what: str):
 class PipelineConfig:
     """Every knob of the generation/evaluation pipeline.
 
-    Numeric ranges are validated on construction; the config hash is a
-    sha256 over the canonical JSON dump and identifies datasets.
+    Numeric ranges are validated on construction, the one check of run
+    parameters; the config hash is a sha256 over the canonical JSON dump
+    and identifies datasets.
     """
 
     n_scenes: int = 10
     n_objects_per_scene: int = 12
     points_per_object: int = 256
-    epsilon: float = 0.1
+    epsilon: float = EPSILON
     m_seeds: int = 100
     theta: float = 0.1
-    tau: float = 0.03
-    lambda_pts: float = 0.1
-    lambda_rec: float = 100.0
+    tau: float = TAU
+    lambda_pts: float = LAMBDA_PTS
+    lambda_rec: float = LAMBDA_REC
     u: int = 3
     n_encoder_seeds: int = 64
     feature_dim: int = 32
@@ -279,32 +281,6 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
     then rename that directory into place, replacing an earlier pair of the
     same id. An interrupted write leaves no ``pair_NNNNN`` directory, and
     ``list_pair_dirs`` skips the dot-prefixed temporary."""
-    final = _pair_dir(out_dir, pair_id)
-    pdir = final.with_name(f".{final.name}.tmp")
-    if pdir.exists():
-        shutil.rmtree(pdir)
-    pdir.mkdir(parents=True)
-    try:
-        manifest = _write_pair_files(pdir, pair_id, pair, occluded, rec_a,
-                                     rec_b, matches, dist, config)
-        if final.exists():
-            shutil.rmtree(final)
-        os.replace(pdir, final)
-    except BaseException:
-        shutil.rmtree(pdir, ignore_errors=True)
-        raise
-    return manifest
-
-
-def _write_pair_files(pdir: Path, pair_id: int, pair: ScenePair,
-                      occluded: ScenePair, rec_a: OcclusionRecord,
-                      rec_b: OcclusionRecord, matches: MatchSet,
-                      dist: SceneDistribution,
-                      config: PipelineConfig) -> PairManifest:
-    clouds = (pair.scene_a, pair.scene_b, occluded.scene_a, occluded.scene_b)
-    for fname, scene in zip(pair_files(config.export_format).values(),
-                            clouds):
-        export_point_cloud(scene.points, pdir / fname, config.export_format)
     manifest = PairManifest(
         pair_id=pair_id,
         pair_seed=pair.pair_seed,
@@ -324,10 +300,27 @@ def _write_pair_files(pdir: Path, pair_id: int, pair: ScenePair,
         export_format=config.export_format,
         config_hash=config.config_hash(),
     )
-    # dumps, not dump: only the one-shot encoder runs in C
-    with open(pdir / "manifest.json", "w", newline="\n") as f:
-        f.write(json.dumps(manifest.to_dict(), sort_keys=True,
-                           separators=(",", ":")) + "\n")
+    clouds = (pair.scene_a, pair.scene_b, occluded.scene_a, occluded.scene_b)
+    final = _pair_dir(out_dir, pair_id)
+    pdir = final.with_name(f".{final.name}.tmp")
+    if pdir.exists():
+        shutil.rmtree(pdir)
+    pdir.mkdir(parents=True)
+    try:
+        for fname, scene in zip(pair_files(config.export_format).values(),
+                                clouds):
+            export_point_cloud(scene.points, pdir / fname,
+                               config.export_format)
+        # dumps, not dump: only the one-shot encoder runs in C
+        with open(pdir / "manifest.json", "w", newline="\n") as f:
+            f.write(json.dumps(manifest.to_dict(), sort_keys=True,
+                               separators=(",", ":")) + "\n")
+        if final.exists():
+            shutil.rmtree(final)
+        os.replace(pdir, final)
+    except BaseException:
+        shutil.rmtree(pdir, ignore_errors=True)
+        raise
     return manifest
 
 
@@ -435,14 +428,14 @@ def _load_summary(dataset_dir: Path) -> tuple[PipelineConfig, int]:
         raise CorruptManifest(f"{summary_path}: {e!r}") from None
 
 
-def load_pair(pair_dir, config: PipelineConfig | None = None
+def load_pair(pair_dir, config: PipelineConfig
               ) -> tuple[ScenePair, PairManifest]:
     """Rebuild a ScenePair (complete scenes) from a pair directory.
 
     Each object holds its slice of the stored complete cloud as it is, in
     the scene frame, and its recorded transform, so the returned pair
-    replays occlusion and matching exactly as generated. Validates the
-    config hash when a config is supplied. A missing manifest or file, a
+    replays occlusion and matching exactly as generated. A manifest whose
+    config hash is not ``config``'s, a missing manifest or file, a
     field of the wrong type, a record without a required key or an
     occlusion record whose kept indices do not fit the objects raises
     CorruptManifest.
@@ -453,7 +446,7 @@ def load_pair(pair_dir, config: PipelineConfig | None = None
         raise CorruptManifest(f"{mpath}: missing")
     with open(mpath) as f:
         manifest = PairManifest.from_dict(json.load(f))
-    if config is not None and manifest.config_hash != config.config_hash():
+    if manifest.config_hash != config.config_hash():
         raise CorruptManifest(
             f"pair {manifest.pair_id}: config hash mismatch")
     try:
@@ -581,20 +574,21 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     Without a config, the dataset's own (``pair_dir/../../summary.json``)
     is used, so that with no overrides the result is the stored match set;
     a missing summary.json raises CorruptManifest. Either config's hash is
-    checked against the manifest.
+    checked against the manifest; the ``m_seeds`` and ``theta`` overrides
+    are then applied to that config, which checks them as it checks
+    `generate`'s flags.
     """
     pair_dir = Path(pair_dir)
     if config is None:
         config, _ = _load_summary(pair_dir.parent.parent)
     pair, manifest = load_pair(pair_dir, config)
+    config = replace(config, **{k: v for k, v in (("m_seeds", m_seeds),
+                                                  ("theta", theta))
+                                if v is not None})
     occluded = ScenePair(
         replay_occlusion(pair.scene_a, manifest.occlusion_a),
         replay_occlusion(pair.scene_b, manifest.occlusion_b),
         manifest.pair_seed)
-    if m_seeds is None:
-        m_seeds = config.m_seeds
-    if theta is None:
-        theta = manifest.theta
     return match_fps_pools(occluded, full_seed_pool(occluded.scene_a),
-                           full_seed_pool(occluded.scene_b), m_seeds, theta,
-                           manifest.pair_seed, full_pool)
+                           full_seed_pool(occluded.scene_b), config.m_seeds,
+                           config.theta, manifest.pair_seed, full_pool)

@@ -13,7 +13,7 @@ from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.correspondence import (SeedSet, farthest_point_sample,
                                          match_points, sample_seed_set)
 from scenepretext.decoder import (DecoderHeads, EncoderConfig, HeadsConfig,
-                                  ToyEncoder, _loss_graph, _term_gradients,
+                                  ToyEncoder, _overall_graph, _term_gradients,
                                   build_targets, decode, decode_graph,
                                   forward_backward, gradient_check,
                                   load_checkpoint, make_grid,
@@ -269,11 +269,10 @@ def test_overall_gradient_matches_weighted_root_backward(lam_p, lam_r):
     rep = forward_backward(prepared, enc, heads, lambda_pts=lam_p,
                            lambda_rec=lam_r)
     # an independent tape whose single root is the lambda-weighted sum
-    params = {f"encoder.{k}": ad.leaf(v) for k, v in enc.params.items()}
-    params.update({f"heads.{k}": ad.leaf(v) for k, v in heads.params.items()})
-    losses, _ = _loss_graph(
-        prepared, {k.split(".", 1)[1]: v for k, v in params.items()},
-        enc, heads, 0.03)
+    arrays = {f"encoder.{k}": v for k, v in enc.params.items()}
+    arrays.update({f"heads.{k}": v for k, v in heads.params.items()})
+    params, losses, _ = _overall_graph(prepared, arrays, enc, heads, 0.03,
+                                       lam_p, lam_r)
     root = ad.wsum([losses["l_obj"], losses["l_pts"], losses["l_rec_coarse"],
                     losses["l_rec_detail"]], [1.0, lam_p, lam_r, lam_r])
     root.backward()
@@ -369,12 +368,6 @@ def test_prepare_without_occlusion_samples_the_complete_scenes():
     for field in ("a_indices", "b_indices", "distances", "object_ids"):
         np.testing.assert_array_equal(getattr(pp.matches, field),
                                       getattr(want, field))
-
-
-def test_single_prepared_pair_accepted():
-    prepared, enc, heads = tiny_batch()
-    rep = forward_backward(prepared[0], enc, heads, with_gradients=False)
-    assert np.isfinite(rep.l_overall)
 
 
 def test_gradient_check_tiny_batch():

@@ -810,8 +810,8 @@ def test_evaluate_losses_object_without_encoder_seeds(tmp_path):
                          rng_seed=mix64(config.master_seed, 0xE0C))
     heads = DecoderHeads(config.heads_config(),
                          rng_seed=mix64(config.master_seed, 0xDEC))
-    rep = forward_backward(pp, encoder, heads, config.tau, config.lambda_pts,
-                           config.lambda_rec)
+    rep = forward_backward([pp], encoder, heads, config.tau,
+                           config.lambda_pts, config.lambda_rec)
     assert np.isfinite(rep.l_overall)
     assert all(np.all(np.isfinite(g)) for term in rep.gradients.values()
                for g in term.values())
