@@ -492,7 +492,8 @@ def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:
 
     Bad structure (missing key, unknown config field or parameter scope)
     or a non-finite value raises CorruptManifest; a wrong tensor size or
-    shape DimensionMismatch.
+    shape, or heads whose feature_dim is not the encoder's,
+    DimensionMismatch.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -503,6 +504,10 @@ def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:
                    for key, entry in doc["params"].items()}
     except (KeyError, TypeError) as e:  # missing key, unknown config field
         raise CorruptManifest(f"checkpoint {path}: {e!r}") from None
+    if enc_cfg.feature_dim != heads_cfg.feature_dim:
+        raise DimensionMismatch(
+            f"checkpoint {path}: encoder feature_dim {enc_cfg.feature_dim}, "
+            f"heads feature_dim {heads_cfg.feature_dim}")
     scoped: dict[str, dict[str, np.ndarray]] = {"encoder": {}, "heads": {}}
     for key, (data, shape) in entries.items():
         scope, _, name = key.partition(".")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -26,7 +27,8 @@ from .catalog import (EPSILON, SceneDistribution,
 from .correspondence import MatchSet, full_seed_pool, match_fps_pools
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       forward_backward, load_checkpoint, prepare_scene_pair)
-from .errors import CorruptManifest, NonFiniteInput, PlacementFailure
+from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
+                     PlacementFailure)
 from .losses import LAMBDA_PTS, LAMBDA_REC, TAU, LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
@@ -50,9 +52,9 @@ def _from_dict(cls, doc: dict, what: str):
 class PipelineConfig:
     """Every knob of the generation/evaluation pipeline.
 
-    Numeric ranges are validated on construction, the one check of run
-    parameters; the config hash is a sha256 over the canonical JSON dump
-    and identifies datasets.
+    Every float must be finite and every range hold on construction, the
+    one check of run parameters; the config hash is a sha256 over the
+    canonical JSON dump and identifies datasets.
     """
 
     n_scenes: int = 10
@@ -83,7 +85,9 @@ class PipelineConfig:
     distribution_file: str | None = None
 
     def __post_init__(self):
-        checks = [
+        checks = [(math.isfinite(v), f"{k} is finite")
+                  for k, v in vars(self).items() if isinstance(v, float)]
+        checks += [
             (self.n_scenes >= 1, "n_scenes >= 1"),
             (self.n_objects_per_scene >= 1, "n_objects_per_scene >= 1"),
             (self.points_per_object >= 8, "points_per_object >= 8"),
@@ -100,6 +104,7 @@ class PipelineConfig:
             (self.n_encoder_seeds >= 1, "n_encoder_seeds >= 1"),
             (self.export_format in FORMATS,
              f"export_format in {FORMATS}"),
+            (self.room_size > 0, "room_size > 0"),
             (0 < self.scale_min <= self.scale_max, "valid scale range"),
             (self.batch_pairs >= 1, "batch_pairs >= 1"),
         ]
@@ -508,7 +513,8 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
     Pairs are grouped into batches of config.batch_pairs; each report is
     appended as one JSON line to report_path (when given). The encoder and
     heads come from the checkpoint if supplied, otherwise from a seeded
-    random initialization derived from the master seed. Without a config,
+    random initialization derived from the master seed; a checkpoint whose
+    u differs from the config's raises DimensionMismatch. Without a config,
     summary.json supplies it and must count the pair directories. A NaN or
     infinite loss term raises NonFiniteInput naming the batch's pair ids.
     """
@@ -524,6 +530,10 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
         raise CorruptManifest(f"{dataset_dir}: no pair directories found")
     if checkpoint:
         encoder, heads = load_checkpoint(checkpoint)
+        if heads.config.u != config.u:
+            raise DimensionMismatch(
+                f"checkpoint {checkpoint}: heads fold u={heads.config.u}, "
+                f"the dataset's targets are built for u={config.u}")
     else:
         encoder = ToyEncoder(config.encoder_config(),
                              rng_seed=mix64(config.master_seed, 0xE0C))

@@ -19,8 +19,8 @@ import scenepretext
 from scenepretext import pipeline
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.cli import main
-from scenepretext.decoder import (DecoderHeads, ToyEncoder, forward_backward,
-                                  load_checkpoint, save_checkpoint)
+from scenepretext.decoder import (DecoderHeads, HeadsConfig, ToyEncoder,
+                                  forward_backward, save_checkpoint)
 from scenepretext.errors import CorruptManifest, DimensionMismatch
 from scenepretext.losses import chamfer_distance
 from scenepretext.occlusion import occlude_pair, replay_occlusion
@@ -694,6 +694,22 @@ def _wrong_shape(doc):
                                          "data": [0.0] * (rows * (cols + 1))}
 
 
+def _feature_dim_disagrees(doc):
+    # heads whole in themselves, built for features twice the encoder's
+    cfg = dict(doc["heads_config"],
+               feature_dim=2 * doc["heads_config"]["feature_dim"])
+    heads = DecoderHeads(HeadsConfig(**cfg))
+    doc["heads_config"] = cfg
+    doc["params"].update({f"heads.{k}": {"shape": list(v.shape),
+                                         "data": v.ravel().tolist()}
+                          for k, v in heads.params.items()})
+
+
+def _u_disagrees_with_dataset(doc):
+    # the heads' parameters do not depend on u, the targets' size does
+    doc["heads_config"]["u"] += 1
+
+
 @pytest.mark.parametrize("corrupt,error", [
     (_drop_params, CorruptManifest),
     (_drop_entry_data, CorruptManifest),
@@ -702,13 +718,17 @@ def _wrong_shape(doc):
     (_nan_encoder_weight, CorruptManifest),
     (_nan_head_weight, CorruptManifest),
     (_wrong_shape, DimensionMismatch),
+    (_feature_dim_disagrees, DimensionMismatch),
+    (_u_disagrees_with_dataset, DimensionMismatch),
 ], ids=["missing-key", "missing-entry-key", "unknown-config-field",
         "unknown-scope", "nan-encoder-weight", "nan-head-weight",
-        "wrong-shape"])
+        "wrong-shape", "feature-dim-disagrees", "u-disagrees-with-dataset"])
 def test_cli_losses_bad_checkpoint_exit_2(tmp_path, corrupt, error):
     argv = _losses_with_corrupt_checkpoint(tmp_path, corrupt)
+    # the u check needs the dataset, so the library call is evaluate_losses,
+    # which loads the checkpoint first
     with pytest.raises(error):
-        load_checkpoint(argv[-1])
+        evaluate_losses(argv[1], checkpoint=argv[-1], progress=False)
     assert main(argv) == 2
 
 
@@ -942,6 +962,16 @@ def _match_zero_seeds(tmp_path):
     return ["match", str(list_pair_dirs(dataset)[0]), "--m-seeds", "0"]
 
 
+def _match_theta(tmp_path, theta):
+    dataset, _ = _tiny_dataset(tmp_path)
+    return ["match", str(list_pair_dirs(dataset)[0]), "--theta", theta]
+
+
+def _generate_one_pair(tmp_path, *flags):
+    return ["generate", "--out", str(tmp_path / "ds"), "--seed", "1",
+            "--n-scenes", "1", *flags]
+
+
 def _match_without_summary(tmp_path):
     # summary.json holds the M the stored matches were drawn with
     dataset, _ = _tiny_dataset(tmp_path)
@@ -1007,6 +1037,16 @@ CLI_INPUT_FAULTS = {
     "summary-without-config": _summary_without_config,
     "match-zero-seeds": _match_zero_seeds,
     "match-without-summary": _match_without_summary,
+    "match-theta-nan": lambda tmp: _match_theta(tmp, "nan"),
+    "match-theta-inf": lambda tmp: _match_theta(tmp, "inf"),
+    "match-theta-0": lambda tmp: _match_theta(tmp, "0"),
+    "generate-room-size-nan":
+        lambda tmp: _generate_one_pair(tmp, "--room-size", "nan"),
+    "generate-room-size-inf":
+        lambda tmp: _generate_one_pair(tmp, "--room-size", "inf"),
+    "generate-room-size-0":
+        lambda tmp: _generate_one_pair(tmp, "--room-size", "0"),
+    "generate-theta-inf": lambda tmp: _generate_one_pair(tmp, "--theta", "inf"),
     "config-below-u-squared": lambda tmp: [
         "generate", "--out", str(tmp / "ds"), "--seed", "0",
         "--n-objects", "1", "--points-per-object", "8", "--u", "3"],
