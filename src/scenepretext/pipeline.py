@@ -592,8 +592,8 @@ def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
     if config is None:
         config, _ = _load_summary(pair_dir.parent.parent)
     pair, manifest = load_pair(pair_dir, config)
-    config = replace(config, **{k: v for k, v in (("m_seeds", m_seeds),
-                                                  ("theta", theta))
+    overrides = {"m_seeds": m_seeds, "theta": theta}
+    config = replace(config, **{k: v for k, v in overrides.items()
                                 if v is not None})
     occluded = ScenePair(
         replay_occlusion(pair.scene_a, manifest.occlusion_a),
