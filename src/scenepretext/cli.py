@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .assets import ProceduralAssetSource
 from .catalog import EPSILON, CategoryTable, fit_scene_distribution
@@ -84,10 +83,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    pair_dir = Path(args.pair)
-    if not (pair_dir / "manifest.json").exists():
-        raise UsageError(f"{pair_dir}: no manifest.json")
-    matches = match_pair_dir(pair_dir, m_seeds=args.m_seeds,
+    matches = match_pair_dir(args.pair, m_seeds=args.m_seeds,
                              theta=args.theta, full_pool=args.full_pool)
     doc = {"theta": matches.theta, "n_matches": len(matches),
            "matches": matches.to_records()}
@@ -102,10 +98,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_losses(args) -> int:
-    dataset = Path(args.dataset)
-    if not dataset.is_dir():
-        raise UsageError(f"{dataset}: not a directory")
-    evaluate_losses(dataset, checkpoint=args.checkpoint,
+    evaluate_losses(args.dataset, checkpoint=args.checkpoint,
                     report_path=args.report)
     return EXIT_OK
 

@@ -287,15 +287,23 @@ class PreparedPair:
 def prepare_scene_pair(pair: ScenePair, n_seeds: int, m_matches: int,
                        theta: float, u: int, rng_seed: int,
                        occlude: bool = True) -> PreparedPair:
-    """Occlude, sample encoder seeds, match, and build reconstruction targets.
+    """`occlude_pair`, then `prepare_occluded_pair` on its result."""
+    occluded, _, _ = occlude_pair(pair, rng_seed, occlude)
+    return prepare_occluded_pair(pair, occluded, n_seeds, m_matches, theta,
+                                 u, rng_seed)
+
+
+def prepare_occluded_pair(pair: ScenePair, occluded: ScenePair,
+                          n_seeds: int, m_matches: int, theta: float, u: int,
+                          rng_seed: int) -> PreparedPair:
+    """Sample encoder seeds, match, and build reconstruction targets.
 
     Encoder seeds are an FPS subset of each occluded scene; the match seeds
     are an FPS subset of the encoder seeds (scene A) matched against an
     equally sized FPS candidate pool of scene B's encoder seeds. Matches are
-    expressed as row indices into the encoder seed arrays. Without
-    ``occlude`` every point is kept.
+    expressed as row indices into the encoder seed arrays. Targets come from
+    the complete ``pair``.
     """
-    occluded, _, _ = occlude_pair(pair, rng_seed, occlude)
     scene_a, scene_b = occluded.scene_a, occluded.scene_b
     # seed count is clamped so the occluded cloud can supply the seeds and
     # the complete cloud can supply u^2 * n target points

@@ -26,7 +26,7 @@ from .catalog import (EPSILON, SceneDistribution,
                       load_default_scannet_parameters)
 from .correspondence import MatchSet, full_seed_pool, match_fps_pools
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
-                      forward_backward, load_checkpoint, prepare_scene_pair)
+                      forward_backward, load_checkpoint, prepare_occluded_pair)
 from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
                      PlacementFailure)
 from .losses import LAMBDA_PTS, LAMBDA_REC, TAU, LossReport
@@ -44,7 +44,7 @@ def _from_dict(cls, doc: dict, what: str):
     """Build a dataclass from a stored JSON object, refusing bad fields."""
     try:
         return cls(**doc)
-    except TypeError as e:  # unknown or missing keys, mistyped values
+    except (TypeError, ValueError) as e:  # bad keys, types or values
         raise CorruptManifest(f"{what}: {e}") from None
 
 
@@ -247,6 +247,12 @@ class PairManifest:
     theta: float
     export_format: str
     config_hash: str
+
+    def occluded(self, pair: ScenePair) -> ScenePair:
+        """The occluded pair that this manifest's two records select."""
+        return ScenePair(replay_occlusion(pair.scene_a, self.occlusion_a),
+                         replay_occlusion(pair.scene_b, self.occlusion_b),
+                         self.pair_seed)
 
     def to_dict(self) -> dict:
         return {**vars(self), "occlusion_a": self.occlusion_a.to_dict(),
@@ -510,8 +516,9 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
                     ) -> list[LossReport]:
     """Batch loss reports over a generated dataset.
 
-    Pairs are grouped into batches of config.batch_pairs; each report is
-    appended as one JSON line to report_path (when given). The encoder and
+    Each pair is evaluated on the occlusion its manifest records, in
+    batches of config.batch_pairs; each report is appended as one JSON
+    line to report_path (when given). The encoder and
     heads come from the checkpoint if supplied, otherwise from a seeded
     random initialization derived from the master seed; a checkpoint whose
     u differs from the config's raises DimensionMismatch. Without a config,
@@ -546,10 +553,9 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
             batch, batch_ids = [], []
             for pdir in pair_dirs[start:start + config.batch_pairs]:
                 pair, manifest = load_pair(pdir, config)
-                batch.append(prepare_scene_pair(
-                    pair, n_seeds=config.n_encoder_seeds,
-                    m_matches=config.m_seeds, theta=config.theta, u=config.u,
-                    rng_seed=manifest.pair_seed, occlude=config.occlude))
+                batch.append(prepare_occluded_pair(
+                    pair, manifest.occluded(pair), config.n_encoder_seeds,
+                    config.m_seeds, config.theta, config.u, pair.pair_seed))
                 batch_ids.append(manifest.pair_id)
             report = forward_backward(batch, encoder, heads, config.tau,
                                       config.lambda_pts, config.lambda_rec,
@@ -576,29 +582,22 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
     return reports
 
 
-def match_pair_dir(pair_dir, config: PipelineConfig | None = None,
-                   m_seeds: int | None = None, theta: float | None = None,
-                   full_pool: bool = False) -> MatchSet:
+def match_pair_dir(pair_dir, m_seeds: int | None = None,
+                   theta: float | None = None, full_pool: bool = False
+                   ) -> MatchSet:
     """Recompute the match set of a stored pair (CLI `match` backend).
 
-    Without a config, the dataset's own (``pair_dir/../../summary.json``)
-    is used, so that with no overrides the result is the stored match set;
-    a missing summary.json raises CorruptManifest. Either config's hash is
-    checked against the manifest; the ``m_seeds`` and ``theta`` overrides
-    are then applied to that config, which checks them as it checks
-    `generate`'s flags.
+    The dataset's config (``pair_dir/../../summary.json``, which must
+    exist) is checked against the manifest, so without overrides the
+    result is the stored match set. The ``m_seeds`` and ``theta``
+    overrides go through that config's checks, as `generate`'s flags do.
     """
-    pair_dir = Path(pair_dir)
-    if config is None:
-        config, _ = _load_summary(pair_dir.parent.parent)
+    config, _ = _load_summary(Path(pair_dir).parent.parent)
     pair, manifest = load_pair(pair_dir, config)
     overrides = {"m_seeds": m_seeds, "theta": theta}
     config = replace(config, **{k: v for k, v in overrides.items()
                                 if v is not None})
-    occluded = ScenePair(
-        replay_occlusion(pair.scene_a, manifest.occlusion_a),
-        replay_occlusion(pair.scene_b, manifest.occlusion_b),
-        manifest.pair_seed)
+    occluded = manifest.occluded(pair)
     return match_fps_pools(occluded, full_seed_pool(occluded.scene_a),
                            full_seed_pool(occluded.scene_b), config.m_seeds,
                            config.theta, manifest.pair_seed, full_pool)

@@ -20,15 +20,17 @@ from scenepretext import pipeline
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.cli import main
 from scenepretext.decoder import (DecoderHeads, HeadsConfig, ToyEncoder,
-                                  forward_backward, save_checkpoint)
+                                  forward_backward, prepare_occluded_pair,
+                                  save_checkpoint)
 from scenepretext.errors import CorruptManifest, DimensionMismatch
 from scenepretext.losses import chamfer_distance
-from scenepretext.occlusion import occlude_pair, replay_occlusion
+from scenepretext.occlusion import replay_occlusion
 from scenepretext.pipeline import (PairManifest, PipelineConfig,
                                    evaluate_losses, export_point_cloud,
                                    generate_dataset, list_pair_dirs,
                                    load_pair, load_point_cloud,
                                    match_pair_dir, pair_files)
+from scenepretext.scenegen import ScenePair
 from scenepretext.seeding import mix64
 
 SMALL = dict(n_scenes=3, n_objects_per_scene=4, points_per_object=48,
@@ -358,27 +360,6 @@ def test_golden_dataset_and_loss_digest(tmp_path, master_seed, fmt,
     assert h.hexdigest() == expected
 
 
-@pytest.mark.parametrize("master_seed,fmt", [g[:2] for g in GOLDEN],
-                         ids=[f"{seed}-{fmt}" for seed, fmt, _ in GOLDEN])
-def test_losses_redraws_the_stored_occlusion(tmp_path, master_seed, fmt):
-    """`losses` occludes again, from geometry reloaded at float32, so its
-    viewpoints differ from the stored ones in the last bits; the points it
-    keeps must still be exactly the stored ones."""
-    config = PipelineConfig(n_scenes=4, master_seed=master_seed,
-                            export_format=fmt)
-    generate_dataset(config, tmp_path / "ds", progress=False)
-    for pdir in list_pair_dirs(tmp_path / "ds"):
-        pair, manifest = load_pair(pdir, config)
-        _, rec_a, rec_b = occlude_pair(pair, manifest.pair_seed,
-                                       config.occlude)
-        for got, stored in ((rec_a, manifest.occlusion_a),
-                            (rec_b, manifest.occlusion_b)):
-            assert len(got.kept_indices) == len(stored.kept_indices)
-            for k_got, k_stored in zip(got.kept_indices,
-                                       stored.kept_indices):
-                np.testing.assert_array_equal(k_got, k_stored)
-
-
 @pytest.mark.parametrize("fmt", ["binary-f32", "ascii-ply"])
 def test_loaded_pair_holds_the_stored_clouds(tmp_path, fmt):
     """Each loaded object is its slice of the stored complete cloud, and
@@ -405,6 +386,39 @@ def test_loaded_pair_holds_the_stored_clouds(tmp_path, fmt):
                     == load_point_cloud(stored, fmt).astype("<f4").tobytes())
             export_point_cloud(replayed.points, tmp_path / "replayed", fmt)
             assert (tmp_path / "replayed").read_bytes() == stored.read_bytes()
+
+
+def test_losses_follow_the_recorded_occlusion(tmp_path):
+    """`losses` evaluates a pair on the occlusion its manifest records: an
+    edited record moves the losses, to the values of the edited replay."""
+    dataset, config = _tiny_dataset(tmp_path)
+    (before,) = evaluate_losses(dataset, progress=False)
+    pdir = list_pair_dirs(dataset)[0]
+    doc = json.loads((pdir / "manifest.json").read_text())
+    kept = doc["occlusion_a"]["kept_indices"][0]
+    doc["occlusion_a"]["kept_indices"][0] = kept[:len(kept) // 2]
+    (pdir / "manifest.json").write_text(json.dumps(doc))
+    (after,) = evaluate_losses(dataset, progress=False)
+    pair, manifest = load_pair(pdir, config)
+    occluded = ScenePair(replay_occlusion(pair.scene_a, manifest.occlusion_a),
+                         replay_occlusion(pair.scene_b, manifest.occlusion_b),
+                         manifest.pair_seed)
+    prepared = prepare_occluded_pair(
+        pair, occluded, config.n_encoder_seeds, config.m_seeds,
+        config.theta, config.u, manifest.pair_seed)
+    encoder = ToyEncoder(config.encoder_config(),
+                         rng_seed=mix64(config.master_seed, 0xE0C))
+    heads = DecoderHeads(config.heads_config(),
+                         rng_seed=mix64(config.master_seed, 0xDEC))
+    expected = forward_backward([prepared], encoder, heads, config.tau,
+                                config.lambda_pts, config.lambda_rec,
+                                with_gradients=False)
+
+    def values(report):
+        return [getattr(report, k) for k in pipeline._LOSS_TERMS]
+
+    assert values(after) == values(expected)
+    assert values(after) != values(before)
 
 
 # One sha256 per gradient term (sorted parameter name; name, shape and
@@ -578,7 +592,7 @@ def test_match_pair_dir_full_pool_distances(tmp_path):
     config = PipelineConfig(**{**SMALL, "occlude": False})
     generate_dataset(config, tmp_path / "ds", progress=False)
     pdir = list_pair_dirs(tmp_path / "ds")[0]
-    matches = match_pair_dir(pdir, config, m_seeds=20, full_pool=True)
+    matches = match_pair_dir(pdir, m_seeds=20, full_pool=True)
     assert len(matches) == 20
     # counterpart points exist exactly at f32 resolution
     assert matches.distances.max() < 1e-5
@@ -617,16 +631,11 @@ def test_match_reads_and_validates_dataset_config(tmp_path):
     doc["config"]["bogus"] = 1
     summary.write_text(json.dumps(doc))
     assert main(["match", str(list_pair_dirs(tmp_path / "ds")[0])]) == 2
-    # without summary.json the dataset's M is unknown; a config passed in
-    # is still checked against the manifest
+    # without summary.json the dataset's M is unknown
     summary.unlink()
     pdir = list_pair_dirs(tmp_path / "ds")[0]
     with pytest.raises(CorruptManifest):
         match_pair_dir(pdir)
-    with pytest.raises(CorruptManifest):
-        match_pair_dir(pdir, PipelineConfig(**dict(SMALL, m_seeds=100)))
-    stored = json.loads((pdir / "manifest.json").read_text())["matches"]
-    assert len(match_pair_dir(pdir, config)) == len(stored)
 
 
 def test_pair_generation_is_order_independent(tmp_path):
