@@ -207,7 +207,6 @@ def fit_scene_distribution(
     scene_table: CategoryTable,
     per_scene_object_tables: Sequence[CategoryTable],
     instances_per_category: Sequence[int],
-    epsilon: float = EPSILON,
 ) -> SceneDistribution:
     """Fit the full chain from occurrence counts.
 
@@ -245,7 +244,6 @@ def fit_scene_distribution(
         scene_prior=prior,
         category_given_scene=cond,
         instance_given_category=inst,
-        epsilon=epsilon,
     )
 
 
@@ -277,10 +275,7 @@ def _ipf_conditional(prior: np.ndarray, marginal: np.ndarray,
     return cond
 
 
-def load_default_scannet_parameters(
-    epsilon: float = EPSILON,
-    instances_per_category: int = 8,
-) -> SceneDistribution:
+def load_default_scannet_parameters() -> SceneDistribution:
     """Bundled default parameters built from ScanNetV2 statistics.
 
     The published data provides the scene-type marginal and the object
@@ -288,7 +283,7 @@ def load_default_scannet_parameters(
     reconstructed: a hand-made plausibility mask restricts which categories
     occur in which scene type, and iterative proportional fitting adjusts
     the masked table until it reproduces both published marginals. Instance
-    rows are uniform.
+    rows are uniform over 8 instances per category.
     """
     stats = _load_bundled_stats()
     scene_table = CategoryTable(list(stats["scene_counts"].keys()),
@@ -303,13 +298,11 @@ def load_default_scannet_parameters(
         for lab in stats["plausible_categories"][scene]:
             mask[k, col[lab]] = 1.0
     cond = _ipf_conditional(prior, marginal, mask)
-    inst = tuple(np.full(instances_per_category, 1.0 / instances_per_category)
-                 for _ in object_table.labels)
+    inst = tuple(np.full(8, 1.0 / 8) for _ in object_table.labels)
     return SceneDistribution(
         scene_labels=scene_table.labels,
         category_labels=object_table.labels,
         scene_prior=prior,
         category_given_scene=cond,
         instance_given_category=inst,
-        epsilon=epsilon,
     )

@@ -14,9 +14,10 @@ import sys
 from dataclasses import fields
 
 from .assets import ProceduralAssetSource
-from .catalog import EPSILON, CategoryTable, fit_scene_distribution
-from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
-                      gradient_check, prepare_scene_pair)
+from .catalog import CategoryTable, fit_scene_distribution
+from .decoder import (GRADCHECK_RTOL, GRADCHECK_STEP, DecoderHeads,
+                      EncoderConfig, HeadsConfig, ToyEncoder, gradient_check,
+                      prepare_scene_pair)
 from .errors import ScenePretextError
 from .losses import TAU
 from .pipeline import (PipelineConfig, evaluate_losses, generate_dataset,
@@ -60,9 +61,8 @@ def _cmd_fit(args) -> int:
                                  f"objects_per_scene[{scene!r}]")
         object_tables.append(CategoryTable(
             cat_labels, [per_scene.get(c, 0) for c in cat_labels]))
-    dist = fit_scene_distribution(
-        scene_table, object_tables,
-        [instances[c] for c in cat_labels], epsilon=args.epsilon)
+    dist = fit_scene_distribution(scene_table, object_tables,
+                                  [instances[c] for c in cat_labels])
     dist.save(args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("counts", help="JSON with scene_counts, objects_per_scene,"
                                   " instances_per_category")
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("generate", help="generate a paired-scene dataset")
@@ -201,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify analytic gradients by finite differences")
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--tau", type=float, default=TAU)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--rtol", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=GRADCHECK_STEP)
+    p.add_argument("--rtol", type=float, default=GRADCHECK_RTOL)
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

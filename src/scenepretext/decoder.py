@@ -545,6 +545,9 @@ class GradientCheckResult:
     n_kink_entries: int = 0
 
 
+# gradient_check's central-difference step and relative tolerance
+GRADCHECK_STEP = 1e-5
+GRADCHECK_RTOL = 1e-4
 # gradient_check compares entries below this magnitude absolutely
 GRADCHECK_FLOOR = 1e-3
 # a failing entry is re-probed at step / GRADCHECK_KINK_REFINE
@@ -555,8 +558,8 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
                    heads: DecoderHeads, tau: float = TAU,
                    lambda_pts: float = LAMBDA_PTS,
                    lambda_rec: float = LAMBDA_REC,
-                   step: float = 1e-5,
-                   rtol: float = 1e-4) -> GradientCheckResult:
+                   step: float = GRADCHECK_STEP,
+                   rtol: float = GRADCHECK_RTOL) -> GradientCheckResult:
     """Central finite differences against the analytic gradients.
 
     The l_obj, l_pts and l_rec gradients come from one sweep of each term;

@@ -128,9 +128,12 @@ class PipelineConfig:
         return DirectoryAssetSource(self.asset_source)
 
     def load_distribution(self) -> SceneDistribution:
+        """The distribution to draw from, with this config's epsilon."""
         if self.distribution_file:
-            return SceneDistribution.load(self.distribution_file)
-        return load_default_scannet_parameters(epsilon=self.epsilon)
+            dist = SceneDistribution.load(self.distribution_file)
+        else:
+            dist = load_default_scannet_parameters()
+        return replace(dist, epsilon=self.epsilon)
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(hidden=self.encoder_hidden,

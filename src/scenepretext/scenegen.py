@@ -42,12 +42,15 @@ class Transform:
         object.__setattr__(self, "scale", float(self.scale))
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation 3-vector")
-        if np.abs(r.T @ r - np.eye(3)).max() > ORTHONORMAL_TOL:
+        # written so that a NaN fails each check
+        if not np.abs(r.T @ r - np.eye(3)).max() <= ORTHONORMAL_TOL:
             raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
+        if not abs(np.linalg.det(r) - 1.0) <= ORTHONORMAL_TOL:
             raise ValueError("rotation determinant is not +1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not np.isfinite(t).all():
+            raise ValueError("translation is not finite")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

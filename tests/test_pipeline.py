@@ -139,6 +139,14 @@ MANIFEST_FAULTS = {
         lambda doc: doc["occlusion_a"]["kept_indices"][0].append(1000000),
     "kept-lists-fewer-than-objects":
         lambda doc: doc["occlusion_b"]["kept_indices"].pop(),
+    "transform-scale-nan": lambda doc: doc["transforms_a"][0].update(
+        scale=math.nan),
+    "transform-rotation-nan":
+        lambda doc: doc["transforms_b"][1]["rotation"][0].__setitem__(
+            0, math.nan),
+    "transform-translation-nan":
+        lambda doc: doc["transforms_a"][2]["translation"].__setitem__(
+            1, math.nan),
 }
 
 
@@ -638,6 +646,20 @@ def test_match_reads_and_validates_dataset_config(tmp_path):
         match_pair_dir(pdir)
 
 
+@pytest.mark.parametrize("key,value", [("theta", math.inf), ("m_seeds", 0)])
+def test_summary_config_failing_its_checks_raises_corrupt_manifest(
+        tmp_path, key, value):
+    dataset, _ = _tiny_dataset(tmp_path)
+    path = dataset / "summary.json"
+    doc = json.loads(path.read_text())
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptManifest):
+        evaluate_losses(dataset, progress=False)
+    with pytest.raises(CorruptManifest):
+        match_pair_dir(list_pair_dirs(dataset)[0])
+
+
 def test_pair_generation_is_order_independent(tmp_path):
     """A single pair regenerated in isolation matches the full-run output."""
     from scenepretext.pipeline import generate_pair
@@ -772,6 +794,21 @@ def test_epsilon_one_uniform_category_histogram(tmp_path):
         assert abs(count - expected) <= 3 * sigma
     # all 29 categories must appear under the uniform branch at this n
     assert len(hist) == 29
+
+
+def test_generate_epsilon_governs_a_distribution_file(tmp_path):
+    dist = tmp_path / "dist.json"
+    load_default_scannet_parameters().save(dist)
+    hists = []
+    for epsilon in ("0.0", "1.0"):
+        out = tmp_path / f"eps{epsilon}"
+        assert main(["generate", "--out", str(out), "--seed", "0",
+                     "--n-scenes", "2", "--n-objects", "8",
+                     "--points-per-object", "32", "--distribution", str(dist),
+                     "--epsilon", epsilon]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        hists.append(summary["category_histogram"])
+    assert hists[0] != hists[1]
 
 
 # ------------------------------------------------------------------ losses
