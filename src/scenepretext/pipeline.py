@@ -521,12 +521,12 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
 
     Each pair is evaluated on the occlusion its manifest records, in
     batches of config.batch_pairs; each report is appended as one JSON
-    line to report_path (when given). The encoder and
-    heads come from the checkpoint if supplied, otherwise from a seeded
-    random initialization derived from the master seed; a checkpoint whose
-    u differs from the config's raises DimensionMismatch. Without a config,
-    summary.json supplies it and must count the pair directories. A NaN or
-    infinite loss term raises NonFiniteInput naming the batch's pair ids.
+    line to report_path (when given). The encoder and heads come from the
+    checkpoint if supplied, otherwise from a seeded random initialization
+    derived from the master seed; a checkpoint whose u differs from the
+    config's raises DimensionMismatch. Without a config, summary.json
+    supplies it and must count the pair directories. A NaN or infinite
+    loss term raises NonFiniteInput naming the batch's pair ids.
     """
     dataset_dir = Path(dataset_dir)
     pair_dirs = list_pair_dirs(dataset_dir)
