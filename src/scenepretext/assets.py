@@ -246,8 +246,8 @@ class DirectoryAssetSource:
         self.root = Path(root)
 
     def __call__(self, category_id: int, instance_id: int) -> np.ndarray:
-        from .pipeline import load_point_cloud
-        for ext, fmt in (("ply", "ascii-ply"), ("bin", "binary-f32")):
+        from .pipeline import FORMAT_EXT, load_point_cloud
+        for fmt, ext in FORMAT_EXT.items():
             path = self.root / str(category_id) / f"{instance_id}.{ext}"
             if path.exists():
                 pts = load_point_cloud(path, fmt)

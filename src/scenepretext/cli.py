@@ -20,8 +20,8 @@ from .decoder import (GRADCHECK_RTOL, GRADCHECK_STEP, DecoderHeads,
                       prepare_scene_pair)
 from .errors import ScenePretextError
 from .losses import TAU
-from .pipeline import (PipelineConfig, evaluate_losses, generate_dataset,
-                       match_pair_dir)
+from .pipeline import (FORMAT_EXT, PipelineConfig, evaluate_losses,
+                       generate_dataset, match_pair_dir)
 from .scenegen import make_scene_pair
 from .seeding import mix64
 
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-encoder-seeds", dest="n_encoder_seeds", type=int)
     p.add_argument("--room-size", dest="room_size", type=float)
     p.add_argument("--export-format", dest="export_format",
-                   choices=["ascii-ply", "binary-f32"])
+                   choices=FORMAT_EXT)
     p.add_argument("--no-occlusion", dest="occlude", action="store_false",
                    default=None)
     p.add_argument("--asset-source", dest="asset_source",

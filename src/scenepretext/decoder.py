@@ -27,7 +27,7 @@ from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
                              match_fps_pools, sample_seed_set)
 from .errors import (CorruptManifest, DimensionMismatch, EmptyBatch,
                      TooFewPoints)
-from .losses import (LAMBDA_PTS, LAMBDA_REC, TAU, LossReport,
+from .losses import (LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport,
                      object_level_graph, point_level_graph)
 from .occlusion import occlude_pair
 from .scenegen import ScenePair, SceneInstance
@@ -35,29 +35,35 @@ from .seeding import (STREAM_SEEDS_A, STREAM_SEEDS_B, STREAM_TARGETS_A,
                       STREAM_TARGETS_B, mix64)
 
 
-def _uniform_init(rng: np.random.Generator, fan_in: int,
-                  shape: tuple) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _mlp_params(widths: dict[str, list[int]], what: str, rng_seed: int,
+                params: dict[str, np.ndarray] | None
+                ) -> dict[str, np.ndarray]:
+    """The parameters of the MLPs that ``widths`` lists as {prefix: widths}.
 
-
-def _init_mlp(rng, sizes: Sequence[int], prefix: str) -> dict[str, np.ndarray]:
-    params = {}
-    for i, (fin, fout) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
-        params[f"{prefix}_w{i}"] = _uniform_init(rng, fin, (fin, fout))
-        params[f"{prefix}_b{i}"] = _uniform_init(rng, fin, (fout,))
-    return params
-
-
-def _check_param_shapes(params: dict[str, np.ndarray],
-                        expected: dict[str, tuple], what: str) -> None:
-    if set(params) != set(expected):
+    ``params``, when given, must hold exactly the "<prefix>_w<i>" and
+    "<prefix>_b<i>" tensors of those widths. Otherwise each layer's weight,
+    then bias, is drawn in table order from U(-1/sqrt(fan_in),
+    1/sqrt(fan_in)).
+    """
+    shapes = {}   # name -> (init bound, shape)
+    for prefix, sizes in widths.items():
+        for i, (fin, fout) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
+            bound = 1.0 / np.sqrt(fin)
+            shapes[f"{prefix}_w{i}"] = (bound, (fin, fout))
+            shapes[f"{prefix}_b{i}"] = (bound, (fout,))
+    if params is None:
+        rng = np.random.Generator(np.random.PCG64(rng_seed))
+        return {k: rng.uniform(-bound, bound, size=shape)
+                for k, (bound, shape) in shapes.items()}
+    params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    if set(params) != set(shapes):
         raise DimensionMismatch(
-            f"{what} parameter names {sorted(params)} != {sorted(expected)}")
-    for k, shape in expected.items():
+            f"{what} parameter names {sorted(params)} != {sorted(shapes)}")
+    for k, (_, shape) in shapes.items():
         if params[k].shape != shape:
             raise DimensionMismatch(
                 f"{k}: shape {params[k].shape}, expected {shape}")
+    return params
 
 
 def _mlp_layers(params: dict[str, ad.Var], prefix: str,
@@ -88,35 +94,12 @@ class ToyEncoder:
     def __init__(self, config: EncoderConfig = EncoderConfig(),
                  rng_seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
-        self.config = config
-        if params is None:
-            rng = np.random.Generator(np.random.PCG64(rng_seed))
-            c = config
-            params = {}
-            params.update(_init_mlp(rng, [c.point_dim, c.hidden,
-                                          c.feature_dim], "point"))
-            params.update(_init_mlp(rng, [2 * c.feature_dim, c.feature_dim],
-                                    "mix"))
-            params.update(_init_mlp(rng, [c.feature_dim, c.proj_hidden,
-                                          c.embed_dim], "proj"))
-        self.params = {k: np.asarray(v, dtype=np.float64)
-                       for k, v in params.items()}
-        self._validate_shapes()
-
-    def _validate_shapes(self):
-        c = self.config
-        expected = {
-            "point_w1": (c.point_dim, c.hidden), "point_b1": (c.hidden,),
-            "point_w2": (c.hidden, c.feature_dim),
-            "point_b2": (c.feature_dim,),
-            "mix_w1": (2 * c.feature_dim, c.feature_dim),
-            "mix_b1": (c.feature_dim,),
-            "proj_w1": (c.feature_dim, c.proj_hidden),
-            "proj_b1": (c.proj_hidden,),
-            "proj_w2": (c.proj_hidden, c.embed_dim),
-            "proj_b2": (c.embed_dim,),
-        }
-        _check_param_shapes(self.params, expected, "encoder")
+        self.config = c = config
+        self.params = _mlp_params(
+            {"point": [c.point_dim, c.hidden, c.feature_dim],
+             "mix": [2 * c.feature_dim, c.feature_dim],
+             "proj": [c.feature_dim, c.proj_hidden, c.embed_dim]},
+            "encoder", rng_seed, params)
 
     @classmethod
     def zeros(cls, config: EncoderConfig = EncoderConfig()) -> "ToyEncoder":
@@ -140,7 +123,7 @@ class ToyEncoder:
 
 @dataclass(frozen=True)
 class HeadsConfig:
-    feature_dim: int = 32
+    feature_dim: int = EncoderConfig.feature_dim
     hidden: int = 64
     u: int = 3
     grid_extent: float = 0.05
@@ -162,28 +145,11 @@ class DecoderHeads:
                  rng_seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
         self.config = config
-        s = config.feature_dim
-        if params is None:
-            rng = np.random.Generator(np.random.PCG64(rng_seed))
-            params = {}
-            params.update(_init_mlp(rng, [3 + s, config.hidden, 3 + s],
-                                    "offset"))
-            params.update(_init_mlp(rng, [2 + 3 + s, config.hidden, 3],
-                                    "fold"))
-        self.params = {k: np.asarray(v, dtype=np.float64)
-                       for k, v in params.items()}
+        s, hid = config.feature_dim, config.hidden
+        self.params = _mlp_params({"offset": [3 + s, hid, 3 + s],
+                                   "fold": [2 + 3 + s, hid, 3]},
+                                  "head", rng_seed, params)
         self.grid = make_grid(config.u, config.grid_extent)
-        self._validate_shapes()
-
-    def _validate_shapes(self):
-        s, hid = self.config.feature_dim, self.config.hidden
-        expected = {
-            "offset_w1": (3 + s, hid), "offset_b1": (hid,),
-            "offset_w2": (hid, 3 + s), "offset_b2": (3 + s,),
-            "fold_w1": (2 + 3 + s, hid), "fold_b1": (hid,),
-            "fold_w2": (hid, 3), "fold_b2": (3,),
-        }
-        _check_param_shapes(self.params, expected, "head")
 
     @classmethod
     def zeros(cls, config: HeadsConfig = HeadsConfig()) -> "DecoderHeads":
@@ -269,7 +235,11 @@ def build_targets(complete_scene: SceneInstance, n: int, u: int,
 
 @dataclass(frozen=True)
 class PreparedPair:
-    """Fixed (non-differentiable) inputs of one pair for loss evaluation."""
+    """Fixed (non-differentiable) inputs of one pair for loss evaluation.
+
+    ``categories`` holds one entry per object. Each side's coarse target is
+    the first ``len(coords)`` rows of its detail target (`build_targets`).
+    """
 
     coords_a: np.ndarray
     coords_b: np.ndarray
@@ -277,11 +247,8 @@ class PreparedPair:
     object_ids_b: np.ndarray
     categories: np.ndarray
     matches: MatchSet
-    gt_coarse_a: np.ndarray
     gt_detail_a: np.ndarray
-    gt_coarse_b: np.ndarray
     gt_detail_b: np.ndarray
-    n_objects: int
 
 
 def prepare_scene_pair(pair: ScenePair, n_seeds: int, m_matches: int,
@@ -323,9 +290,9 @@ def prepare_occluded_pair(pair: ScenePair, occluded: ScenePair,
                       for s in (seeds_a, seeds_b))
     matches = match_fps_pools(occluded, pool_a, pool_b, m_matches, theta,
                               rng_seed)
-    gt_coarse_a, gt_detail_a = build_targets(
+    _, gt_detail_a = build_targets(
         pair.scene_a, seeds_a.m, u, mix64(rng_seed, STREAM_TARGETS_A))
-    gt_coarse_b, gt_detail_b = build_targets(
+    _, gt_detail_b = build_targets(
         pair.scene_b, seeds_b.m, u, mix64(rng_seed, STREAM_TARGETS_B))
     categories = np.array([o.category_id for o in pair.scene_a.objects],
                           dtype=np.intp)
@@ -333,9 +300,7 @@ def prepare_occluded_pair(pair: ScenePair, occluded: ScenePair,
         coords_a=seeds_a.coords, coords_b=seeds_b.coords,
         object_ids_a=seeds_a.object_ids, object_ids_b=seeds_b.object_ids,
         categories=categories, matches=matches,
-        gt_coarse_a=gt_coarse_a, gt_detail_a=gt_detail_a,
-        gt_coarse_b=gt_coarse_b, gt_detail_b=gt_detail_b,
-        n_objects=len(pair.scene_a.objects))
+        gt_detail_a=gt_detail_a, gt_detail_b=gt_detail_b)
 
 
 def _encoded_sides(prepared: Sequence[PreparedPair],
@@ -348,7 +313,7 @@ def _encoded_sides(prepared: Sequence[PreparedPair],
                             (pp.coords_b, pp.object_ids_b)):
             cvar = ad.constant(coords)
             sides.append((cvar, encoder.encode_graph(params, cvar, ids,
-                                                     pp.n_objects)))
+                                                     len(pp.categories))))
     return sides
 
 
@@ -374,12 +339,11 @@ def _reconstruction_graph(prepared: Sequence[PreparedPair],
                           sides: list[tuple[ad.Var, ad.Var]]
                           ) -> dict[str, ad.Var]:
     """Scene-mean coarse and detail Chamfer of the decoded ``sides``."""
-    targets = [t for pp in prepared
-               for t in ((pp.gt_coarse_a, pp.gt_detail_a),
-                         (pp.gt_coarse_b, pp.gt_detail_b))]
+    targets = [t for pp in prepared for t in (pp.gt_detail_a, pp.gt_detail_b)]
     coarse, detail = [], []
-    for (cvar, z), (gt_c, gt_d) in zip(sides, targets):
+    for (cvar, z), gt_d in zip(sides, targets):
         y_coarse, _, y_detail = decode_graph(params, cvar, z, heads.grid)
+        gt_c = gt_d[:y_coarse.data.shape[0]]
         coarse.append(ad.chamfer(y_coarse, ad.constant(gt_c)))
         detail.append(ad.chamfer(y_detail, ad.constant(gt_d)))
     w = [1.0 / len(sides)] * len(sides)
@@ -447,10 +411,7 @@ def forward_backward(prepared: Sequence[PreparedPair],
     if with_gradients:
         gradients = {"l_overall": _sweep(losses["l_overall"], params)}
     return LossReport(
-        l_obj=losses["l_obj"].item(), l_pts=losses["l_pts"].item(),
-        l_rec_coarse=losses["l_rec_coarse"].item(),
-        l_rec_detail=losses["l_rec_detail"].item(),
-        l_overall=losses["l_overall"].item(),
+        **{k: losses[k].item() for k in LOSS_TERMS},
         lambda_pts=lambda_pts, lambda_rec=lambda_rec,
         counts=counts, gradients=gradients)
 
@@ -593,7 +554,7 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
                                lambda_rec)
     analytic.update(forward_backward(prepared, encoder, heads, tau,
                                      lambda_pts, lambda_rec).gradients)
-    terms = ["l_obj", "l_pts", "l_rec", "l_overall"]
+    terms = list(analytic)
     leaves = {k: ad.leaf(v.copy())
               for k, v in _param_arrays(encoder, heads).items()}
     # probes are written into the leaves' own arrays

@@ -40,6 +40,9 @@ TAU = 0.03
 LAMBDA_PTS = 0.1
 LAMBDA_REC = 100.0
 
+# the reported loss terms, each a LossReport field
+LOSS_TERMS = ("l_obj", "l_pts", "l_rec_coarse", "l_rec_detail", "l_overall")
+
 
 @dataclass
 class LossReport:
@@ -58,11 +61,7 @@ class LossReport:
     def to_json_dict(self) -> dict:
         """The loss values, weights and counts; gradients are left out."""
         return {
-            "l_obj": self.l_obj,
-            "l_pts": self.l_pts,
-            "l_rec_coarse": self.l_rec_coarse,
-            "l_rec_detail": self.l_rec_detail,
-            "l_overall": self.l_overall,
+            **{k: getattr(self, k) for k in LOSS_TERMS},
             "lambda_pts": self.lambda_pts,
             "lambda_rec": self.lambda_rec,
             "counts": dict(self.counts),

@@ -29,15 +29,14 @@ from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       forward_backward, load_checkpoint, prepare_occluded_pair)
 from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
                      PlacementFailure)
-from .losses import LAMBDA_PTS, LAMBDA_REC, TAU, LossReport
+from .losses import LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
                        ScenePair, Transform, make_scene_pair)
 from .seeding import mix64
 
-FORMATS = ("ascii-ply", "binary-f32")
-_FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
-_LOSS_TERMS = ("l_obj", "l_pts", "l_rec_coarse", "l_rec_detail", "l_overall")
+# export format -> file extension; DirectoryAssetSource tries them in order
+FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
 
 
 def _from_dict(cls, doc: dict, what: str):
@@ -66,20 +65,20 @@ class PipelineConfig:
     tau: float = TAU
     lambda_pts: float = LAMBDA_PTS
     lambda_rec: float = LAMBDA_REC
-    u: int = 3
+    u: int = HeadsConfig.u
     n_encoder_seeds: int = 64
-    feature_dim: int = 32
-    embed_dim: int = 128
-    encoder_hidden: int = 64
-    proj_hidden: int = 64
-    decoder_hidden: int = 64
-    grid_extent: float = 0.05
+    feature_dim: int = EncoderConfig.feature_dim
+    embed_dim: int = EncoderConfig.embed_dim
+    encoder_hidden: int = EncoderConfig.hidden
+    proj_hidden: int = EncoderConfig.proj_hidden
+    decoder_hidden: int = HeadsConfig.hidden
+    grid_extent: float = HeadsConfig.grid_extent
     master_seed: int = 0
     asset_source: str = "procedural"
     export_format: str = "binary-f32"
-    room_size: float = 6.0
-    scale_min: float = 0.9
-    scale_max: float = 1.1
+    room_size: float = LayoutParams.room_size
+    scale_min: float = LayoutParams.scale_range[0]
+    scale_max: float = LayoutParams.scale_range[1]
     occlude: bool = True
     batch_pairs: int = 2
     distribution_file: str | None = None
@@ -102,8 +101,8 @@ class PipelineConfig:
              >= self.u * self.u,
              "n_objects_per_scene * points_per_object >= u * u"),
             (self.n_encoder_seeds >= 1, "n_encoder_seeds >= 1"),
-            (self.export_format in FORMATS,
-             f"export_format in {FORMATS}"),
+            (self.export_format in FORMAT_EXT,
+             f"export_format in {tuple(FORMAT_EXT)}"),
             (self.room_size > 0, "room_size > 0"),
             (0 < self.scale_min <= self.scale_max, "valid scale range"),
             (self.batch_pairs >= 1, "batch_pairs >= 1"),
@@ -281,7 +280,7 @@ def _pair_dir(out_dir: Path, pair_id: int) -> Path:
 def pair_files(export_format: str) -> dict[str, str]:
     """The format fixes the names of a pair's clouds: complete A and B,
     then occluded A and B."""
-    ext = _FORMAT_EXT[export_format]
+    ext = FORMAT_EXT[export_format]
     return {f"scene_{s}_{kind}": f"scene_{s}_{kind}.{ext}"
             for kind in ("complete", "occluded") for s in "ab"}
 
@@ -442,6 +441,14 @@ def _load_summary(dataset_dir: Path) -> tuple[PipelineConfig, int]:
         raise CorruptManifest(f"{summary_path}: {e!r}") from None
 
 
+def _manifest_path(pair_dir) -> Path:
+    """``pair_dir``'s manifest.json; CorruptManifest if it is missing."""
+    mpath = Path(pair_dir) / "manifest.json"
+    if not mpath.exists():
+        raise CorruptManifest(f"{mpath}: missing")
+    return mpath
+
+
 def load_pair(pair_dir, config: PipelineConfig
               ) -> tuple[ScenePair, PairManifest]:
     """Rebuild a ScenePair (complete scenes) from a pair directory.
@@ -455,10 +462,7 @@ def load_pair(pair_dir, config: PipelineConfig
     CorruptManifest.
     """
     pair_dir = Path(pair_dir)
-    mpath = pair_dir / "manifest.json"
-    if not mpath.exists():
-        raise CorruptManifest(f"{mpath}: missing")
-    with open(mpath) as f:
+    with open(_manifest_path(pair_dir)) as f:
         manifest = PairManifest.from_dict(json.load(f))
     if manifest.config_hash != config.config_hash():
         raise CorruptManifest(
@@ -560,10 +564,13 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
                     pair, manifest.occluded(pair), config.n_encoder_seeds,
                     config.m_seeds, config.theta, config.u, pair.pair_seed))
                 batch_ids.append(manifest.pair_id)
-            report = forward_backward(batch, encoder, heads, config.tau,
-                                      config.lambda_pts, config.lambda_rec,
-                                      with_gradients=False)
-            bad = [k for k in _LOSS_TERMS
+            # an overflow surfaces as the non-finite term refused below
+            with np.errstate(all="ignore"):
+                report = forward_backward(batch, encoder, heads, config.tau,
+                                          config.lambda_pts,
+                                          config.lambda_rec,
+                                          with_gradients=False)
+            bad = [k for k in LOSS_TERMS
                    if not np.isfinite(getattr(report, k))]
             if bad:
                 raise NonFiniteInput(f"pairs {batch_ids}: non-finite "
@@ -579,7 +586,7 @@ def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
             out.close()
     if progress and reports:
         means = {k: float(np.mean([getattr(r, k) for r in reports]))
-                 for k in _LOSS_TERMS}
+                 for k in LOSS_TERMS}
         for k, v in means.items():
             print(f"mean {k}: {v:.6f}")
     return reports
@@ -595,6 +602,7 @@ def match_pair_dir(pair_dir, m_seeds: int | None = None,
     result is the stored match set. The ``m_seeds`` and ``theta``
     overrides go through that config's checks, as `generate`'s flags do.
     """
+    _manifest_path(pair_dir)   # name a missing pair before its dataset
     config, _ = _load_summary(Path(pair_dir).parent.parent)
     pair, manifest = load_pair(pair_dir, config)
     overrides = {"m_seeds": m_seeds, "theta": theta}

@@ -335,11 +335,9 @@ def test_zero_parameters_constant_features_scalar_oracle():
     # reconstruction oracle
     l_c, l_d = [], []
     for pp in prepared:
-        for coords, gt_c, gt_d in ((pp.coords_a, pp.gt_coarse_a,
-                                    pp.gt_detail_a),
-                                   (pp.coords_b, pp.gt_coarse_b,
-                                    pp.gt_detail_b)):
-            l_c.append(chamfer_distance(coords, gt_c))
+        for coords, gt_d in ((pp.coords_a, pp.gt_detail_a),
+                             (pp.coords_b, pp.gt_detail_b)):
+            l_c.append(chamfer_distance(coords, gt_d[:len(coords)]))
             l_d.append(chamfer_distance(np.repeat(coords, 4, axis=0), gt_d))
     assert rep.l_rec_coarse == pytest.approx(np.mean(l_c), abs=1e-12)
     assert rep.l_rec_detail == pytest.approx(np.mean(l_d), abs=1e-12)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import scenepretext
 from scenepretext import pipeline
+from scenepretext.assets import DirectoryAssetSource, procedural_asset
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.cli import main
 from scenepretext.decoder import (DecoderHeads, HeadsConfig, ToyEncoder,
@@ -845,11 +846,9 @@ def test_evaluate_losses_zero_checkpoint_oracle(tmp_path):
                                 config.theta, config.u, manifest.pair_seed)
         l_c, l_d = [], []
         u2 = config.u ** 2
-        for coords, gt_c, gt_d in ((pp.coords_a, pp.gt_coarse_a,
-                                    pp.gt_detail_a),
-                                   (pp.coords_b, pp.gt_coarse_b,
-                                    pp.gt_detail_b)):
-            l_c.append(chamfer_distance(coords, gt_c))
+        for coords, gt_d in ((pp.coords_a, pp.gt_detail_a),
+                             (pp.coords_b, pp.gt_detail_b)):
+            l_c.append(chamfer_distance(coords, gt_d[:len(coords)]))
             l_d.append(chamfer_distance(np.repeat(coords, u2, axis=0), gt_d))
         assert rep.l_rec_coarse == pytest.approx(np.mean(l_c), abs=1e-12)
         assert rep.l_rec_detail == pytest.approx(np.mean(l_d), abs=1e-12)
@@ -942,6 +941,52 @@ def test_cli_generate_bad_distribution_or_assets_exit_2(tmp_path, fault):
         args = ["--asset-source", str(tmp_path / "assets")]
     assert main(["generate", "--out", str(tmp_path / "ds"), "--seed", "0",
                  "--n-scenes", "1", *args]) == 2
+
+
+def _asset_dir_generate(tmp_path):
+    """`generate`'s arguments over a two-category distribution made by
+    `fit` and an asset directory holding one `.bin` file per category."""
+    counts = {"scene_counts": {"room": 1},
+              "objects_per_scene": {"room": {"chair": 1, "table": 1}},
+              "instances_per_category": {"chair": 1, "table": 1}}
+    assert main(_fit_counts(tmp_path, counts)) == 0
+    for cat in range(2):
+        path = tmp_path / "assets" / str(cat) / "0.bin"
+        path.parent.mkdir(parents=True)
+        export_point_cloud(procedural_asset(cat, 0, 64), path, "binary-f32")
+    return ["generate", "--out", str(tmp_path / "ds"), "--seed", "0",
+            "--n-scenes", "2", "--n-objects", "6",
+            "--distribution", str(tmp_path / "dist.json"),
+            "--asset-source", str(tmp_path / "assets")]
+
+
+def test_cli_generate_and_losses_from_an_asset_directory(tmp_path):
+    assert main(_asset_dir_generate(tmp_path)) == 0
+    summary = json.loads((tmp_path / "ds" / "summary.json").read_text())
+    # both categories are drawn, so the faults below are loaded
+    assert set(summary["category_histogram"]) == {"chair", "table"}
+    assert main(["losses", str(tmp_path / "ds")]) == 0
+
+
+def test_asset_directory_reads_ply_before_bin(tmp_path):
+    _asset_dir_generate(tmp_path)
+    ply = tmp_path / "assets" / "0" / "0.ply"
+    export_point_cloud(procedural_asset(1, 0, 64), ply, "ascii-ply")
+    want = load_point_cloud(ply, "ascii-ply")
+    np.testing.assert_array_equal(
+        DirectoryAssetSource(tmp_path / "assets")(0, 0),
+        want - want.mean(axis=0))
+
+
+@pytest.mark.parametrize("fault", ["seven-point-asset", "missing-instance"])
+def test_cli_generate_bad_asset_file_exit_2(tmp_path, fault):
+    args = _asset_dir_generate(tmp_path)
+    path = tmp_path / "assets" / "1" / "0.bin"
+    if fault == "seven-point-asset":
+        export_point_cloud(np.zeros((7, 3)), path, "binary-f32")
+    else:
+        path.unlink()
+    assert main(args) == 2
 
 
 def _tiny_dataset(tmp_path, **overrides):
@@ -1161,6 +1206,14 @@ def test_cli_fit_bad_counts_exit_0_or_2(tmp_path, scene, objects,
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
     assert main(["match", str(tmp_path / "nope")]) == 2
+
+
+@pytest.mark.parametrize("path", ["nope/nope", "ds/pairs"])
+def test_cli_match_names_the_missing_manifest(tmp_path, capsys, path):
+    # not the summary.json two levels up, which is missing too
+    _tiny_dataset(tmp_path)
+    assert main(["match", str(tmp_path / path)]) == 2
+    assert f"{path}/manifest.json: missing" in capsys.readouterr().err
 
 
 def test_cli_fit_roundtrip(tmp_path):
