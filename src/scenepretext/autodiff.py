@@ -361,9 +361,9 @@ def segment_max(a: Var, seg: np.ndarray, n_seg: int) -> Var:
     return out
 
 
-def l2_normalize_rows(a: Var, eps: float = 1e-12) -> Var:
+def l2_normalize_rows(a: Var) -> Var:
     norms = np.sqrt((a.data ** 2).sum(axis=1, keepdims=True))
-    norms = np.maximum(norms, eps)
+    norms = np.maximum(norms, 1e-12)  # a zero row stays zero
     y = a.data / norms
     out = Var(y, (a,))
 

@@ -165,7 +165,6 @@ class SceneDistribution:
             "category_given_scene": self.category_given_scene.tolist(),
             "instance_given_category": [r.tolist()
                                         for r in self.instance_given_category],
-            "epsilon": self.epsilon,
         }
 
     def save(self, path) -> None:
@@ -174,9 +173,10 @@ class SceneDistribution:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneDistribution":
+        """An ``epsilon`` key, which older files hold, is ignored: the
+        drawing config supplies epsilon (`PipelineConfig.epsilon`)."""
         for key in ("scene_labels", "category_labels", "scene_prior",
-                    "category_given_scene", "instance_given_category",
-                    "epsilon"):
+                    "category_given_scene", "instance_given_category"):
             if key not in doc:
                 raise ValueError(f"{key}: missing field")
         return cls(
@@ -188,7 +188,6 @@ class SceneDistribution:
             instance_given_category=tuple(
                 np.array(r, dtype=np.float64)
                 for r in doc["instance_given_category"]),
-            epsilon=float(doc["epsilon"]),
         )
 
     @classmethod
@@ -254,22 +253,22 @@ def _load_bundled_stats() -> dict:
 
 
 def _ipf_conditional(prior: np.ndarray, marginal: np.ndarray,
-                     mask: np.ndarray, n_iter: int = 2000,
-                     tol: float = 1e-13) -> np.ndarray:
+                     mask: np.ndarray) -> np.ndarray:
     """Factor a category marginal into per-scene conditional rows.
 
     Iterative proportional fitting of a joint table supported on ``mask``
     whose row sums match ``prior`` and column sums match ``marginal``; the
     returned conditional rows are joint/prior. Masked-out cells stay
-    exactly zero.
+    exactly zero. Stops once the row sums are within 1e-13 of ``prior``,
+    or after 2000 sweeps.
     """
     joint = mask * np.outer(prior, marginal)
-    for _ in range(n_iter):
+    for _ in range(2000):
         rs = joint.sum(axis=1)
         joint *= (prior / rs)[:, None]
         cs = joint.sum(axis=0)
         joint *= np.where(cs > 0, marginal / np.maximum(cs, 1e-300), 0.0)
-        if np.abs(joint.sum(axis=1) - prior).max() < tol:
+        if np.abs(joint.sum(axis=1) - prior).max() < 1e-13:
             break
     cond = joint / joint.sum(axis=1, keepdims=True)
     return cond

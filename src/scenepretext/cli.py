@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 
 from .assets import ProceduralAssetSource
 from .catalog import CategoryTable, fit_scene_distribution
-from .decoder import (GRADCHECK_RTOL, GRADCHECK_STEP, DecoderHeads,
-                      EncoderConfig, HeadsConfig, ToyEncoder, gradient_check,
+from .decoder import (GRADCHECK_RTOL, DecoderHeads, EncoderConfig,
+                      HeadsConfig, ToyEncoder, gradient_check,
                       prepare_scene_pair)
 from .errors import ScenePretextError
-from .losses import TAU
 from .pipeline import (FORMAT_EXT, PipelineConfig, evaluate_losses,
                        generate_dataset, match_pair_dir)
 from .scenegen import make_scene_pair
@@ -103,8 +101,7 @@ def _cmd_losses(args) -> int:
     return EXIT_OK
 
 
-def gradcheck_batch(seed: int = 20240, n_objects: int = 4,
-                    points_per_object: int = 64):
+def gradcheck_batch(seed: int = 20240):
     """The canonical finite-difference batch: 2 pairs, 4 objects x 64 points.
 
     Network widths are kept small so the brute-force sweep over every
@@ -113,10 +110,10 @@ def gradcheck_batch(seed: int = 20240, n_objects: int = 4,
     """
     from .catalog import load_default_scannet_parameters
     dist = load_default_scannet_parameters()
-    source = ProceduralAssetSource(n_points=points_per_object)
+    source = ProceduralAssetSource(n_points=64)
     prepared = []
     for i in range(2):
-        pair = make_scene_pair(dist, n_objects, source, mix64(seed, i))
+        pair = make_scene_pair(dist, 4, source, mix64(seed, i))
         prepared.append(prepare_scene_pair(
             pair, n_seeds=18, m_matches=16, theta=0.25, u=3,
             rng_seed=mix64(seed, 100 + i)))
@@ -129,21 +126,16 @@ def gradcheck_batch(seed: int = 20240, n_objects: int = 4,
 
 
 def _cmd_gradcheck(args) -> int:
-    for flag in ("tau", "step", "rtol"):
-        value = getattr(args, flag)
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError(f"--{flag} must be finite and > 0, got {value}")
     prepared, encoder, heads = gradcheck_batch(seed=args.seed)
-    result = gradient_check(prepared, encoder, heads, tau=args.tau,
-                            step=args.step, rtol=args.rtol)
+    result = gradient_check(prepared, encoder, heads)
     for term, rel in sorted(result.per_term.items()):
-        status = "ok" if rel <= args.rtol else "FAIL"
+        status = "ok" if rel <= GRADCHECK_RTOL else "FAIL"
         print(f"{term}: max relative error {rel:.3e} "
               f"({result.worst[term]}) [{status}]")
     print(f"checked {result.n_entries} parameters; "
           f"{result.n_kink_entries} argmin crossings confirmed at refined step")
     print(f"gradcheck {'PASSED' if result.ok else 'FAILED'} "
-          f"(max {result.max_rel_error:.3e}, tolerance {args.rtol:.0e})")
+          f"(max {result.max_rel_error:.3e}, tolerance {GRADCHECK_RTOL:.0e})")
     return EXIT_OK if result.ok else EXIT_GRADCHECK_FAILED
 
 
@@ -199,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="verify analytic gradients by finite differences")
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--tau", type=float, default=TAU)
-    p.add_argument("--step", type=float, default=GRADCHECK_STEP)
-    p.add_argument("--rtol", type=float, default=GRADCHECK_RTOL)
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -218,19 +218,18 @@ def decode(seed_coords: np.ndarray, seed_features: np.ndarray,
 
 
 def build_targets(complete_scene: SceneInstance, n: int, u: int,
-                  rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nested FPS ground truths: coarse (n points), detail (u*u*n points).
+                  rng_seed: int) -> np.ndarray:
+    """The detail ground truth: an FPS run of u*u*n points.
 
-    One FPS run gives both: its first n picks are themselves an FPS run of
-    n points, so the coarse target is the detail target's prefix.
+    Its first n picks are themselves an FPS run of n points, so they are
+    the coarse ground truth: ``build_targets(...)[:n]``.
     """
     pts = complete_scene.points
     need = u * u * n
     if pts.shape[0] < need:
         raise TooFewPoints(
             f"scene has {pts.shape[0]} points, targets need {need}")
-    gt_detail = pts[farthest_point_sample(pts, need, rng_seed)]
-    return gt_detail[:n], gt_detail
+    return pts[farthest_point_sample(pts, need, rng_seed)]
 
 
 @dataclass(frozen=True)
@@ -290,9 +289,9 @@ def prepare_occluded_pair(pair: ScenePair, occluded: ScenePair,
                       for s in (seeds_a, seeds_b))
     matches = match_fps_pools(occluded, pool_a, pool_b, m_matches, theta,
                               rng_seed)
-    _, gt_detail_a = build_targets(
+    gt_detail_a = build_targets(
         pair.scene_a, seeds_a.m, u, mix64(rng_seed, STREAM_TARGETS_A))
-    _, gt_detail_b = build_targets(
+    gt_detail_b = build_targets(
         pair.scene_b, seeds_b.m, u, mix64(rng_seed, STREAM_TARGETS_B))
     categories = np.array([o.category_id for o in pair.scene_a.objects],
                           dtype=np.intp)

@@ -54,22 +54,19 @@ def _kept_for_fraction(placed: np.ndarray, viewpoint: np.ndarray,
 
 
 def occlude_scene(scene: SceneInstance, rng_seed: int,
-                  fractions: np.ndarray | None = None,
-                  viewpoint: np.ndarray | None = None
+                  fractions: np.ndarray | None = None
                   ) -> tuple[SceneInstance, OcclusionRecord]:
     """Occlude every object of the scene; returns (occluded scene, record).
 
-    ``fractions`` and ``viewpoint`` override the random draws (used by tests
-    and replay); normally both come from the seeded stream. Object order and
-    surviving point order are preserved.
+    The viewpoint always comes from the seeded stream. ``fractions``
+    overrides the drawn removal fractions: `occlude_pair` passes zeros to
+    keep every point. Object order and surviving point order are preserved.
     """
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     lo, hi = scene.points.min(axis=0), scene.points.max(axis=0)
     center, half = (lo + hi) / 2, (hi - lo) / 2
-    if viewpoint is None:
-        viewpoint = rng.uniform(center - (1 + AABB_INFLATION) * half,
-                                center + (1 + AABB_INFLATION) * half)
-    viewpoint = np.asarray(viewpoint, dtype=np.float64)
+    viewpoint = rng.uniform(center - (1 + AABB_INFLATION) * half,
+                            center + (1 + AABB_INFLATION) * half)
     if fractions is None:
         fractions = rng.uniform(0.0, MAX_FRACTION, size=scene.n_objects)
     fractions = np.asarray(fractions, dtype=np.float64)

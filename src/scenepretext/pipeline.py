@@ -517,29 +517,28 @@ def list_pair_dirs(dataset_dir) -> list[Path]:
                   if p.is_dir() and not p.name.startswith("."))
 
 
-def evaluate_losses(dataset_dir, config: PipelineConfig | None = None,
-                    checkpoint: str | None = None,
+def evaluate_losses(dataset_dir, checkpoint: str | None = None,
                     report_path=None, progress: bool = True
                     ) -> list[LossReport]:
     """Batch loss reports over a generated dataset.
 
-    Each pair is evaluated on the occlusion its manifest records, in
-    batches of config.batch_pairs; each report is appended as one JSON
-    line to report_path (when given). The encoder and heads come from the
-    checkpoint if supplied, otherwise from a seeded random initialization
-    derived from the master seed; a checkpoint whose u differs from the
-    config's raises DimensionMismatch. Without a config, summary.json
-    supplies it and must count the pair directories. A NaN or infinite
-    loss term raises NonFiniteInput naming the batch's pair ids.
+    The dataset's summary.json supplies the config, and the pair count it
+    records must match the pair directories. Each pair is evaluated on the
+    occlusion its manifest records, in batches of config.batch_pairs; each
+    report is appended as one JSON line to report_path (when given). The
+    encoder and heads come from the checkpoint if supplied, otherwise from
+    a seeded random initialization derived from the master seed; a
+    checkpoint whose u differs from the config's raises DimensionMismatch.
+    A NaN or infinite loss term raises NonFiniteInput naming the batch's
+    pair ids.
     """
     dataset_dir = Path(dataset_dir)
     pair_dirs = list_pair_dirs(dataset_dir)
-    if config is None:
-        config, produced = _load_summary(dataset_dir)
-        if len(pair_dirs) != produced:
-            raise CorruptManifest(
-                f"{dataset_dir}: {len(pair_dirs)} pair directories, "
-                f"summary.json records {produced}")
+    config, produced = _load_summary(dataset_dir)
+    if len(pair_dirs) != produced:
+        raise CorruptManifest(
+            f"{dataset_dir}: {len(pair_dirs)} pair directories, "
+            f"summary.json records {produced}")
     if not pair_dirs:
         raise CorruptManifest(f"{dataset_dir}: no pair directories found")
     if checkpoint:
@@ -603,7 +602,8 @@ def match_pair_dir(pair_dir, m_seeds: int | None = None,
     overrides go through that config's checks, as `generate`'s flags do.
     """
     _manifest_path(pair_dir)   # name a missing pair before its dataset
-    config, _ = _load_summary(Path(pair_dir).parent.parent)
+    # resolved, so a bare pair name finds the dataset above the cwd
+    config, _ = _load_summary(Path(pair_dir).resolve().parent.parent)
     pair, manifest = load_pair(pair_dir, config)
     overrides = {"m_seeds": m_seeds, "theta": theta}
     config = replace(config, **{k: v for k, v in overrides.items()

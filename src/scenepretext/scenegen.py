@@ -225,7 +225,8 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
             # min and max round nothing, so reducing contiguous columns
             # gives body.min(axis=0)'s values (a zero minimum's sign aside)
             # in a fifth of the time
-            cols = np.ascontiguousarray((scale * canonical @ rot.T).T)
+            body = scale * canonical @ rot.T
+            cols = np.ascontiguousarray(body.T)
             lo, hi = cols.min(axis=1), cols.max(axis=1)
             x = rng.uniform(-lo[0], room - hi[0]) if room > hi[0] - lo[0] \
                 else rng.uniform(0.0, room)
@@ -238,9 +239,9 @@ def realize_scene(spec: SceneSpec, asset_source: AssetSource,
             if ((blo <= placed_hi[:n_placed])
                     & (placed_lo[:n_placed] <= bhi)).all(axis=1).any():
                 continue
-            tf = Transform(rot, t, scale)
-            placed_by_k[k] = ObjectInstance(cat, inst, tf.apply(canonical),
-                                            tf)
+            # bit for bit the recorded transform's tf.apply(canonical)
+            placed_by_k[k] = ObjectInstance(cat, inst, body + t,
+                                            Transform(rot, t, scale))
             placed_lo[n_placed], placed_hi[n_placed] = blo, bhi
             n_placed += 1
             break

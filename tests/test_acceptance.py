@@ -213,7 +213,7 @@ def test_criterion_8_overall_recomposition(tmp_path):
         master_seed=88, batch_pairs=2)
     assert config.lambda_pts == 0.1 and config.lambda_rec == 100.0
     generate_dataset(config, tmp_path / "ds", progress=False)
-    reports = evaluate_losses(tmp_path / "ds", config, progress=False)
+    reports = evaluate_losses(tmp_path / "ds", progress=False)
     worst = 0.0
     for rep in reports:
         recomposed = rep.l_obj + 0.1 * rep.l_pts \

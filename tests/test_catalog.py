@@ -2,13 +2,14 @@
 
 import json
 import re
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from scenepretext.catalog import (MAX_INSTANCES, CategoryTable, _count,
-                                  SceneDistribution, fit_categorical,
+from scenepretext.catalog import (EPSILON, MAX_INSTANCES, CategoryTable,
+                                  _count, SceneDistribution, fit_categorical,
                                   fit_scene_distribution,
                                   load_default_scannet_parameters)
 from scenepretext.errors import AllZeroCounts, DimensionMismatch
@@ -199,6 +200,15 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
     assert loaded.scene_labels == dist.scene_labels
 
 
+def test_distribution_file_holds_no_epsilon(tmp_path):
+    # the drawing config supplies epsilon; an older file's key is ignored
+    dist = replace(load_default_scannet_parameters(), epsilon=0.5)
+    assert "epsilon" not in dist.to_dict()
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**dist.to_dict(), "epsilon": 0.5}))
+    assert SceneDistribution.load(path).epsilon == EPSILON
+
+
 def test_loader_rejects_with_path_qualified_error(tmp_path):
     dist = load_default_scannet_parameters()
     doc = dist.to_dict()
@@ -207,12 +217,6 @@ def test_loader_rejects_with_path_qualified_error(tmp_path):
     with open(path, "w") as f:
         json.dump(doc, f)
     with pytest.raises(ValueError, match=r"category_given_scene\[3\]"):
-        SceneDistribution.load(path)
-    doc2 = dist.to_dict()
-    del doc2["epsilon"]
-    with open(path, "w") as f:
-        json.dump(doc2, f)
-    with pytest.raises(ValueError, match="epsilon"):
         SceneDistribution.load(path)
 
 

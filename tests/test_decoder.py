@@ -177,7 +177,7 @@ def grid_scene(n_points):
 
 def test_targets_exhaustive_when_exact_count():
     scene = grid_scene(36)
-    gt_coarse, gt_detail = build_targets(scene, n=4, u=3, rng_seed=3)
+    gt_detail = build_targets(scene, n=4, u=3, rng_seed=3)
     assert gt_detail.shape == (36, 3)
     got = {tuple(p) for p in gt_detail}
     want = {tuple(p) for p in scene.points}
@@ -186,7 +186,8 @@ def test_targets_exhaustive_when_exact_count():
 
 def test_targets_nested_subset():
     scene = grid_scene(200)
-    gt_coarse, gt_detail = build_targets(scene, n=8, u=3, rng_seed=4)
+    gt_detail = build_targets(scene, n=8, u=3, rng_seed=4)
+    gt_coarse = gt_detail[:8]
     detail_set = {tuple(p) for p in gt_detail}
     assert all(tuple(p) in detail_set for p in gt_coarse)
 
@@ -194,7 +195,8 @@ def test_targets_nested_subset():
 def test_targets_fps_coverage_beats_random_subsets():
     scene = grid_scene(300)
     n = 10
-    gt_coarse, gt_detail = build_targets(scene, n=n, u=3, rng_seed=5)
+    gt_detail = build_targets(scene, n=n, u=3, rng_seed=5)
+    gt_coarse = gt_detail[:n]
     fps_quality = chamfer_distance(gt_coarse, gt_detail)
     rng = np.random.default_rng(6)
     random_quality = np.mean([
@@ -206,10 +208,10 @@ def test_targets_fps_coverage_beats_random_subsets():
 
 def test_coarse_target_is_the_detail_prefix():
     scene = grid_scene(300)
-    gt_coarse, gt_detail = build_targets(scene, n=10, u=3, rng_seed=5)
-    np.testing.assert_array_equal(gt_coarse, gt_detail[:10])
+    gt_detail = build_targets(scene, n=10, u=3, rng_seed=5)
     np.testing.assert_array_equal(
-        gt_coarse, scene.points[farthest_point_sample(scene.points, 10, 5)])
+        gt_detail[:10],
+        scene.points[farthest_point_sample(scene.points, 10, 5)])
 
 
 def test_targets_too_few_points():

@@ -9,8 +9,8 @@ from oracles import reference_occluded_points
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.errors import DegenerateObject, PlacementFailure
-from scenepretext.occlusion import (occlude_pair, occlude_scene,
-                                    replay_occlusion)
+from scenepretext.occlusion import (_kept_for_fraction, occlude_pair,
+                                    occlude_scene, replay_occlusion)
 from scenepretext.scenegen import (ObjectInstance, SceneInstance, Transform,
                                    make_scene_pair)
 
@@ -71,12 +71,11 @@ def test_fractions_within_bounds():
 
 
 def test_monotone_nesting_of_kept_sets():
+    # one seed, so every fraction is applied from the same viewpoint
     scene = toy_scene(n_objects=2, n_points=64)
-    viewpoint = np.array([1.0, 2.0, 3.0])
     previous = None
     for f in np.linspace(0.0, 0.5, 11):
-        _, record = occlude_scene(scene, 0, fractions=np.full(2, f),
-                                  viewpoint=viewpoint)
+        _, record = occlude_scene(scene, 0, fractions=np.full(2, f))
         kept = [set(k.tolist()) for k in record.kept_indices]
         if previous is not None:
             for cur, prev in zip(kept, previous):
@@ -87,12 +86,8 @@ def test_monotone_nesting_of_kept_sets():
 def test_tie_break_keeps_lower_index():
     # two points equidistant from the viewpoint: the higher index goes
     pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.2, 0, 0], [-0.2, 0, 0]])
-    pts -= pts.mean(axis=0)
-    obj = ObjectInstance(0, 0, pts, Transform(np.eye(3), np.zeros(3)))
-    scene = SceneInstance.from_objects(0, [obj])
-    _, record = occlude_scene(scene, 0, fractions=np.array([0.25]),
-                              viewpoint=np.zeros(3))
-    np.testing.assert_array_equal(record.kept_indices[0], [0, 2, 3])
+    kept = _kept_for_fraction(pts, np.zeros(3), 0.25)
+    np.testing.assert_array_equal(kept, [0, 2, 3])
 
 
 def test_deterministic_and_replayable():
