@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -74,7 +74,6 @@ def _mlp_layers(params: dict[str, ad.Var], prefix: str,
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    point_dim: int = 3
     hidden: int = 64
     feature_dim: int = 32     # s; 256 matches the full-scale setting
     proj_hidden: int = 64
@@ -84,7 +83,7 @@ class EncoderConfig:
 class ToyEncoder:
     """Per-point MLP with per-object max-pool context and a projection head.
 
-    Point path: point_dim -> hidden -> feature_dim with ReLU after each
+    Point path: 3 -> hidden -> feature_dim with ReLU after each
     layer; the per-object max of those features is broadcast back, the
     concatenation is mixed by one linear layer down to feature_dim, and the
     result is the per-point feature z. The projection head maps z through
@@ -96,7 +95,7 @@ class ToyEncoder:
                  params: dict[str, np.ndarray] | None = None):
         self.config = c = config
         self.params = _mlp_params(
-            {"point": [c.point_dim, c.hidden, c.feature_dim],
+            {"point": [3, c.hidden, c.feature_dim],
              "mix": [2 * c.feature_dim, c.feature_dim],
              "proj": [c.feature_dim, c.proj_hidden, c.embed_dim]},
             "encoder", rng_seed, params)
@@ -126,7 +125,7 @@ class HeadsConfig:
     feature_dim: int = EncoderConfig.feature_dim
     hidden: int = 64
     u: int = 3
-    grid_extent: float = 0.05
+    grid_extent: ClassVar[float] = 0.05   # fold grid half-width, not stored
 
 
 def make_grid(u: int, extent: float) -> np.ndarray:

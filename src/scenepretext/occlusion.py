@@ -36,10 +36,12 @@ class OcclusionRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OcclusionRecord":
+        kept = [np.array(k) for k in doc["kept_indices"]]
+        if not all(k.size == 0 or k.dtype.kind == "i" for k in kept):
+            raise ValueError("kept indices are not integers")
         return cls(np.array(doc["viewpoint"], dtype=np.float64),
                    np.array(doc["fractions"], dtype=np.float64),
-                   tuple(np.array(k, dtype=np.intp)
-                         for k in doc["kept_indices"]))
+                   tuple(k.astype(np.intp, copy=False) for k in kept))
 
 
 def _kept_for_fraction(placed: np.ndarray, viewpoint: np.ndarray,

@@ -17,8 +17,10 @@ import os
 import shutil
 import struct
 import sys
-from dataclasses import asdict, dataclass, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 import numpy as np
 
 from .assets import DirectoryAssetSource, ProceduralAssetSource
@@ -39,6 +41,22 @@ from .seeding import mix64
 FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
 
 
+def _check_field_types(obj) -> None:
+    """TypeError for a value not of its field's type; an int is a float."""
+    types = {"int": int, "float": (int, float), "str": str, "bool": bool,
+             "str | None": (str, type(None)), "list[dict]": list}
+    for f in fields(obj):   # other types are checked where they are read
+        v = getattr(obj, f.name)
+        if (not isinstance(v, types.get(f.type, object))
+                or isinstance(v, bool) and f.type != "bool"):
+            raise TypeError(f"{f.name}: {v!r} is not {f.type}")
+
+
+def _json_hash(doc) -> str:
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def _from_dict(cls, doc: dict, what: str):
     """Build a dataclass from a stored JSON object, refusing bad fields."""
     try:
@@ -51,9 +69,9 @@ def _from_dict(cls, doc: dict, what: str):
 class PipelineConfig:
     """Every knob of the generation/evaluation pipeline.
 
-    Every float must be finite and every range hold on construction, the
-    one check of run parameters; the config hash is a sha256 over the
-    canonical JSON dump and identifies datasets.
+    Every value must have its field's type, every float be finite and every
+    range hold on construction, the one check of run parameters; the config
+    hash is a sha256 over the canonical JSON dump and identifies datasets.
     """
 
     n_scenes: int = 10
@@ -62,9 +80,6 @@ class PipelineConfig:
     epsilon: float = EPSILON
     m_seeds: int = 100
     theta: float = 0.1
-    tau: float = TAU
-    lambda_pts: float = LAMBDA_PTS
-    lambda_rec: float = LAMBDA_REC
     u: int = HeadsConfig.u
     n_encoder_seeds: int = 64
     feature_dim: int = EncoderConfig.feature_dim
@@ -72,18 +87,20 @@ class PipelineConfig:
     encoder_hidden: int = EncoderConfig.hidden
     proj_hidden: int = EncoderConfig.proj_hidden
     decoder_hidden: int = HeadsConfig.hidden
-    grid_extent: float = HeadsConfig.grid_extent
     master_seed: int = 0
     asset_source: str = "procedural"
     export_format: str = "binary-f32"
     room_size: float = LayoutParams.room_size
-    scale_min: float = LayoutParams.scale_range[0]
-    scale_max: float = LayoutParams.scale_range[1]
     occlude: bool = True
     batch_pairs: int = 2
     distribution_file: str | None = None
+    # the paper's loss constants: readable off a config, never set or hashed
+    tau: ClassVar[float] = TAU
+    lambda_pts: ClassVar[float] = LAMBDA_PTS
+    lambda_rec: ClassVar[float] = LAMBDA_REC
 
     def __post_init__(self):
+        _check_field_types(self)
         checks = [(math.isfinite(v), f"{k} is finite")
                   for k, v in vars(self).items() if isinstance(v, float)]
         checks += [
@@ -93,9 +110,6 @@ class PipelineConfig:
             (0.0 <= self.epsilon <= 1.0, "epsilon in [0, 1]"),
             (self.m_seeds >= 1, "m_seeds >= 1"),
             (self.theta > 0, "theta > 0"),
-            (self.tau > 0, "tau > 0"),
-            (self.lambda_pts >= 0, "lambda_pts >= 0"),
-            (self.lambda_rec >= 0, "lambda_rec >= 0"),
             (self.u >= 1, "u >= 1"),
             (self.n_objects_per_scene * self.points_per_object
              >= self.u * self.u,
@@ -104,7 +118,6 @@ class PipelineConfig:
             (self.export_format in FORMAT_EXT,
              f"export_format in {tuple(FORMAT_EXT)}"),
             (self.room_size > 0, "room_size > 0"),
-            (0 < self.scale_min <= self.scale_max, "valid scale range"),
             (self.batch_pairs >= 1, "batch_pairs >= 1"),
         ]
         for ok, what in checks:
@@ -113,13 +126,10 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         """sha256 over the canonical JSON of every field."""
-        blob = json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _json_hash(asdict(self))
 
     def layout(self) -> LayoutParams:
-        return LayoutParams(room_size=self.room_size,
-                            scale_range=(self.scale_min, self.scale_max))
+        return LayoutParams(room_size=self.room_size)
 
     def make_asset_source(self):
         if self.asset_source == "procedural":
@@ -142,8 +152,7 @@ class PipelineConfig:
 
     def heads_config(self) -> HeadsConfig:
         return HeadsConfig(feature_dim=self.feature_dim,
-                           hidden=self.decoder_hidden, u=self.u,
-                           grid_extent=self.grid_extent)
+                           hidden=self.decoder_hidden, u=self.u)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -247,7 +256,6 @@ class PairManifest:
     occlusion_b: OcclusionRecord
     matches: list[dict]
     theta: float
-    export_format: str
     config_hash: str
 
     def occluded(self, pair: ScenePair) -> ScenePair:
@@ -264,17 +272,14 @@ class PairManifest:
     def from_dict(cls, doc: dict) -> "PairManifest":
         manifest = _from_dict(cls, doc, "manifest")
         try:
+            _check_field_types(manifest)
             return replace(
                 manifest,
                 occlusion_a=OcclusionRecord.from_dict(manifest.occlusion_a),
                 occlusion_b=OcclusionRecord.from_dict(manifest.occlusion_b))
         except (KeyError, TypeError, ValueError) as e:
-            raise CorruptManifest(f"pair {manifest.pair_id}: bad occlusion "
-                                  f"record: {e!r}") from None
-
-
-def _pair_dir(out_dir: Path, pair_id: int) -> Path:
-    return out_dir / "pairs" / f"pair_{pair_id:05d}"
+            raise CorruptManifest(f"pair {manifest.pair_id!r}: bad manifest "
+                                  f"value: {e!r}") from None
 
 
 def pair_files(export_format: str) -> dict[str, str]:
@@ -288,8 +293,7 @@ def pair_files(export_format: str) -> dict[str, str]:
 def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
                 occluded: ScenePair, rec_a: OcclusionRecord,
                 rec_b: OcclusionRecord, matches: MatchSet,
-                dist: SceneDistribution,
-                config: PipelineConfig) -> PairManifest:
+                dist: SceneDistribution, config: PipelineConfig) -> None:
     """Write one pair's clouds and manifest into ``pairs/.pair_NNNNN.tmp``,
     then rename that directory into place, replacing an earlier pair of the
     same id. An interrupted write leaves no ``pair_NNNNN`` directory, and
@@ -310,11 +314,10 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
         occlusion_b=rec_b,
         matches=matches.to_records(),
         theta=config.theta,
-        export_format=config.export_format,
         config_hash=config.config_hash(),
     )
     clouds = (pair.scene_a, pair.scene_b, occluded.scene_a, occluded.scene_b)
-    final = _pair_dir(out_dir, pair_id)
+    final = out_dir / "pairs" / f"pair_{pair_id:05d}"
     pdir = final.with_name(f".{final.name}.tmp")
     if pdir.exists():
         shutil.rmtree(pdir)
@@ -334,7 +337,6 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
     except BaseException:
         shutil.rmtree(pdir, ignore_errors=True)
         raise
-    return manifest
 
 
 def generate_pair(config: PipelineConfig, dist: SceneDistribution,
@@ -428,15 +430,17 @@ def generate_dataset(config: PipelineConfig, out_dir,
 
 
 def _load_summary(dataset_dir: Path) -> tuple[PipelineConfig, int]:
-    """The dataset's config and the pair count its summary.json records."""
+    """The dataset's config, hash-checked, and its recorded pair count."""
     summary_path = dataset_dir / "summary.json"
     if not summary_path.exists():
         raise CorruptManifest(f"{summary_path}: missing")
     with open(summary_path) as f:
         summary = json.load(f)
     try:
-        return (PipelineConfig.from_dict(summary["config"]),
-                summary["pairs_produced"])
+        doc = summary["config"]
+        if _json_hash(doc) != summary["config_hash"]:
+            raise CorruptManifest(f"{summary_path}: config hash mismatch")
+        return PipelineConfig.from_dict(doc), summary["pairs_produced"]
     except (KeyError, TypeError) as e:
         raise CorruptManifest(f"{summary_path}: {e!r}") from None
 
@@ -458,8 +462,8 @@ def load_pair(pair_dir, config: PipelineConfig
     replays occlusion and matching exactly as generated. A manifest whose
     config hash is not ``config``'s, a missing manifest or file, a
     field of the wrong type, a record without a required key or an
-    occlusion record whose kept indices do not fit the objects raises
-    CorruptManifest.
+    occlusion record whose kept indices are not integers, strictly
+    increasing and in range for the objects raises CorruptManifest.
     """
     pair_dir = Path(pair_dir)
     with open(_manifest_path(pair_dir)) as f:
@@ -467,11 +471,9 @@ def load_pair(pair_dir, config: PipelineConfig
     if manifest.config_hash != config.config_hash():
         raise CorruptManifest(
             f"pair {manifest.pair_id}: config hash mismatch")
+    files = {name: pair_dir / fname for name, fname
+             in pair_files(config.export_format).items()}
     try:
-        files = {name: pair_dir / fname for name, fname
-                 in pair_files(manifest.export_format).items()}
-        complete = {side: files[f"scene_{side}_complete"]
-                    for side in ("a", "b")}
         draws = [(o["category_id"], o["instance_id"], int(o["n_points"]))
                  for o in manifest.objects]
         transforms = {side: [Transform.from_dict(t) for t in
@@ -482,7 +484,7 @@ def load_pair(pair_dir, config: PipelineConfig
             f"pair {manifest.pair_id}: bad manifest value: {e!r}") from None
     for rec in (manifest.occlusion_a, manifest.occlusion_b):
         if len(rec.kept_indices) != len(draws) or not all(
-                k.ndim == 1 and (k.size == 0 or 0 <= k.min() <= k.max() < n)
+                k.ndim == 1 and (np.diff(k, prepend=-1, append=n) > 0).all()
                 for k, (_, _, n) in zip(rec.kept_indices, draws)):
             raise CorruptManifest(f"pair {manifest.pair_id}: occlusion "
                                   f"record does not fit the objects")
@@ -492,7 +494,8 @@ def load_pair(pair_dir, config: PipelineConfig
                 f"pair {manifest.pair_id}: missing file {path.name}")
     scenes = {}
     for side in ("a", "b"):
-        pts = load_point_cloud(complete[side], manifest.export_format)
+        pts = load_point_cloud(files[f"scene_{side}_complete"],
+                               config.export_format)
         objects = []
         start = 0
         for (category_id, instance_id, n), tf in zip(draws,
@@ -553,8 +556,8 @@ def evaluate_losses(dataset_dir, checkpoint: str | None = None,
         heads = DecoderHeads(config.heads_config(),
                              rng_seed=mix64(config.master_seed, 0xDEC))
     reports: list[LossReport] = []
-    out = open(report_path, "w", newline="\n") if report_path else None
-    try:
+    with (open(report_path, "w", newline="\n") if report_path
+          else nullcontext()) as out:
         for start in range(0, len(pair_dirs), config.batch_pairs):
             batch, batch_ids = [], []
             for pdir in pair_dirs[start:start + config.batch_pairs]:
@@ -565,9 +568,7 @@ def evaluate_losses(dataset_dir, checkpoint: str | None = None,
                 batch_ids.append(manifest.pair_id)
             # an overflow surfaces as the non-finite term refused below
             with np.errstate(all="ignore"):
-                report = forward_backward(batch, encoder, heads, config.tau,
-                                          config.lambda_pts,
-                                          config.lambda_rec,
+                report = forward_backward(batch, encoder, heads,
                                           with_gradients=False)
             bad = [k for k in LOSS_TERMS
                    if not np.isfinite(getattr(report, k))]
@@ -580,9 +581,6 @@ def evaluate_losses(dataset_dir, checkpoint: str | None = None,
                 doc["pair_ids"] = batch_ids
                 out.write(json.dumps(doc, sort_keys=True, allow_nan=False)
                           + "\n")
-    finally:
-        if out is not None:
-            out.close()
     if progress and reports:
         means = {k: float(np.mean([getattr(r, k) for r in reports]))
                  for k in LOSS_TERMS}

@@ -20,7 +20,6 @@ from scenepretext.decoder import DecoderHeads, ToyEncoder, forward_backward
 from scenepretext.errors import EmptyBatch, EmptySet
 from scenepretext.losses import (chamfer_distance, object_level_graph,
                                  point_level_graph)
-from scenepretext.pipeline import PipelineConfig
 
 
 def unit(v):
@@ -448,11 +447,6 @@ def test_overall_loss_affine_in_weights():
         low = overall_report(lam_p, 5.0)
         delta = overall_report(lam_p + 1.0, 5.0).l_overall - low.l_overall
         assert delta == pytest.approx(low.l_pts, abs=1e-12)
-
-
-def test_overall_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        PipelineConfig(lambda_pts=-0.1, lambda_rec=1.0)
 
 
 def test_batch_permutation_invariance():

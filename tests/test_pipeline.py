@@ -127,8 +127,13 @@ MANIFEST_FAULTS = {
     "missing-field": lambda doc: doc.pop("theta"),
     # the name map older manifests stored; the format fixes the names now
     "stale-files-field":
-        lambda doc: doc.update(files=pair_files(doc["export_format"])),
-    "unknown-export-format": lambda doc: doc.update(export_format="obj"),
+        lambda doc: doc.update(files=pair_files(PipelineConfig.export_format)),
+    # the format older manifests stored; the config's format rules now
+    "stale-export-format":
+        lambda doc: doc.update(export_format=PipelineConfig.export_format),
+    "pair-seed-null": lambda doc: doc.update(pair_seed=None),
+    "pair-id-string": lambda doc: doc.update(pair_id="x"),
+    "scene-type-id-string": lambda doc: doc.update(scene_type_id="x"),
     "object-without-n_points": lambda doc: doc["objects"][1].pop("n_points"),
     "object-without-category_id":
         lambda doc: doc["objects"][0].pop("category_id"),
@@ -140,6 +145,11 @@ MANIFEST_FAULTS = {
         lambda doc: doc["occlusion_a"]["kept_indices"][0].append(1000000),
     "kept-lists-fewer-than-objects":
         lambda doc: doc["occlusion_b"]["kept_indices"].pop(),
+    "kept-index-repeated":
+        lambda doc: (k := doc["occlusion_a"]["kept_indices"][1]).append(k[-1]),
+    "kept-indices-not-integers":
+        lambda doc: doc["occlusion_b"]["kept_indices"].__setitem__(
+            0, [0.5, 1.5]),
     "transform-scale-nan": lambda doc: doc["transforms_a"][0].update(
         scale=math.nan),
     "transform-rotation-nan":
@@ -187,11 +197,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(**{**SMALL, "epsilon": 1.5})
     with pytest.raises(ValueError):
-        PipelineConfig(**{**SMALL, "tau": 0.0})
-    with pytest.raises(ValueError):
         PipelineConfig(**{**SMALL, "u": 0})
-    with pytest.raises(ValueError):
-        PipelineConfig(**{**SMALL, "lambda_rec": -1.0})
     # the scenes must hold the u * u detail targets of at least one seed
     tiny = {**SMALL, "n_objects_per_scene": 1, "u": 3}
     with pytest.raises(ValueError):
@@ -341,13 +347,18 @@ def test_pair_write_replaces_a_leftover_temporary(tmp_path):
 # float32 cloud as it is, so only the loss report moved, by rounding: the
 # largest relative move of any loss term is 4.4e-16 (l_obj, seed 1; at most
 # 2.7e-16 on l_overall). A tree-only digest of each config is unchanged.
+# Updated again when PipelineConfig lost tau, lambda_pts, lambda_rec,
+# grid_extent, scale_min and scale_max and the manifest lost export_format:
+# summary.json lost those six config keys and every manifest.json its
+# export_format key, and the config hash in both moved; every geometry file
+# and every loss line is byte-identical.
 GOLDEN = [
     (0, "binary-f32",
-     "113a8f9fee70eeceabcc314237896a0935c2934f24e5d3a2e1d36b5933cead73"),
+     "9f5c00c65eb59d4a0827974880c40491a842ade7520b9cc371eca727a2b6befb"),
     (1, "binary-f32",
-     "201b323768727e6059b62e0dafd715202c91410957519a3812f94d1c2b85d696"),
+     "856e1725cdf0a5755c37127eef930671bbd9abff2c8ef5b63432398b435026ae"),
     (2, "ascii-ply",
-     "3e00fbd4a054104c75926c9f0b124d908026190d5a6c35809e5e88c3de6ba86a"),
+     "d4e03ad06790a131907b01325d4107cf29d24603c8f8f24edcf10ed97d600672"),
 ]
 
 
@@ -565,13 +576,13 @@ def test_load_pair_replays_scene(tmp_path):
     config = PipelineConfig(**SMALL)
     generate_dataset(config, tmp_path / "ds", progress=False)
     pdir = list_pair_dirs(tmp_path / "ds")[0]
-    pair, manifest = load_pair(pdir, config)
+    pair, _ = load_pair(pdir, config)
     assert pair.scene_a.n_objects == 4
     # per-point ids rebuilt from manifest object sizes cover all objects
     assert sorted(np.unique(pair.scene_a.point_object_ids)) == list(range(4))
     stored = load_point_cloud(
-        pdir / pair_files(manifest.export_format)["scene_a_complete"],
-        manifest.export_format)
+        pdir / pair_files(config.export_format)["scene_a_complete"],
+        config.export_format)
     np.testing.assert_allclose(pair.scene_a.points, stored, atol=1e-5)
 
 
@@ -660,15 +671,25 @@ def test_match_reads_and_validates_dataset_config(tmp_path):
 @pytest.mark.parametrize("key,value", [("theta", math.inf), ("m_seeds", 0)])
 def test_summary_config_failing_its_checks_raises_corrupt_manifest(
         tmp_path, key, value):
+    # rehashed, so the checks, not the hash, refuse it
     dataset, _ = _tiny_dataset(tmp_path)
-    path = dataset / "summary.json"
-    doc = json.loads(path.read_text())
-    doc["config"][key] = value
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptManifest):
+    _edit_summary_config(dataset, True, **{key: value})
+    with pytest.raises(CorruptManifest, match="config violates"):
         evaluate_losses(dataset, progress=False)
-    with pytest.raises(CorruptManifest):
+    with pytest.raises(CorruptManifest, match="config violates"):
         match_pair_dir(list_pair_dirs(dataset)[0])
+
+
+def test_summary_config_is_checked_against_its_hash(tmp_path):
+    # a valid config that is not the one the dataset was made with is
+    # refused before any pair or model is built from it
+    dataset, _ = _tiny_dataset(tmp_path)
+    _edit_summary_config(dataset, False, theta=0.33)
+    for call in (lambda: evaluate_losses(dataset, progress=False),
+                 lambda: match_pair_dir(list_pair_dirs(dataset)[0])):
+        with pytest.raises(CorruptManifest,
+                           match="summary.json: config hash mismatch"):
+            call()
 
 
 def test_pair_generation_is_order_independent(tmp_path):
@@ -747,6 +768,11 @@ def _feature_dim_disagrees(doc):
                           for k, v in heads.params.items()})
 
 
+def _encoder_config_holding_point_dim(doc):
+    # an older checkpoint, whose encoder config stored the point width
+    doc["encoder_config"]["point_dim"] = 3
+
+
 def _u_disagrees_with_dataset(doc):
     # the heads' parameters do not depend on u, the targets' size does
     doc["heads_config"]["u"] += 1
@@ -762,9 +788,11 @@ def _u_disagrees_with_dataset(doc):
     (_wrong_shape, DimensionMismatch),
     (_feature_dim_disagrees, DimensionMismatch),
     (_u_disagrees_with_dataset, DimensionMismatch),
+    (_encoder_config_holding_point_dim, CorruptManifest),
 ], ids=["missing-key", "missing-entry-key", "unknown-config-field",
         "unknown-scope", "nan-encoder-weight", "nan-head-weight",
-        "wrong-shape", "feature-dim-disagrees", "u-disagrees-with-dataset"])
+        "wrong-shape", "feature-dim-disagrees", "u-disagrees-with-dataset",
+        "encoder-config-holding-point-dim"])
 def test_cli_losses_bad_checkpoint_exit_2(tmp_path, corrupt, error):
     argv = _losses_with_corrupt_checkpoint(tmp_path, corrupt)
     # the u check needs the dataset, so the library call is evaluate_losses,
@@ -1058,6 +1086,25 @@ def _summary_without_config(tmp_path):
     return ["losses", str(dataset)]
 
 
+def _edit_summary_config(dataset, rehash, **values):
+    """Set ``values`` in summary.json's config; with ``rehash`` its
+    config_hash is rewritten to match, as if the config were valid."""
+    path = dataset / "summary.json"
+    doc = json.loads(path.read_text())
+    doc["config"].update(values)
+    if rehash:
+        blob = json.dumps(doc["config"], sort_keys=True,
+                          separators=(",", ":"))
+        doc["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+def _losses_with_summary_config(tmp_path, rehash, **values):
+    dataset, _ = _tiny_dataset(tmp_path)
+    _edit_summary_config(dataset, rehash, **values)
+    return ["losses", str(dataset)]
+
+
 def _match_zero_seeds(tmp_path):
     dataset, _ = _tiny_dataset(tmp_path)
     return ["match", str(list_pair_dirs(dataset)[0]), "--m-seeds", "0"]
@@ -1136,6 +1183,13 @@ CLI_INPUT_FAULTS = {
         lambda tmp: _losses_without_pair_file(tmp, "manifest.json"),
     "missing-pair-dir": lambda tmp: _losses_without_pair_file(tmp, None),
     "summary-without-config": _summary_without_config,
+    "summary-u-float":
+        lambda tmp: _losses_with_summary_config(tmp, False, u=3.0),
+    "summary-batch-pairs-float-rehashed":
+        lambda tmp: _losses_with_summary_config(tmp, True, batch_pairs=2.0),
+    # an older dataset's summary, whose config held the loss constants
+    "summary-config-holding-tau":
+        lambda tmp: _losses_with_summary_config(tmp, True, tau=0.03),
     "match-zero-seeds": _match_zero_seeds,
     "match-without-summary": _match_without_summary,
     "match-theta-nan": lambda tmp: _match_theta(tmp, "nan"),
