@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZeroCounts, CorruptManifest, DimensionMismatch
+from .errors import (AllZeroCounts, DimensionMismatch, from_record,
+                     numeric_array)
 
 SUM_TOL = 1e-9
 
@@ -81,10 +82,7 @@ def fit_categorical(table: CategoryTable) -> np.ndarray:
     1e-12 and is scale-invariant in the counts.
     """
     counts = np.asarray(table.counts, dtype=np.float64)
-    total = counts.sum()
-    if total == 0:
-        raise AllZeroCounts("every count is zero")
-    return counts / total
+    return counts / counts.sum()
 
 
 def _check_prob_vector(vec: np.ndarray, path: str) -> None:
@@ -118,9 +116,12 @@ class SceneDistribution:
     def __post_init__(self):
         object.__setattr__(self, "scene_labels", tuple(self.scene_labels))
         object.__setattr__(self, "category_labels", tuple(self.category_labels))
-        prior = np.asarray(self.scene_prior, dtype=np.float64)
-        cond = np.asarray(self.category_given_scene, dtype=np.float64)
-        inst = tuple(np.asarray(r, dtype=np.float64)
+        if not all(isinstance(x, str)
+                   for x in self.scene_labels + self.category_labels):
+            raise TypeError("SceneDistribution: a label is not a str")
+        prior = numeric_array(self.scene_prior, "scene_prior")
+        cond = numeric_array(self.category_given_scene, "category_given_scene")
+        inst = tuple(numeric_array(r, "instance_given_category")
                      for r in self.instance_given_category)
         for arr in (prior, cond, *inst):
             arr.setflags(write=False)
@@ -172,34 +173,15 @@ class SceneDistribution:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SceneDistribution":
-        """An ``epsilon`` key, which older files hold, is ignored: the
-        drawing config supplies epsilon (`PipelineConfig.epsilon`)."""
-        for key in ("scene_labels", "category_labels", "scene_prior",
-                    "category_given_scene", "instance_given_category"):
-            if key not in doc:
-                raise ValueError(f"{key}: missing field")
-        return cls(
-            scene_labels=tuple(doc["scene_labels"]),
-            category_labels=tuple(doc["category_labels"]),
-            scene_prior=np.array(doc["scene_prior"], dtype=np.float64),
-            category_given_scene=np.array(doc["category_given_scene"],
-                                          dtype=np.float64),
-            instance_given_category=tuple(
-                np.array(r, dtype=np.float64)
-                for r in doc["instance_given_category"]),
-        )
-
-    @classmethod
     def load(cls, path) -> "SceneDistribution":
-        """Read a saved distribution; tables that do not fit each other
-        raise CorruptManifest."""
+        """Read a saved distribution; a missing or unknown key, or a value
+        that is not a number or not a probability, raises CorruptManifest,
+        and tables that do not fit each other DimensionMismatch."""
         with open(path) as f:
             doc = json.load(f)
-        try:
-            return cls.from_dict(doc)
-        except DimensionMismatch as e:
-            raise CorruptManifest(f"{path}: {e}") from None
+        if isinstance(doc, dict):   # an older file's epsilon is ignored
+            doc.pop("epsilon", None)
+        return from_record(cls, doc, str(path))
 
 
 def fit_scene_distribution(

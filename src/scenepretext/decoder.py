@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
                              match_fps_pools, sample_seed_set)
-from .errors import (CorruptManifest, DimensionMismatch, EmptyBatch,
-                     TooFewPoints)
+from .errors import (DimensionMismatch, EmptyBatch, TooFewPoints,
+                     check_field_types, from_record, numeric_array)
 from .losses import (LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport,
                      object_level_graph, point_level_graph)
 from .occlusion import occlude_pair
@@ -79,6 +79,9 @@ class EncoderConfig:
     proj_hidden: int = 64
     embed_dim: int = 128      # d, contrastive embedding width
 
+    def __post_init__(self):
+        check_field_types(self)
+
 
 class ToyEncoder:
     """Per-point MLP with per-object max-pool context and a projection head.
@@ -126,6 +129,9 @@ class HeadsConfig:
     hidden: int = 64
     u: int = 3
     grid_extent: ClassVar[float] = 0.05   # fold grid half-width, not stored
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 def make_grid(u: int, extent: float) -> np.ndarray:
@@ -457,41 +463,37 @@ def save_checkpoint(encoder: ToyEncoder, heads: DecoderHeads, path) -> None:
 def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:
     """Load a checkpoint, validating every tensor against its shape entry.
 
-    Bad structure (missing key, unknown config field or parameter scope)
-    or a non-finite value raises CorruptManifest; a wrong tensor size or
-    shape, or heads whose feature_dim is not the encoder's,
-    DimensionMismatch.
+    Bad structure (missing or unknown key or config field, unknown
+    parameter scope), a value of the wrong type or a non-finite value
+    raises CorruptManifest; a wrong tensor size or shape, or heads whose
+    feature_dim is not the encoder's, DimensionMismatch.
     """
-    with open(path) as f:
-        doc = json.load(f)
-    try:
-        enc_cfg = EncoderConfig(**doc["encoder_config"])
-        heads_cfg = HeadsConfig(**doc["heads_config"])
-        entries = {key: (entry["data"], tuple(entry["shape"]))
-                   for key, entry in doc["params"].items()}
-    except (KeyError, TypeError) as e:  # missing key, unknown config field
-        raise CorruptManifest(f"checkpoint {path}: {e!r}") from None
-    if enc_cfg.feature_dim != heads_cfg.feature_dim:
-        raise DimensionMismatch(
-            f"checkpoint {path}: encoder feature_dim {enc_cfg.feature_dim}, "
-            f"heads feature_dim {heads_cfg.feature_dim}")
-    scoped: dict[str, dict[str, np.ndarray]] = {"encoder": {}, "heads": {}}
-    for key, (data, shape) in entries.items():
-        scope, _, name = key.partition(".")
-        if scope not in scoped:
-            raise CorruptManifest(
-                f"checkpoint {path}: {key!r} has unknown scope {scope!r}")
-        arr = np.array(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise CorruptManifest(
-                f"checkpoint {path}: {key} holds non-finite values")
-        if arr.size != int(np.prod(shape)):
+    def read(encoder_config: dict, heads_config: dict, params: dict):
+        enc_cfg = EncoderConfig(**encoder_config)
+        heads_cfg = HeadsConfig(**heads_config)
+        if enc_cfg.feature_dim != heads_cfg.feature_dim:
             raise DimensionMismatch(
-                f"{key}: {arr.size} values for shape {shape}")
-        scoped[scope][name] = arr.reshape(shape)
-    encoder = ToyEncoder(enc_cfg, params=scoped["encoder"])
-    heads = DecoderHeads(heads_cfg, params=scoped["heads"])
-    return encoder, heads
+                f"checkpoint {path}: encoder feature_dim {enc_cfg.feature_dim}"
+                f", heads feature_dim {heads_cfg.feature_dim}")
+        scoped = {"encoder": {}, "heads": {}}
+        for key, entry in dict.items(params):   # TypeError unless a dict
+            scope, _, name = key.partition(".")
+            if scope not in scoped:
+                raise ValueError(f"{key!r} has unknown scope {scope!r}")
+            arr = numeric_array(entry["data"], f"{key}.data")
+            shape = tuple(numeric_array(entry["shape"], f"{key}.shape",
+                                        integer=True).tolist())
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{key} holds non-finite values")
+            if arr.size != np.prod(shape):
+                raise DimensionMismatch(
+                    f"{key}: {arr.size} values for shape {shape}")
+            scoped[scope][name] = arr.reshape(shape)
+        return (ToyEncoder(enc_cfg, params=scoped["encoder"]),
+                DecoderHeads(heads_cfg, params=scoped["heads"]))
+
+    with open(path) as f:
+        return from_record(read, json.load(f), f"checkpoint {path}")
 
 
 @dataclass

@@ -1,8 +1,13 @@
-"""Exception types raised across the pipeline.
-
-Every error that callers are expected to catch has its own class; generic
-ValueError/TypeError are reserved for programming mistakes.
+"""Exception types raised across the pipeline, and the one check of stored
+values: each stored record checks in ``__post_init__`` that every value has
+its declared type (`check_field_types`, `numeric_array`), and `from_record`
+reads one from a JSON object, turning a refusal into CorruptManifest. This
+module imports nothing from the package, so every module can use it.
 """
+
+from dataclasses import fields
+
+import numpy as np
 
 
 class ScenePretextError(Exception):
@@ -15,10 +20,6 @@ class AllZeroCounts(ScenePretextError):
 
 class DimensionMismatch(ScenePretextError):
     """Array or table dimensions are mutually inconsistent."""
-
-
-class EmptyDistribution(ScenePretextError):
-    """A distribution has no support to sample from."""
 
 
 class PlacementFailure(ScenePretextError):
@@ -51,3 +52,42 @@ class EmptySet(ScenePretextError):
 
 class CorruptManifest(ScenePretextError):
     """A pair manifest is missing files or fails validation."""
+
+
+_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+          "str | None": (str, type(None)), "list[dict]": list}
+
+
+def check_field_types(record) -> None:
+    """TypeError for a field whose value is not of its declared type; an
+    int is a float, a bool is only a bool. Fields of other types are
+    checked by their record."""
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if (not isinstance(v, _TYPES.get(f.type, object))
+                or isinstance(v, bool) and f.type != "bool"):
+            raise TypeError(f"{type(record).__name__}.{f.name}: "
+                            f"{type(v).__name__} is not {f.type}")
+
+
+def numeric_array(value, what: str, integer: bool = False) -> np.ndarray:
+    """``value`` as a float64 array, or an intp array when ``integer`` is
+    set. Strings, booleans, nulls and, when ``integer`` is set, floats
+    raise TypeError naming ``what`` and the values' type."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in ("iu" if integer and arr.size else "iuf"):
+        kind = {"b": "bool", "U": "str", "f": "float"}.get(arr.dtype.kind,
+                                                             "non-numeric")
+        raise TypeError(f"{what}: {kind} values are not "
+                        f"{'integers' if integer else 'numbers'}")
+    return arr.astype(np.intp if integer else np.float64, copy=False)
+
+
+def from_record(cls, doc, what: str):
+    """``cls(**doc)`` for a stored JSON object and a record class, or a
+    reader taking the object's keys; a missing or unknown key, or a value
+    ``cls`` refuses, raises CorruptManifest naming ``what``."""
+    try:
+        return cls(**doc)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorruptManifest(f"{what}: {type(e).__name__}: {e}") from None

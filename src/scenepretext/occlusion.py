@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateObject
+from .errors import DegenerateObject, numeric_array
 from .scenegen import ObjectInstance, SceneInstance, ScenePair
 from .seeding import STREAM_OCCLUDE_A, STREAM_OCCLUDE_B, mix64
 
@@ -29,19 +29,18 @@ class OcclusionRecord:
     fractions: np.ndarray            # drawn removal fraction per object
     kept_indices: tuple[np.ndarray, ...]  # strictly increasing, per object
 
+    def __post_init__(self):
+        for name in ("viewpoint", "fractions"):
+            object.__setattr__(self, name, numeric_array(
+                getattr(self, name), f"OcclusionRecord.{name}"))
+        object.__setattr__(self, "kept_indices", tuple(
+            numeric_array(k, "OcclusionRecord.kept_indices", integer=True)
+            for k in self.kept_indices))
+
     def to_dict(self) -> dict:
         return {"viewpoint": self.viewpoint.tolist(),
                 "fractions": self.fractions.tolist(),
                 "kept_indices": [k.tolist() for k in self.kept_indices]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OcclusionRecord":
-        kept = [np.array(k) for k in doc["kept_indices"]]
-        if not all(k.size == 0 or k.dtype.kind == "i" for k in kept):
-            raise ValueError("kept indices are not integers")
-        return cls(np.array(doc["viewpoint"], dtype=np.float64),
-                   np.array(doc["fractions"], dtype=np.float64),
-                   tuple(k.astype(np.intp, copy=False) for k in kept))
 
 
 def _kept_for_fraction(placed: np.ndarray, viewpoint: np.ndarray,

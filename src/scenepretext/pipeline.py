@@ -18,7 +18,7 @@ import shutil
 import struct
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import ClassVar
 import numpy as np
@@ -30,7 +30,7 @@ from .correspondence import MatchSet, full_seed_pool, match_fps_pools
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       forward_backward, load_checkpoint, prepare_occluded_pair)
 from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
-                     PlacementFailure)
+                     PlacementFailure, check_field_types, from_record)
 from .losses import LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
@@ -41,28 +41,9 @@ from .seeding import mix64
 FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
 
 
-def _check_field_types(obj) -> None:
-    """TypeError for a value not of its field's type; an int is a float."""
-    types = {"int": int, "float": (int, float), "str": str, "bool": bool,
-             "str | None": (str, type(None)), "list[dict]": list}
-    for f in fields(obj):   # other types are checked where they are read
-        v = getattr(obj, f.name)
-        if (not isinstance(v, types.get(f.type, object))
-                or isinstance(v, bool) and f.type != "bool"):
-            raise TypeError(f"{f.name}: {v!r} is not {f.type}")
-
-
 def _json_hash(doc) -> str:
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _from_dict(cls, doc: dict, what: str):
-    """Build a dataclass from a stored JSON object, refusing bad fields."""
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as e:  # bad keys, types or values
-        raise CorruptManifest(f"{what}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -100,7 +81,7 @@ class PipelineConfig:
     lambda_rec: ClassVar[float] = LAMBDA_REC
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self)
         checks = [(math.isfinite(v), f"{k} is finite")
                   for k, v in vars(self).items() if isinstance(v, float)]
         checks += [
@@ -156,7 +137,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        return _from_dict(cls, doc, "config")
+        return from_record(cls, doc, "config")
 
 
 def export_point_cloud(points: np.ndarray, path, fmt: str) -> None:
@@ -241,6 +222,19 @@ def load_point_cloud(path, fmt: str) -> np.ndarray:
     return pts
 
 
+@dataclass(frozen=True)
+class ObjectDraw:
+    """One object of a pair's draw, in storage order."""
+
+    category_id: int
+    category: str
+    instance_id: int
+    n_points: int
+
+    def __post_init__(self):
+        check_field_types(self)
+
+
 @dataclass
 class PairManifest:
     """Replayable record of one generated pair."""
@@ -249,14 +243,23 @@ class PairManifest:
     pair_seed: int
     scene_type_id: int
     scene_type: str
-    objects: list[dict]
-    transforms_a: list[dict]
-    transforms_b: list[dict]
+    objects: list[ObjectDraw]
+    transforms_a: list[Transform]
+    transforms_b: list[Transform]
     occlusion_a: OcclusionRecord
     occlusion_b: OcclusionRecord
     matches: list[dict]
     theta: float
     config_hash: str
+
+    def __post_init__(self):
+        check_field_types(self)
+        if not isinstance(self.occlusion_a, OcclusionRecord):  # as stored
+            self.objects = [ObjectDraw(**o) for o in self.objects]
+            self.transforms_a = [Transform(**t) for t in self.transforms_a]
+            self.transforms_b = [Transform(**t) for t in self.transforms_b]
+            self.occlusion_a = OcclusionRecord(**self.occlusion_a)
+            self.occlusion_b = OcclusionRecord(**self.occlusion_b)
 
     def occluded(self, pair: ScenePair) -> ScenePair:
         """The occluded pair that this manifest's two records select."""
@@ -265,21 +268,11 @@ class PairManifest:
                          self.pair_seed)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "occlusion_a": self.occlusion_a.to_dict(),
+        return {**vars(self), "objects": [vars(o) for o in self.objects],
+                "transforms_a": [t.to_dict() for t in self.transforms_a],
+                "transforms_b": [t.to_dict() for t in self.transforms_b],
+                "occlusion_a": self.occlusion_a.to_dict(),
                 "occlusion_b": self.occlusion_b.to_dict()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PairManifest":
-        manifest = _from_dict(cls, doc, "manifest")
-        try:
-            _check_field_types(manifest)
-            return replace(
-                manifest,
-                occlusion_a=OcclusionRecord.from_dict(manifest.occlusion_a),
-                occlusion_b=OcclusionRecord.from_dict(manifest.occlusion_b))
-        except (KeyError, TypeError, ValueError) as e:
-            raise CorruptManifest(f"pair {manifest.pair_id!r}: bad manifest "
-                                  f"value: {e!r}") from None
 
 
 def pair_files(export_format: str) -> dict[str, str]:
@@ -303,13 +296,11 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
         pair_seed=pair.pair_seed,
         scene_type_id=pair.scene_a.scene_type_id,
         scene_type=dist.scene_labels[pair.scene_a.scene_type_id],
-        objects=[{"category_id": o.category_id,
-                  "category": dist.category_labels[o.category_id],
-                  "instance_id": o.instance_id,
-                  "n_points": o.n_points}
+        objects=[ObjectDraw(o.category_id, dist.category_labels[o.category_id],
+                            o.instance_id, o.n_points)
                  for o in pair.scene_a.objects],
-        transforms_a=[o.transform.to_dict() for o in pair.scene_a.objects],
-        transforms_b=[o.transform.to_dict() for o in pair.scene_b.objects],
+        transforms_a=pair.transforms("a"),
+        transforms_b=pair.transforms("b"),
         occlusion_a=rec_a,
         occlusion_b=rec_b,
         matches=matches.to_records(),
@@ -440,7 +431,8 @@ def _load_summary(dataset_dir: Path) -> tuple[PipelineConfig, int]:
         doc = summary["config"]
         if _json_hash(doc) != summary["config_hash"]:
             raise CorruptManifest(f"{summary_path}: config hash mismatch")
-        return PipelineConfig.from_dict(doc), summary["pairs_produced"]
+        return (from_record(PipelineConfig, doc, str(summary_path)),
+                summary["pairs_produced"])
     except (KeyError, TypeError) as e:
         raise CorruptManifest(f"{summary_path}: {e!r}") from None
 
@@ -459,33 +451,24 @@ def load_pair(pair_dir, config: PipelineConfig
 
     Each object holds its slice of the stored complete cloud as it is, in
     the scene frame, and its recorded transform, so the returned pair
-    replays occlusion and matching exactly as generated. A manifest whose
-    config hash is not ``config``'s, a missing manifest or file, a
-    field of the wrong type, a record without a required key or an
-    occlusion record whose kept indices are not integers, strictly
-    increasing and in range for the objects raises CorruptManifest.
+    replays occlusion and matching exactly as generated. A missing
+    manifest or file, a value its records refuse, a config hash that is
+    not ``config``'s or kept indices that are not strictly increasing and
+    in range for the objects raise CorruptManifest.
     """
     pair_dir = Path(pair_dir)
-    with open(_manifest_path(pair_dir)) as f:
-        manifest = PairManifest.from_dict(json.load(f))
+    mpath = _manifest_path(pair_dir)
+    with open(mpath) as f:
+        manifest = from_record(PairManifest, json.load(f), str(mpath))
     if manifest.config_hash != config.config_hash():
-        raise CorruptManifest(
-            f"pair {manifest.pair_id}: config hash mismatch")
+        raise CorruptManifest(f"pair {manifest.pair_id}: config hash mismatch")
     files = {name: pair_dir / fname for name, fname
              in pair_files(config.export_format).items()}
-    try:
-        draws = [(o["category_id"], o["instance_id"], int(o["n_points"]))
-                 for o in manifest.objects]
-        transforms = {side: [Transform.from_dict(t) for t in
-                             getattr(manifest, f"transforms_{side}")]
-                      for side in ("a", "b")}
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise CorruptManifest(
-            f"pair {manifest.pair_id}: bad manifest value: {e!r}") from None
     for rec in (manifest.occlusion_a, manifest.occlusion_b):
-        if len(rec.kept_indices) != len(draws) or not all(
-                k.ndim == 1 and (np.diff(k, prepend=-1, append=n) > 0).all()
-                for k, (_, _, n) in zip(rec.kept_indices, draws)):
+        if len(rec.kept_indices) != len(manifest.objects) or not all(
+                k.ndim == 1
+                and (np.diff(k, prepend=-1, append=o.n_points) > 0).all()
+                for k, o in zip(rec.kept_indices, manifest.objects)):
             raise CorruptManifest(f"pair {manifest.pair_id}: occlusion "
                                   f"record does not fit the objects")
     for path in files.values():
@@ -498,11 +481,11 @@ def load_pair(pair_dir, config: PipelineConfig
                                config.export_format)
         objects = []
         start = 0
-        for (category_id, instance_id, n), tf in zip(draws,
-                                                     transforms[side]):
-            objects.append(ObjectInstance(category_id, instance_id,
-                                          pts[start:start + n], tf))
-            start += n
+        for o, tf in zip(manifest.objects,
+                         getattr(manifest, f"transforms_{side}")):
+            objects.append(ObjectInstance(o.category_id, o.instance_id,
+                                          pts[start:start + o.n_points], tf))
+            start += o.n_points
         if start != pts.shape[0]:
             raise CorruptManifest(
                 f"pair {manifest.pair_id}: scene {side} has {pts.shape[0]} "

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import SceneDistribution
-from .errors import (DegenerateObject, EmptyDistribution, PlacementFailure)
+from .errors import DegenerateObject, PlacementFailure, numeric_array
 from .seeding import STREAM_LAYOUT_A, STREAM_LAYOUT_B, STREAM_SPEC, mix64
 
 ORTHONORMAL_TOL = 1e-9
@@ -35,13 +35,14 @@ class Transform:
     scale: float = 1.0
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
+        r = numeric_array(self.rotation, "Transform.rotation")
+        t = numeric_array(self.translation, "Transform.translation")
+        s = numeric_array(self.scale, "Transform.scale")
+        if r.shape != (3, 3) or t.shape != (3,) or s.shape != ():
+            raise ValueError("Transform: shapes must be (3, 3), (3,) and ()")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "scale", float(self.scale))
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ValueError("rotation must be 3x3 and translation 3-vector")
+        object.__setattr__(self, "scale", s.item())
         # written so that a NaN fails each check
         if not np.abs(r.T @ r - np.eye(3)).max() <= ORTHONORMAL_TOL:
             raise ValueError("rotation is not orthonormal")
@@ -73,11 +74,6 @@ class Transform:
         return {"rotation": self.rotation.tolist(),
                 "translation": self.translation.tolist(),
                 "scale": self.scale}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Transform":
-        return cls(np.array(doc["rotation"]), np.array(doc["translation"]),
-                   float(doc["scale"]))
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,6 @@ def sample_scene_spec(dist: SceneDistribution, n_objects: int,
     """
     if n_objects < 1:
         raise ValueError("n_objects must be >= 1")
-    if dist.n_scene_types == 0 or dist.n_categories == 0:
-        raise EmptyDistribution("distribution has empty support")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     scene_type = int(rng.choice(dist.n_scene_types, p=dist.scene_prior))
     row = dist.category_given_scene[scene_type]

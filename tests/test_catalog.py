@@ -12,7 +12,8 @@ from scenepretext.catalog import (EPSILON, MAX_INSTANCES, CategoryTable,
                                   _count, SceneDistribution, fit_categorical,
                                   fit_scene_distribution,
                                   load_default_scannet_parameters)
-from scenepretext.errors import AllZeroCounts, DimensionMismatch
+from scenepretext.errors import (AllZeroCounts, CorruptManifest,
+                                 DimensionMismatch)
 
 # published major scene shares: label percentages of the full dataset and
 # the renormalized shares over the 13 major types
@@ -216,7 +217,7 @@ def test_loader_rejects_with_path_qualified_error(tmp_path):
     path = tmp_path / "bad.json"
     with open(path, "w") as f:
         json.dump(doc, f)
-    with pytest.raises(ValueError, match=r"category_given_scene\[3\]"):
+    with pytest.raises(CorruptManifest, match=r"category_given_scene\[3\]"):
         SceneDistribution.load(path)
 
 

@@ -139,7 +139,7 @@ def test_record_roundtrip_via_dict():
     _, record = occlude_scene(scene, 12)
     from scenepretext.occlusion import OcclusionRecord
     doc = record.to_dict()
-    back = OcclusionRecord.from_dict(doc)
+    back = OcclusionRecord(**doc)
     np.testing.assert_array_equal(back.viewpoint, record.viewpoint)
     np.testing.assert_array_equal(back.fractions, record.fractions)
     for a, b in zip(back.kept_indices, record.kept_indices):

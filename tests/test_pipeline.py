@@ -158,12 +158,30 @@ MANIFEST_FAULTS = {
     "transform-translation-nan":
         lambda doc: doc["transforms_a"][2]["translation"].__setitem__(
             1, math.nan),
+    # a stored value of the wrong type, where numpy would have taken it
+    "category-id-fractional":
+        lambda doc: doc["objects"][0].update(category_id=4.5),
+    "instance-id-string":
+        lambda doc: doc["objects"][0].update(instance_id="x"),
+    "n-points-string": lambda doc: (o := doc["objects"][0]).update(
+        n_points=str(o["n_points"])),
+    "transform-scale-string": lambda doc: (t := doc["transforms_a"][0]).update(
+        scale=str(t["scale"])),
+    "transform-rotation-strings":
+        lambda doc: (t := doc["transforms_b"][0]).update(
+            rotation=[[str(v) for v in row] for row in t["rotation"]]),
 }
+
+
+def _assert_one_short_line(err, tmp_path):
+    # a refused value is named by its type, never printed whole
+    message = err.replace(str(tmp_path), "")
+    assert message.count("\n") == 1 and len(message) < 200, message
 
 
 @pytest.mark.parametrize("fault", list(MANIFEST_FAULTS))
 @pytest.mark.parametrize("command", ["losses", "match"])
-def test_cli_bad_manifest_fields_exit_2(tmp_path, command, fault):
+def test_cli_bad_manifest_fields_exit_2(tmp_path, capsys, command, fault):
     config = PipelineConfig(**SMALL)
     generate_dataset(config, tmp_path / "ds", progress=False)
     pdir = list_pair_dirs(tmp_path / "ds")[0]
@@ -173,7 +191,9 @@ def test_cli_bad_manifest_fields_exit_2(tmp_path, command, fault):
     with pytest.raises(CorruptManifest):
         load_pair(pdir, config)
     target = tmp_path / "ds" if command == "losses" else pdir
+    capsys.readouterr()
     assert main([command, str(target)]) == 2
+    _assert_one_short_line(capsys.readouterr().err, tmp_path)
 
 
 def test_format_validation(tmp_path):
@@ -778,6 +798,24 @@ def _u_disagrees_with_dataset(doc):
     doc["heads_config"]["u"] += 1
 
 
+def _shape_entries(convert):
+    def corrupt(doc):
+        entry = doc["params"]["encoder.point_b2"]
+        entry["shape"] = [convert(n) for n in entry["shape"]]
+    return corrupt
+
+
+def _config_value(config, field, convert):
+    def corrupt(doc):
+        doc[config][field] = convert(doc[config][field])
+    return corrupt
+
+
+def _data_value_string(doc):
+    data = doc["params"]["encoder.point_b2"]["data"]
+    data[0] = str(data[0])
+
+
 @pytest.mark.parametrize("corrupt,error", [
     (_drop_params, CorruptManifest),
     (_drop_entry_data, CorruptManifest),
@@ -789,17 +827,27 @@ def _u_disagrees_with_dataset(doc):
     (_feature_dim_disagrees, DimensionMismatch),
     (_u_disagrees_with_dataset, DimensionMismatch),
     (_encoder_config_holding_point_dim, CorruptManifest),
+    (_config_value("heads_config", "u", float), CorruptManifest),
+    (_config_value("heads_config", "hidden", str), CorruptManifest),
+    (_config_value("encoder_config", "hidden", float), CorruptManifest),
+    (_shape_entries(str), CorruptManifest),
+    (_shape_entries(float), CorruptManifest),
+    (_data_value_string, CorruptManifest),
 ], ids=["missing-key", "missing-entry-key", "unknown-config-field",
         "unknown-scope", "nan-encoder-weight", "nan-head-weight",
         "wrong-shape", "feature-dim-disagrees", "u-disagrees-with-dataset",
-        "encoder-config-holding-point-dim"])
-def test_cli_losses_bad_checkpoint_exit_2(tmp_path, corrupt, error):
+        "encoder-config-holding-point-dim", "heads-u-float",
+        "heads-hidden-string", "encoder-hidden-float", "shape-strings",
+        "shape-floats", "data-value-string"])
+def test_cli_losses_bad_checkpoint_exit_2(tmp_path, capsys, corrupt, error):
     argv = _losses_with_corrupt_checkpoint(tmp_path, corrupt)
     # the u check needs the dataset, so the library call is evaluate_losses,
     # which loads the checkpoint first
     with pytest.raises(error):
         evaluate_losses(argv[1], checkpoint=argv[-1], progress=False)
+    capsys.readouterr()
     assert main(argv) == 2
+    _assert_one_short_line(capsys.readouterr().err, tmp_path)
 
 
 def test_thousand_scene_histogram_matches_published_shares(tmp_path):
@@ -967,6 +1015,8 @@ DISTRIBUTION_FAULTS = {
     "scene-prior-short": lambda doc: doc["scene_prior"].pop(),
     "empty-instance-row":
         lambda doc: doc["instance_given_category"].__setitem__(0, []),
+    "scene-prior-strings": lambda doc: doc.update(
+        scene_prior=[str(p) for p in doc["scene_prior"]]),
 }
 
 
@@ -1264,6 +1314,53 @@ def test_cli_fit_bad_counts_exit_0_or_2(tmp_path, scene, objects,
            "objects_per_scene": {"kitchen": {"chair": objects}},
            "instances_per_category": {"chair": instances}}
     assert main(_fit_counts(tmp_path, doc)) in (0, 2)
+
+
+def _leaves(doc, path=()):
+    """Paths to the scalar leaves of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [p for k, v in items for p in _leaves(v, path + (k,))]
+    return [path]
+
+
+# one small value of each JSON type
+JSON_VALUES = {bool: st.booleans(), int: st.integers(-3, 3),
+               float: st.floats(-3.0, 3.0), str: st.text(max_size=3),
+               type(None): st.none(), list: st.lists(st.integers(0, 3),
+                                                     max_size=2),
+               dict: st.just({})}
+
+
+@pytest.fixture(scope="module")
+def fuzzed_pair(tmp_path_factory):
+    dataset, _ = _tiny_dataset(tmp_path_factory.mktemp("fuzz"))
+    return list_pair_dirs(dataset)[0]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_fuzzed_manifest_exit_0_or_2(fuzzed_pair, data):
+    # one scalar leaf of manifest.json, under a top-level key drawn first,
+    # becomes a value of another JSON type
+    path = fuzzed_pair / "manifest.json"
+    original = path.read_text()
+    doc = json.loads(original)
+    leaves = _leaves(doc)
+    key = data.draw(st.sampled_from(sorted({p[0] for p in leaves})))
+    leaf = data.draw(st.sampled_from([p for p in leaves if p[0] == key]))
+    parent = doc
+    for k in leaf[:-1]:
+        parent = parent[k]
+    kind = data.draw(st.sampled_from(
+        [t for t in JSON_VALUES if t is not type(parent[leaf[-1]])]))
+    parent[leaf[-1]] = data.draw(JSON_VALUES[kind])
+    path.write_text(json.dumps(doc))
+    try:
+        assert main(["losses", str(fuzzed_pair.parent.parent)]) in (0, 2)
+        assert main(["match", str(fuzzed_pair)]) in (0, 2)
+    finally:
+        path.write_text(original)
 
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
