@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AllZeroCounts, DimensionMismatch, from_record,
-                     numeric_array)
+                     numeric_array, write_json)
 
 SUM_TOL = 1e-9
 
@@ -158,19 +158,10 @@ class SceneDistribution:
     def n_categories(self) -> int:
         return len(self.category_labels)
 
-    def to_dict(self) -> dict:
-        return {
-            "scene_labels": list(self.scene_labels),
-            "category_labels": list(self.category_labels),
-            "scene_prior": self.scene_prior.tolist(),
-            "category_given_scene": self.category_given_scene.tolist(),
-            "instance_given_category": [r.tolist()
-                                        for r in self.instance_given_category],
-        }
-
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
+        """Write every field but epsilon, which the drawing config sets."""
+        write_json(path, {k: v for k, v in vars(self).items()
+                          if k != "epsilon"}, indent=1)
 
     @classmethod
     def load(cls, path) -> "SceneDistribution":

@@ -17,7 +17,7 @@ from .catalog import CategoryTable, fit_scene_distribution
 from .decoder import (GRADCHECK_RTOL, DecoderHeads, EncoderConfig,
                       HeadsConfig, ToyEncoder, gradient_check,
                       prepare_scene_pair)
-from .errors import ScenePretextError
+from .errors import ScenePretextError, to_json, write_json
 from .pipeline import (FORMAT_EXT, PipelineConfig, evaluate_losses,
                        generate_dataset, match_pair_dir)
 from .scenegen import make_scene_pair
@@ -86,12 +86,10 @@ def _cmd_match(args) -> int:
     doc = {"theta": matches.theta, "n_matches": len(matches),
            "matches": matches.to_records()}
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
+        write_json(args.out, doc, indent=1)
         print(f"wrote {args.out} ({len(matches)} matches)")
     else:
-        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
-        print()
+        print(to_json(doc, 1))
     return EXIT_OK
 
 

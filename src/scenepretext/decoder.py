@@ -17,7 +17,7 @@ l_obj, l_pts and l_rec, against central finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -26,7 +26,8 @@ from . import autodiff as ad
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
                              match_fps_pools, sample_seed_set)
 from .errors import (DimensionMismatch, EmptyBatch, TooFewPoints,
-                     check_field_types, from_record, numeric_array)
+                     check_field_types, from_record, numeric_array,
+                     write_json)
 from .losses import (LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport,
                      object_level_graph, point_level_graph)
 from .occlusion import occlude_pair
@@ -449,15 +450,11 @@ def _term_gradients(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
 
 def save_checkpoint(encoder: ToyEncoder, heads: DecoderHeads, path) -> None:
     """Write all named parameter tensors with shapes as one JSON document."""
-    doc = {
-        "encoder_config": asdict(encoder.config),
-        "heads_config": asdict(heads.config),
-        "params": {key: {"shape": list(arr.shape),
-                         "data": arr.ravel().tolist()}
-                   for key, arr in _param_arrays(encoder, heads).items()},
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
+    params = _param_arrays(encoder, heads)
+    write_json(path, {"encoder_config": encoder.config,
+                      "heads_config": heads.config,
+                      "params": {k: {"shape": a.shape, "data": a.ravel()}
+                                 for k, a in params.items()}})
 
 
 def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:

@@ -1,11 +1,15 @@
-"""Exception types raised across the pipeline, and the one check of stored
-values: each stored record checks in ``__post_init__`` that every value has
-its declared type (`check_field_types`, `numeric_array`), and `from_record`
-reads one from a JSON object, turning a refusal into CorruptManifest. This
-module imports nothing from the package, so every module can use it.
+"""Exception types raised across the pipeline, and the one reader and
+writer of stored JSON: each stored record checks in ``__post_init__`` that
+every value has its declared type (`check_field_types`, `numeric_array`),
+`from_record` reads one from a JSON object, turning a refusal into
+CorruptManifest, and `write_json` writes any document of records, arrays
+and JSON values through a temporary file. This module imports nothing from
+the package, so every module can use it.
 """
 
-from dataclasses import fields
+import json
+import os
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -91,3 +95,32 @@ def from_record(cls, doc, what: str):
         return cls(**doc)
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptManifest(f"{what}: {type(e).__name__}: {e}") from None
+
+
+def _jsonable(value):
+    """A record as its instance fields, an array as its values."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def to_json(doc, indent: int | None = None) -> str:
+    """``doc`` as JSON, keys sorted: compact, or indented by ``indent``."""
+    return json.dumps(doc, sort_keys=True, indent=indent, default=_jsonable,
+                      separators=None if indent else (",", ":"))
+
+
+def write_json(path, doc, indent: int | None = None) -> None:
+    """Write ``to_json(doc, indent)`` and a newline to ``path + ".tmp"``,
+    then rename it to ``path``: a cut write leaves any previous file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as f:
+            f.write(to_json(doc, indent) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

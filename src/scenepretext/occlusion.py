@@ -36,11 +36,11 @@ class OcclusionRecord:
         object.__setattr__(self, "kept_indices", tuple(
             numeric_array(k, "OcclusionRecord.kept_indices", integer=True)
             for k in self.kept_indices))
-
-    def to_dict(self) -> dict:
-        return {"viewpoint": self.viewpoint.tolist(),
-                "fractions": self.fractions.tolist(),
-                "kept_indices": [k.tolist() for k in self.kept_indices]}
+        if (self.viewpoint.shape != (3,)
+                or self.fractions.shape != (len(self.kept_indices),)):
+            raise ValueError(f"OcclusionRecord: shapes {self.viewpoint.shape}"
+                             f" and {self.fractions.shape} for a viewpoint "
+                             f"and {len(self.kept_indices)} fractions")
 
 
 def _kept_for_fraction(placed: np.ndarray, viewpoint: np.ndarray,

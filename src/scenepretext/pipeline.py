@@ -18,7 +18,7 @@ import shutil
 import struct
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar
 import numpy as np
@@ -30,7 +30,8 @@ from .correspondence import MatchSet, full_seed_pool, match_fps_pools
 from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       forward_backward, load_checkpoint, prepare_occluded_pair)
 from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
-                     PlacementFailure, check_field_types, from_record)
+                     PlacementFailure, check_field_types, from_record,
+                     to_json, write_json)
 from .losses import LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
@@ -42,8 +43,7 @@ FORMAT_EXT = {"ascii-ply": "ply", "binary-f32": "bin"}
 
 
 def _json_hash(doc) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(to_json(doc).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         """sha256 over the canonical JSON of every field."""
-        return _json_hash(asdict(self))
+        return _json_hash(self)
 
     def layout(self) -> LayoutParams:
         return LayoutParams(room_size=self.room_size)
@@ -260,19 +260,23 @@ class PairManifest:
             self.transforms_b = [Transform(**t) for t in self.transforms_b]
             self.occlusion_a = OcclusionRecord(**self.occlusion_a)
             self.occlusion_b = OcclusionRecord(**self.occlusion_b)
+        n = len(self.objects)
+        if {len(self.transforms_a), len(self.transforms_b)} != {n}:
+            raise ValueError(f"pair {self.pair_id}: transforms do not fit "
+                             f"the {n} objects")
+        for rec in (self.occlusion_a, self.occlusion_b):
+            if len(rec.kept_indices) != n or not all(
+                    k.ndim == 1
+                    and (np.diff(k, prepend=-1, append=o.n_points) > 0).all()
+                    for k, o in zip(rec.kept_indices, self.objects)):
+                raise ValueError(f"pair {self.pair_id}: occlusion record "
+                                 f"does not fit the objects")
 
     def occluded(self, pair: ScenePair) -> ScenePair:
         """The occluded pair that this manifest's two records select."""
         return ScenePair(replay_occlusion(pair.scene_a, self.occlusion_a),
                          replay_occlusion(pair.scene_b, self.occlusion_b),
                          self.pair_seed)
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "objects": [vars(o) for o in self.objects],
-                "transforms_a": [t.to_dict() for t in self.transforms_a],
-                "transforms_b": [t.to_dict() for t in self.transforms_b],
-                "occlusion_a": self.occlusion_a.to_dict(),
-                "occlusion_b": self.occlusion_b.to_dict()}
 
 
 def pair_files(export_format: str) -> dict[str, str]:
@@ -318,10 +322,7 @@ def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
                                 clouds):
             export_point_cloud(scene.points, pdir / fname,
                                config.export_format)
-        # dumps, not dump: only the one-shot encoder runs in C
-        with open(pdir / "manifest.json", "w", newline="\n") as f:
-            f.write(json.dumps(manifest.to_dict(), sort_keys=True,
-                               separators=(",", ":")) + "\n")
+        write_json(pdir / "manifest.json", manifest)
         if final.exists():
             shutil.rmtree(final)
         os.replace(pdir, final)
@@ -354,9 +355,8 @@ def generate_dataset(config: PipelineConfig, out_dir,
     byte-identical tree. Placement failures are counted and reported, not
     fatal. Returns the summary dict (also written as summary.json).
 
-    summary.json is written last, into a temporary file that is then
-    renamed into place, so its presence marks a complete dataset and an
-    interrupted write leaves no summary.json, or the previous one intact.
+    summary.json is written last, through a temporary file, so its
+    presence marks a complete dataset.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -389,7 +389,7 @@ def generate_dataset(config: PipelineConfig, out_dir,
             print(f"  generated {pair_id + 1}/{config.n_scenes} pairs",
                   file=sys.stderr)
     summary = {
-        "config": asdict(config),
+        "config": dict(vars(config)),
         "config_hash": config.config_hash(),
         "pairs_produced": produced,
         "placement_failures": failures,
@@ -399,16 +399,7 @@ def generate_dataset(config: PipelineConfig, out_dir,
             float(np.mean(occ_fracs)) if occ_fracs else 0.0,
         "mean_matches": float(np.mean(match_counts)) if match_counts else 0.0,
     }
-    path = out_dir / "summary.json"
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="\n") as f:
-            json.dump(summary, f, indent=1, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_json(out_dir / "summary.json", summary, indent=1)
     if progress:
         print(f"pairs: {produced}  placement failures: {failures}")
         print(f"mean occlusion fraction: "
@@ -431,8 +422,11 @@ def _load_summary(dataset_dir: Path) -> tuple[PipelineConfig, int]:
         doc = summary["config"]
         if _json_hash(doc) != summary["config_hash"]:
             raise CorruptManifest(f"{summary_path}: config hash mismatch")
-        return (from_record(PipelineConfig, doc, str(summary_path)),
-                summary["pairs_produced"])
+        produced = summary["pairs_produced"]
+        if type(produced) is not int:
+            raise CorruptManifest(f"{summary_path}: pairs_produced: "
+                                  f"{type(produced).__name__} is not int")
+        return from_record(PipelineConfig, doc, str(summary_path)), produced
     except (KeyError, TypeError) as e:
         raise CorruptManifest(f"{summary_path}: {e!r}") from None
 
@@ -452,9 +446,8 @@ def load_pair(pair_dir, config: PipelineConfig
     Each object holds its slice of the stored complete cloud as it is, in
     the scene frame, and its recorded transform, so the returned pair
     replays occlusion and matching exactly as generated. A missing
-    manifest or file, a value its records refuse, a config hash that is
-    not ``config``'s or kept indices that are not strictly increasing and
-    in range for the objects raise CorruptManifest.
+    manifest or file, a value or length its records refuse, or a config
+    hash that is not ``config``'s raise CorruptManifest.
     """
     pair_dir = Path(pair_dir)
     mpath = _manifest_path(pair_dir)
@@ -464,13 +457,6 @@ def load_pair(pair_dir, config: PipelineConfig
         raise CorruptManifest(f"pair {manifest.pair_id}: config hash mismatch")
     files = {name: pair_dir / fname for name, fname
              in pair_files(config.export_format).items()}
-    for rec in (manifest.occlusion_a, manifest.occlusion_b):
-        if len(rec.kept_indices) != len(manifest.objects) or not all(
-                k.ndim == 1
-                and (np.diff(k, prepend=-1, append=o.n_points) > 0).all()
-                for k, o in zip(rec.kept_indices, manifest.objects)):
-            raise CorruptManifest(f"pair {manifest.pair_id}: occlusion "
-                                  f"record does not fit the objects")
     for path in files.values():
         if not path.exists():
             raise CorruptManifest(

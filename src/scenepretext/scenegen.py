@@ -70,11 +70,6 @@ class Transform:
             self.scale * other.scale,
         )
 
-    def to_dict(self) -> dict:
-        return {"rotation": self.rotation.tolist(),
-                "translation": self.translation.tolist(),
-                "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class ObjectInstance:

@@ -204,19 +204,20 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
 def test_distribution_file_holds_no_epsilon(tmp_path):
     # the drawing config supplies epsilon; an older file's key is ignored
     dist = replace(load_default_scannet_parameters(), epsilon=0.5)
-    assert "epsilon" not in dist.to_dict()
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({**dist.to_dict(), "epsilon": 0.5}))
+    dist.save(path)
+    doc = json.loads(path.read_text())
+    assert "epsilon" not in doc
+    path.write_text(json.dumps({**doc, "epsilon": 0.5}))
     assert SceneDistribution.load(path).epsilon == EPSILON
 
 
 def test_loader_rejects_with_path_qualified_error(tmp_path):
-    dist = load_default_scannet_parameters()
-    doc = dist.to_dict()
-    doc["category_given_scene"][3][0] += 0.5
     path = tmp_path / "bad.json"
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    load_default_scannet_parameters().save(path)
+    doc = json.loads(path.read_text())
+    doc["category_given_scene"][3][0] += 0.5
+    path.write_text(json.dumps(doc))
     with pytest.raises(CorruptManifest, match=r"category_given_scene\[3\]"):
         SceneDistribution.load(path)
 

@@ -134,18 +134,6 @@ def test_degenerate_object_rejected():
         occlude_scene(scene, 0)
 
 
-def test_record_roundtrip_via_dict():
-    scene = toy_scene()
-    _, record = occlude_scene(scene, 12)
-    from scenepretext.occlusion import OcclusionRecord
-    doc = record.to_dict()
-    back = OcclusionRecord(**doc)
-    np.testing.assert_array_equal(back.viewpoint, record.viewpoint)
-    np.testing.assert_array_equal(back.fractions, record.fractions)
-    for a, b in zip(back.kept_indices, record.kept_indices):
-        np.testing.assert_array_equal(a, b)
-
-
 @settings(max_examples=30, deadline=None)
 @given(pair_seed=st.integers(0, 2 ** 64 - 1), n_objects=st.integers(1, 14),
        n_points=st.sampled_from([8, 9, 33, 256]))

@@ -16,14 +16,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scenepretext
-from scenepretext import pipeline
+from scenepretext import errors, pipeline
 from scenepretext.assets import DirectoryAssetSource, procedural_asset
-from scenepretext.catalog import load_default_scannet_parameters
+from scenepretext.catalog import (SceneDistribution,
+                                  load_default_scannet_parameters)
 from scenepretext.cli import main
 from scenepretext.decoder import (DecoderHeads, HeadsConfig, ToyEncoder,
                                   forward_backward, prepare_occluded_pair,
                                   save_checkpoint)
-from scenepretext.errors import CorruptManifest, DimensionMismatch
+from scenepretext.errors import (CorruptManifest, DimensionMismatch,
+                                 from_record, to_json)
 from scenepretext.losses import chamfer_distance
 from scenepretext.occlusion import replay_occlusion
 from scenepretext.pipeline import (PairManifest, PipelineConfig,
@@ -170,6 +172,13 @@ MANIFEST_FAULTS = {
     "transform-rotation-strings":
         lambda doc: (t := doc["transforms_b"][0]).update(
             rotation=[[str(v) for v in row] for row in t["rotation"]]),
+    # lists that must hold one entry per object, and a 3-d viewpoint
+    "transforms-a-extra":
+        lambda doc: doc["transforms_a"].append(doc["transforms_a"][0]),
+    "transforms-b-short": lambda doc: doc["transforms_b"].pop(),
+    "fractions-extra": lambda doc: doc["occlusion_a"]["fractions"].append(0.1),
+    "fractions-short": lambda doc: doc["occlusion_b"]["fractions"].pop(),
+    "viewpoint-2d": lambda doc: doc["occlusion_a"]["viewpoint"].pop(),
 }
 
 
@@ -255,34 +264,93 @@ def test_generate_deterministic_byte_identical(tmp_path):
         assert t1[name] == t2[name], name
 
 
+def cut_json_write(monkeypatch, name):
+    """``write_json``'s write of the file ``name`` stops halfway and fails,
+    as on a full disk; every other file is written whole."""
+    def open_then_cut(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)
+        if Path(file).name == f"{name}.tmp":
+            write = f.write
+
+            def write_half_then_fail(text):
+                write(text[:len(text) // 2])
+                raise OSError("no space left on device")
+            f.write = write_half_then_fail
+        return f
+    monkeypatch.setattr(errors, "open", open_then_cut, raising=False)
+
+
 def test_interrupted_summary_write_leaves_no_partial_summary(tmp_path,
                                                              monkeypatch):
-    dump = json.dump
-
-    def dump_half_then_fail(obj, fp, **kwargs):
-        if "pairs_produced" not in obj:
-            return dump(obj, fp, **kwargs)
-        text = json.dumps(obj, **kwargs)
-        fp.write(text[:len(text) // 2])
-        raise OSError("no space left on device")
-
     # a fresh dataset: no summary.json, so it does not look complete
     out = tmp_path / "ds"
-    monkeypatch.setattr(json, "dump", dump_half_then_fail)
-    with pytest.raises(OSError):
-        generate_dataset(PipelineConfig(**SMALL), out, progress=False)
+    with monkeypatch.context() as m:
+        cut_json_write(m, "summary.json")
+        with pytest.raises(OSError):
+            generate_dataset(PipelineConfig(**SMALL), out, progress=False)
     assert [p.name for p in out.iterdir()] == ["pairs"]
     # over a complete dataset: the previous summary.json is kept unchanged
-    monkeypatch.setattr(json, "dump", dump)
     generate_dataset(PipelineConfig(**SMALL), out, progress=False)
     before = tree_bytes(out)
-    monkeypatch.setattr(json, "dump", dump_half_then_fail)
+    cut_json_write(monkeypatch, "summary.json")
     with pytest.raises(OSError):
         generate_dataset(PipelineConfig(**dict(SMALL, master_seed=8)), out,
                          progress=False)
     after = tree_bytes(out)
     assert after.keys() == before.keys()
     assert after["summary.json"] == before["summary.json"]
+
+
+def _save_checkpoint(path, seed):
+    config = PipelineConfig(**SMALL)
+    save_checkpoint(ToyEncoder(config.encoder_config(), rng_seed=seed),
+                    DecoderHeads(config.heads_config(), rng_seed=seed), path)
+
+
+def _save_distribution(path, seed):
+    p = seed / 4
+    SceneDistribution(("room",), ("c0", "c1"), np.ones(1),
+                      np.array([[p, 1 - p]]), (np.ones(1), np.ones(1))
+                      ).save(path)
+
+
+@pytest.mark.parametrize("save", [_save_checkpoint, _save_distribution],
+                         ids=["checkpoint", "distribution"])
+def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch,
+                                                   save):
+    path = tmp_path / "out.json"
+    save(path, 1)
+    before = path.read_bytes()
+    cut_json_write(monkeypatch, path.name)
+    with pytest.raises(OSError):
+        save(path, 2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.fixture(scope="module")
+def stored_records(tmp_path_factory):
+    dataset, config = _tiny_dataset(tmp_path_factory.mktemp("records"))
+    _, m = load_pair(list_pair_dirs(dataset)[0], config)
+    return [m.transforms_a[0], m.occlusion_a, m.objects[0], m, config,
+            config.encoder_config(), config.heads_config()]
+
+
+@pytest.mark.parametrize("index", range(7), ids=[
+    "Transform", "OcclusionRecord", "ObjectDraw", "PairManifest",
+    "PipelineConfig", "EncoderConfig", "HeadsConfig"])
+def test_record_roundtrip_through_json(stored_records, index):
+    record = stored_records[index]
+    back = from_record(type(record), json.loads(to_json(record)), "record")
+    assert type(back) is type(record)
+    assert to_json(back) == to_json(record)
+
+
+def test_to_json_refuses_what_is_neither_record_nor_array():
+    # a numpy integer is no int: it is refused, not written as a string
+    for value in (np.int64(1), object()):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            to_json({"a": value})
 
 
 def test_interrupted_pair_write_leaves_no_pair_dir(tmp_path, monkeypatch):
@@ -1024,10 +1092,12 @@ DISTRIBUTION_FAULTS = {
                          [*DISTRIBUTION_FAULTS, "asset-dir-missing-instance"])
 def test_cli_generate_bad_distribution_or_assets_exit_2(tmp_path, fault):
     if fault in DISTRIBUTION_FAULTS:
-        doc = load_default_scannet_parameters().to_dict()
+        path = tmp_path / "dist.json"
+        load_default_scannet_parameters().save(path)
+        doc = json.loads(path.read_text())
         DISTRIBUTION_FAULTS[fault](doc)
-        args = ["--distribution", str(tmp_path / "dist.json")]
-        (tmp_path / "dist.json").write_text(json.dumps(doc))
+        args = ["--distribution", str(path)]
+        path.write_text(json.dumps(doc))
     else:   # an asset directory without any instance file
         (tmp_path / "assets").mkdir()
         args = ["--asset-source", str(tmp_path / "assets")]
@@ -1136,6 +1206,14 @@ def _summary_without_config(tmp_path):
     return ["losses", str(dataset)]
 
 
+def _losses_with_pairs_produced(tmp_path, value):
+    dataset, _ = _tiny_dataset(tmp_path)
+    path = dataset / "summary.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "pairs_produced": value}))
+    return ["losses", str(dataset)]
+
+
 def _edit_summary_config(dataset, rehash, **values):
     """Set ``values`` in summary.json's config; with ``rehash`` its
     config_hash is rewritten to match, as if the config were valid."""
@@ -1233,6 +1311,13 @@ CLI_INPUT_FAULTS = {
         lambda tmp: _losses_without_pair_file(tmp, "manifest.json"),
     "missing-pair-dir": lambda tmp: _losses_without_pair_file(tmp, None),
     "summary-without-config": _summary_without_config,
+    # equal to the one pair's count, but not an int
+    "summary-pairs-produced-true":
+        lambda tmp: _losses_with_pairs_produced(tmp, True),
+    "summary-pairs-produced-float":
+        lambda tmp: _losses_with_pairs_produced(tmp, 1.0),
+    "summary-pairs-produced-string":
+        lambda tmp: _losses_with_pairs_produced(tmp, "1"),
     "summary-u-float":
         lambda tmp: _losses_with_summary_config(tmp, False, u=3.0),
     "summary-batch-pairs-float-rehashed":

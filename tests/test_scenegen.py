@@ -11,7 +11,7 @@ from scenepretext.assets import (CATEGORY_LABELS, ProceduralAssetSource,
 from scenepretext.catalog import SceneDistribution, \
     load_default_scannet_parameters
 from scenepretext.errors import (DegenerateObject, PlacementFailure,
-                                 UnknownCategory)
+                                 UnknownCategory, to_json)
 from scenepretext.scenegen import (LayoutParams, SceneSpec, Transform,
                                    make_scene_pair, realize_scene,
                                    sample_scene_spec)
@@ -239,7 +239,7 @@ def test_make_scene_pair_deterministic():
     np.testing.assert_array_equal(p1.scene_a.points, p2.scene_a.points)
     np.testing.assert_array_equal(p1.scene_b.points, p2.scene_b.points)
     for a, b in zip(p1.scene_a.objects, p2.scene_a.objects):
-        assert a.transform.to_dict() == b.transform.to_dict()
+        assert to_json(a.transform) == to_json(b.transform)
 
 
 def test_pair_shares_instance_draw():
