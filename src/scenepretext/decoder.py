@@ -7,9 +7,11 @@ the contrastive branch. The decoder predicts per-point coordinate/feature
 offsets to form a coarse completion, then folds a small 2D grid around each
 coarse point to upsample it u*u-fold.
 
-Everything runs on the autodiff tape, so `forward_backward` returns every
-loss term together with the analytic gradient of the training objective
-l_overall for all encoder and head parameters, from one reverse sweep.
+A batch runs as one autodiff tape: side a, then side b, of every pair is
+stacked by rows and passes through the encoder, projection head and
+decoder once. `forward_backward` returns every loss term together with the
+analytic gradient of the training objective l_overall for all encoder and
+head parameters, from one reverse sweep.
 `gradient_check` verifies that gradient, and the per-term gradients of
 l_obj, l_pts and l_rec, against central finite differences.
 """
@@ -310,30 +312,33 @@ def prepare_occluded_pair(pair: ScenePair, occluded: ScenePair,
 
 def _encoded_sides(prepared: Sequence[PreparedPair],
                    params: dict[str, ad.Var], encoder: ToyEncoder
-                   ) -> list[tuple[ad.Var, ad.Var]]:
-    """(seed coordinates, features z) of side a, then side b, of each pair."""
-    sides = []
-    for pp in prepared:
-        for coords, ids in ((pp.coords_a, pp.object_ids_a),
-                            (pp.coords_b, pp.object_ids_b)):
-            cvar = ad.constant(coords)
-            sides.append((cvar, encoder.encode_graph(params, cvar, ids,
-                                                     len(pp.categories))))
-    return sides
+                   ) -> tuple[ad.Var, ad.Var, np.ndarray]:
+    """(seed coordinates, features z, side row bounds) of the stacked
+    sides. Each side's object ids are offset past those of the sides before
+    it, so each side still max-pools its own objects."""
+    coords = [c for pp in prepared for c in (pp.coords_a, pp.coords_b)]
+    ids = [i for pp in prepared for i in (pp.object_ids_a, pp.object_ids_b)]
+    n_ids = np.repeat([len(pp.categories) for pp in prepared], 2)
+    first_id = np.cumsum(n_ids) - n_ids
+    cvar = ad.constant(np.concatenate(coords))
+    z = encoder.encode_graph(params, cvar, np.concatenate(
+        [i + first for i, first in zip(ids, first_id)]), int(n_ids.sum()))
+    return cvar, z, np.cumsum([0] + [len(c) for c in coords])
 
 
 def _contrastive_graph(prepared: Sequence[PreparedPair],
                        params: dict[str, ad.Var], encoder: ToyEncoder,
-                       sides: list[tuple[ad.Var, ad.Var]], tau: float
+                       sides: tuple[ad.Var, ad.Var, np.ndarray], tau: float
                        ) -> tuple[dict[str, ad.Var], dict]:
     """l_obj and l_pts over the projected features of ``sides``."""
-    h = [encoder.project_graph(params, z) for _, z in sides]
-    h_vars = list(zip(h[0::2], h[1::2]))
+    _, z, bounds = sides
+    h = encoder.project_graph(params, z)
+    starts = bounds[:-1].reshape(-1, 2)
     object_ids = [(pp.object_ids_a, pp.object_ids_b) for pp in prepared]
     l_obj, obj_counts = object_level_graph(
-        h_vars, object_ids, [pp.categories for pp in prepared], tau)
+        h, starts, object_ids, [pp.categories for pp in prepared], tau)
     l_pts, pts_counts = point_level_graph(
-        h_vars, object_ids, [pp.matches for pp in prepared], tau)
+        h, starts, object_ids, [pp.matches for pp in prepared], tau)
     counts = {"object_" + k: v for k, v in obj_counts.items()}
     counts.update({"point_" + k: v for k, v in pts_counts.items()})
     return {"l_obj": l_obj, "l_pts": l_pts}, counts
@@ -341,17 +346,20 @@ def _contrastive_graph(prepared: Sequence[PreparedPair],
 
 def _reconstruction_graph(prepared: Sequence[PreparedPair],
                           params: dict[str, ad.Var], heads: DecoderHeads,
-                          sides: list[tuple[ad.Var, ad.Var]]
+                          sides: tuple[ad.Var, ad.Var, np.ndarray]
                           ) -> dict[str, ad.Var]:
-    """Scene-mean coarse and detail Chamfer of the decoded ``sides``."""
+    """Scene-mean coarse and detail Chamfer of ``sides``, decoded at once."""
+    cvar, z, bounds = sides
+    y_coarse, _, y_detail = decode_graph(params, cvar, z, heads.grid)
+    u2 = heads.grid.shape[0]
     targets = [t for pp in prepared for t in (pp.gt_detail_a, pp.gt_detail_b)]
     coarse, detail = [], []
-    for (cvar, z), gt_d in zip(sides, targets):
-        y_coarse, _, y_detail = decode_graph(params, cvar, z, heads.grid)
-        gt_c = gt_d[:y_coarse.data.shape[0]]
-        coarse.append(ad.chamfer(y_coarse, ad.constant(gt_c)))
-        detail.append(ad.chamfer(y_detail, ad.constant(gt_d)))
-    w = [1.0 / len(sides)] * len(sides)
+    for a, b, gt_d in zip(bounds[:-1], bounds[1:], targets):
+        coarse.append(ad.chamfer(ad.slice_rows(y_coarse, a, b),
+                                 ad.constant(gt_d[:b - a])))
+        detail.append(ad.chamfer(ad.slice_rows(y_detail, a * u2, b * u2),
+                                 ad.constant(gt_d)))
+    w = [1.0 / len(targets)] * len(targets)
     return {"l_rec_coarse": ad.wsum(coarse, w),
             "l_rec_detail": ad.wsum(detail, w)}
 
@@ -562,9 +570,9 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
         ids = {id(v) for r in roots for v in ad._topo_order(r)}
         return {k for k, v in leaves.items() if id(v) in ids}
 
-    sides = _encoded_sides(prepared, short, encoder)
-    feeds_z = reached([z for _, z in sides])
-    frozen = [(cvar, ad.constant(z.data)) for cvar, z in sides]
+    cvar, z, bounds = _encoded_sides(prepared, short, encoder)
+    feeds_z = reached([z])
+    frozen = (cvar, ad.constant(z.data), bounds)
     halves = [
         lambda: _contrastive_graph(prepared, short, encoder, frozen, tau)[0],
         lambda: _reconstruction_graph(prepared, short, heads, frozen)]

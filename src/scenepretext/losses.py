@@ -12,9 +12,9 @@ scenes on one autodiff tape:
   downsampled ground truths);
 
 combined as  overall = obj + lambda_pts * pts + lambda_rec * rec. This
-module holds the two InfoNCE graph builders, which take each pair's
-projected feature Vars with the object ids, categories and matches of its
-`PreparedPair`, plus `chamfer_distance` on plain arrays.
+module holds the two InfoNCE graph builders over every side's projected
+features stacked by rows, indexed by each side's first row and each
+`PreparedPair`'s object ids, categories and matches, plus `chamfer_distance`.
 
 Features are L2-normalized immediately before every dot product; pooled
 instance features are the arithmetic mean of the raw projected rows. Both
@@ -68,48 +68,42 @@ class LossReport:
         }
 
 
-def _pooled_normalized(h: ad.Var, obj_ids: np.ndarray,
-                       keep: np.ndarray) -> ad.Var:
-    """Mean-pool rows per kept instance (sorted ids), then L2-normalize."""
-    rows = np.nonzero(np.isin(obj_ids, keep))[0]
-    seg = np.searchsorted(keep, obj_ids[rows])
-    pooled = ad.segment_mean(ad.gather_rows(h, rows), seg, len(keep))
-    return ad.l2_normalize_rows(pooled)
-
-
-def object_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
+def object_level_graph(h: ad.Var, starts: Sequence[tuple[int, int]],
                        object_ids: Sequence[tuple[np.ndarray, np.ndarray]],
                        categories: Sequence[np.ndarray], tau: float
                        ) -> tuple[ad.Var, dict]:
     """Tape for the object-level loss; returns (scalar Var, counts).
 
-    Per pair: ``h_vars`` holds the (h_a, h_b) features, ``object_ids`` the
-    owning instance of each of their rows, and ``categories[k]`` is
-    instance k's category id (the draw is shared by both sides).
+    ``h`` stacks every side's features by rows. Per pair, ``starts`` holds
+    the first rows of sides a and b, ``object_ids`` the owning instance of
+    each row of those sides, and ``categories[k]`` instance k's category.
 
     A pair whose sides share K instances adds K pooled rows for side a,
     then the same K instances for side b, so the positive of a row is the
     row K places after or before it within the pair's block.
     """
-    pool_parts: list[ad.Var] = []
+    rows, seg = [], []   # the pooled rows of h, and the pool row of each
     pos_idx, cats, weights = [], [], []
     offset = 0
-    for (va, vb), (ids_a, ids_b), cat in zip(h_vars, object_ids, categories):
-        present = np.intersect1d(ids_a, ids_b)
+    for start, ids, cat in zip(starts, object_ids, categories):
+        present = np.intersect1d(*ids)
         k = present.size
         if k == 0:
             continue
-        pool_parts += [_pooled_normalized(va, ids_a, present),
-                       _pooled_normalized(vb, ids_b, present)]
-        rows = offset + np.arange(k)
-        pos_idx += [rows + k, rows]
+        for side in (0, 1):
+            kept = np.nonzero(np.isin(ids[side], present))[0]
+            rows.append(start[side] + kept)
+            seg.append(offset + side * k
+                       + np.searchsorted(present, ids[side][kept]))
+        pos_idx += [offset + k + np.arange(k), offset + np.arange(k)]
         cats.append(np.tile(cat[present], 2))
         # each pair's rows carry 1/K, and the batch averages over pairs
-        weights.append(np.full(2 * k, 1.0 / (len(h_vars) * k)))
+        weights.append(np.full(2 * k, 1.0 / (len(starts) * k)))
         offset += 2 * k
-    if not pool_parts:
+    if not rows:
         return ad.constant(0.0), {"anchors": 0, "pool": 0}
-    pool = ad.concat_rows(pool_parts)
+    pool = ad.l2_normalize_rows(ad.segment_mean(
+        ad.gather_rows(h, np.concatenate(rows)), np.concatenate(seg), offset))
     cat_arr = np.concatenate(cats)
     neg_mask = cat_arr[None, :] != cat_arr[:, None]
     sim = ad.matmul_nt(pool, pool)
@@ -120,15 +114,16 @@ def object_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
     return loss, counts
 
 
-def point_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
+def point_level_graph(h: ad.Var, starts: Sequence[tuple[int, int]],
                       object_ids: Sequence[tuple[np.ndarray, np.ndarray]],
                       matches: Sequence[MatchSet],
                       tau: float) -> tuple[ad.Var, dict]:
     """Tape for the point-level loss; returns (scalar Var, counts).
 
-    Per pair, ``object_ids`` gives the owning instance of each row of the
-    (h_a, h_b) features and ``matches`` indexes those rows. Anchors are
-    both endpoints of every kept match; the candidate pool is the
+    ``h`` stacks every side's features by rows. Per pair, ``starts`` holds
+    the first rows of sides a and b, ``object_ids`` the owning instance of
+    each row of those sides, and ``matches`` indexes those rows. Anchors
+    are both endpoints of every kept match; the candidate pool is the
     deduplicated set of matched endpoints, and negatives for an anchor are
     pool entries on a different (pair, object).
 
@@ -137,42 +132,39 @@ def point_level_graph(h_vars: Sequence[tuple[ad.Var, ad.Var]],
     order; an anchor's positive is found by binary search in the other
     side's pool rows.
     """
-    if len(matches) != len(h_vars):
+    if len(matches) != len(starts):
         raise ValueError("one MatchSet required per pair")
-    pool_parts: list[ad.Var] = []
-    anchor_parts: list[ad.Var] = []
+    pool_rows, anchor_rows = [], []   # rows of h
     pos_idx, weights = [], []
     pool_keys, anchor_keys = [], []   # (pair, object) of every row
     offset = 0
-    n_pairs = len(h_vars)
-    for p, ((va, vb), (ids_a, ids_b), ms) in enumerate(
-            zip(h_vars, object_ids, matches)):
+    for p, ((start_a, start_b), (ids_a, ids_b), ms) in enumerate(
+            zip(starts, object_ids, matches)):
         m = len(ms)
         if m == 0:
             continue
-        na, nb = ad.l2_normalize_rows(va), ad.l2_normalize_rows(vb)
         ends_a, ends_b = np.unique(ms.a_indices), np.unique(ms.b_indices)
-        pool_parts += [ad.gather_rows(na, ends_a), ad.gather_rows(nb, ends_b)]
-        anchor_parts += [ad.gather_rows(na, ms.a_indices),
-                         ad.gather_rows(nb, ms.b_indices)]
+        pool_rows += [start_a + ends_a, start_b + ends_b]
+        anchor_rows += [start_a + ms.a_indices, start_b + ms.b_indices]
         # a-anchors take the b end of their match, b-anchors the a end
         pos_idx += [offset + ends_a.size
                     + np.searchsorted(ends_b, ms.b_indices),
                     offset + np.searchsorted(ends_a, ms.a_indices)]
-        weights.append(np.full(2 * m, 1.0 / (n_pairs * m)))
+        weights.append(np.full(2 * m, 1.0 / (len(starts) * m)))
         pool_objs = np.concatenate([ids_a[ends_a], ids_b[ends_b]])
         pool_keys.append(np.stack([np.full(pool_objs.size, p), pool_objs]))
         anchor_keys.append(np.stack([np.full(2 * m, p),
                                      np.tile(ms.object_ids, 2)]))
         offset += pool_objs.size
-    if not pool_parts:
+    if not pool_rows:
         return ad.constant(0.0), {"matches": 0, "pool": 0}
     a_key = np.concatenate(anchor_keys, axis=1)
     p_key = np.concatenate(pool_keys, axis=1)
     neg_mask = (a_key[0][:, None] != p_key[0][None, :]) \
         | (a_key[1][:, None] != p_key[1][None, :])
-    sim = ad.matmul_nt(ad.concat_rows(anchor_parts),
-                       ad.concat_rows(pool_parts))
+    normalized = ad.l2_normalize_rows(h)
+    sim = ad.matmul_nt(ad.gather_rows(normalized, np.concatenate(anchor_rows)),
+                       ad.gather_rows(normalized, np.concatenate(pool_rows)))
     loss = ad.masked_info_nce(sim, np.concatenate(pos_idx), neg_mask, tau,
                               np.concatenate(weights))
     counts = {"matches": sum(len(ms) for ms in matches), "pool": offset,

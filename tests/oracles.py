@@ -10,10 +10,13 @@ points where the program selects rows of its placed points;
 ``object_loss``/``point_loss`` run one contrastive graph builder on plain
 feature arrays; the ``reference_*`` graph builders are the contrastive
 graphs as first written, with per-row dictionaries where the program's
-builders use index arithmetic. Both build the same tape, so their values
-and gradients agree bit for bit. ``reference_linear`` and
-``reference_fold`` are ``ad.linear`` and ``ad.fold`` composed from one
-node per step, as the decoder first built them.
+builders use index arithmetic, each pair's features apart where the
+program's builders take every side's stacked. Their values and gradients
+agree bit for bit. ``reference_forward_backward`` is forward_backward as
+first written, with one encoder, projection and decoder pass per side.
+``reference_linear`` and ``reference_fold`` are ``ad.linear`` and
+``ad.fold`` composed from one node per step, as the decoder first built
+them.
 """
 
 from typing import Sequence
@@ -21,9 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from scenepretext import autodiff as ad
+from scenepretext import decoder
 from scenepretext.correspondence import MatchSet, SeedSet
 from scenepretext.errors import DegenerateObject, PlacementFailure
-from scenepretext.losses import object_level_graph, point_level_graph
+from scenepretext.losses import (LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU,
+                                 object_level_graph, point_level_graph)
 from scenepretext.scenegen import (MIN_OBJECT_POINTS, AssetSource,
                                    LayoutParams, ObjectInstance,
                                    SceneInstance, ScenePair, SceneSpec,
@@ -308,17 +313,65 @@ def reference_point_level_graph(
 def run_graph(graph, features, object_ids, per_pair, tau):
     """Leaves for the (h_a, h_b) arrays of each pair, the graph, backward.
 
-    Returns the loss, the graph's counts and, per pair, the gradients of
-    (h_a, h_b); a feature the loss does not reach gets a zero gradient.
+    A ``reference_*`` graph takes each pair's leaves; a program graph takes
+    every side's leaf stacked by rows, side a then side b of each pair,
+    with the first row of each pair's two sides. Returns the loss, the
+    graph's counts and, per pair, the gradients of (h_a, h_b); a feature
+    the loss does not reach gets a zero gradient.
     """
     h_vars = [(ad.leaf(np.asarray(h_a, dtype=np.float64)),
                ad.leaf(np.asarray(h_b, dtype=np.float64)))
               for h_a, h_b in features]
-    loss, counts = graph(h_vars, object_ids, per_pair, tau)
+    if graph in (reference_object_level_graph, reference_point_level_graph):
+        loss, counts = graph(h_vars, object_ids, per_pair, tau)
+    else:
+        sides = [v for pair in h_vars for v in pair]
+        starts = np.cumsum([0] + [len(v.data) for v in sides])[:-1]
+        loss, counts = graph(ad.concat_rows(sides), starts.reshape(-1, 2),
+                             object_ids, per_pair, tau)
     loss.backward()
     return loss.item(), counts, [
         tuple(v.grad if v.grad is not None else np.zeros_like(v.data)
               for v in pair) for pair in h_vars]
+
+
+def reference_forward_backward(prepared, encoder, heads):
+    """forward_backward at the default loss weights as first written: one
+    encoder, projection and decoder pass per side of each pair, and the
+    per-pair ``reference_*`` loss graphs. Returns the five reported loss
+    values and the l_overall gradient, keyed like forward_backward's."""
+    params = {k: ad.leaf(v)
+              for k, v in decoder._param_arrays(encoder, heads).items()}
+    short = decoder._short_names(params)
+    sides = []
+    for pp in prepared:
+        for coords, ids in ((pp.coords_a, pp.object_ids_a),
+                            (pp.coords_b, pp.object_ids_b)):
+            cvar = ad.constant(coords)
+            sides.append((cvar, encoder.encode_graph(short, cvar, ids,
+                                                     len(pp.categories))))
+    h = [encoder.project_graph(short, z) for _, z in sides]
+    h_vars = list(zip(h[0::2], h[1::2]))
+    object_ids = [(pp.object_ids_a, pp.object_ids_b) for pp in prepared]
+    losses = {
+        "l_obj": reference_object_level_graph(
+            h_vars, object_ids, [pp.categories for pp in prepared], TAU)[0],
+        "l_pts": reference_point_level_graph(
+            h_vars, object_ids, [pp.matches for pp in prepared], TAU)[0]}
+    targets = [t for pp in prepared for t in (pp.gt_detail_a, pp.gt_detail_b)]
+    coarse, detail = [], []
+    for (cvar, z), gt_d in zip(sides, targets):
+        y_coarse, _, y_detail = decoder.decode_graph(short, cvar, z,
+                                                     heads.grid)
+        gt_c = gt_d[:y_coarse.data.shape[0]]
+        coarse.append(ad.chamfer(y_coarse, ad.constant(gt_c)))
+        detail.append(ad.chamfer(y_detail, ad.constant(gt_d)))
+    w = [1.0 / len(sides)] * len(sides)
+    losses["l_rec_coarse"] = ad.wsum(coarse, w)
+    losses["l_rec_detail"] = ad.wsum(detail, w)
+    losses = decoder._add_overall(losses, LAMBDA_PTS, LAMBDA_REC)
+    return ({t: losses[t].item() for t in LOSS_TERMS},
+            decoder._sweep(losses["l_overall"], params))
 
 
 def object_loss(features, object_ids, categories, tau):

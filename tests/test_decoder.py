@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import reference_forward_backward
 from scenepretext import autodiff as ad
 from scenepretext import decoder, pipeline
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
+from scenepretext.cli import gradcheck_batch
 from scenepretext.correspondence import (SeedSet, farthest_point_sample,
                                          match_points, sample_seed_set)
 from scenepretext.decoder import (DecoderHeads, EncoderConfig, HeadsConfig,
@@ -310,6 +312,80 @@ def test_forward_backward_sweeps_once(monkeypatch):
     assert calls[0].item() == rep.l_overall
 
 
+def test_forward_runs_each_network_once_per_batch(monkeypatch):
+    prepared, enc, heads = tiny_batch()
+    calls = []
+    for owner, name in ((ToyEncoder, "encode_graph"),
+                        (ToyEncoder, "project_graph"),
+                        (decoder, "decode_graph")):
+        def counted(*args, _run=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _run(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    forward_backward(prepared, enc, heads)
+    assert sorted(calls) == ["decode_graph", "encode_graph", "project_graph"]
+
+
+def default_batch(seed=11):
+    """Two pairs at the default config, prepared as evaluate_losses does."""
+    c = pipeline.PipelineConfig()
+    prepared = []
+    for i in range(c.batch_pairs):
+        pair = make_scene_pair(c.load_distribution(), c.n_objects_per_scene,
+                               c.make_asset_source(), mix64(seed, i),
+                               c.layout())
+        prepared.append(prepare_scene_pair(
+            pair, n_seeds=c.n_encoder_seeds, m_matches=c.m_seeds,
+            theta=c.theta, u=c.u, rng_seed=mix64(seed, i),
+            occlude=c.occlude))
+    return (prepared,
+            ToyEncoder(c.encoder_config(), rng_seed=mix64(seed, 0xE0C)),
+            DecoderHeads(c.heads_config(), rng_seed=mix64(seed, 0xDEC)))
+
+
+def unequal_sides_batch():
+    """The unseeded-object pair of test_gradient_check_with_unseeded_object
+    (4 objects, 6 seeds a side) beside a 3-object pair whose sides keep
+    every occluded point as a seed (82 and 73), so no two sides start at a
+    multiple of one side's rows or object count. At u = 1 the occluded
+    cloud, not the target count, caps the seeds."""
+    dist = load_default_scannet_parameters()
+    source = ProceduralAssetSource(n_points=32)
+    prepared = [
+        prepare_scene_pair(make_scene_pair(dist, 4, source, 24), n_seeds=6,
+                           m_matches=6, theta=0.25, u=1, rng_seed=24),
+        prepare_scene_pair(make_scene_pair(dist, 3, source, 27),
+                           n_seeds=200, m_matches=6, theta=0.25, u=1,
+                           rng_seed=27)]
+    assert 1 in prepared[0].object_ids_a
+    assert 1 not in prepared[0].object_ids_b
+    assert [(len(pp.coords_a), len(pp.coords_b)) for pp in prepared] \
+        == [(6, 6), (82, 73)]
+    enc = ToyEncoder(EncoderConfig(hidden=6, feature_dim=4, proj_hidden=5,
+                                   embed_dim=4), rng_seed=1)
+    heads = DecoderHeads(HeadsConfig(feature_dim=4, hidden=5, u=1),
+                         rng_seed=2)
+    return prepared, enc, heads
+
+
+@pytest.mark.parametrize("batch", [gradcheck_batch, default_batch,
+                                   unequal_sides_batch])
+def test_forward_backward_equals_the_per_side_reference(batch):
+    # one pass over the stacked sides gives the per-side forward's values
+    # bit for bit; the weight-gradient products now sum over every side in
+    # one matrix product, so the gradient may differ by rounding only
+    prepared, enc, heads = batch()
+    rep = forward_backward(prepared, enc, heads)
+    values, gradients = reference_forward_backward(prepared, enc, heads)
+    assert {t: getattr(rep, t).hex() for t in values} \
+        == {t: v.hex() for t, v in values.items()}
+    assert set(rep.gradients["l_overall"]) == set(gradients)
+    for name, ref in gradients.items():
+        got = rep.gradients["l_overall"][name]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
 def test_zero_parameters_constant_features_scalar_oracle():
     """All-zero networks: every feature is identical, losses collapse.
 
@@ -423,7 +499,7 @@ def test_gradient_check_with_unseeded_object():
 def test_full_width_step_traced_peak_stays_under_100_mb():
     # perfbench's train_step pair (workload seed 7) at full-scale widths;
     # with the fold layer as one node and one reverse sweep a step's traced
-    # peak is about 61 MB (72 MB with a sweep per term); with one node per
+    # peak is about 60 MB (72 MB with a sweep per term); with one node per
     # step of the fold it was about 154 MB
     c = replace(pipeline.PipelineConfig(), master_seed=7, batch_pairs=1,
                 feature_dim=256, encoder_hidden=256, proj_hidden=256,
