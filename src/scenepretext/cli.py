@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; every error of its input exits 2.
 
-    The library raises ScenePretextError for input it cannot use, the
+    The library raises ScenePretextError for input it cannot use (and
+    KernelUnavailable for a host that cannot build its kernels), the
     standard library OSError for an unreadable path and ValueError (a
     json.JSONDecodeError too) for unparsable values. Any other exception is
     a bug and propagates.

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPoints
+from . import kernels
+from .errors import DimensionMismatch, NonFiniteInput, TooFewPoints
 from .scenegen import ScenePair, SceneInstance, Transform
 from .seeding import STREAM_MATCH_A, STREAM_MATCH_B, mix64
 
@@ -76,7 +77,9 @@ def farthest_point_sample(points: np.ndarray, m: int,
     The first index is drawn from the seeded stream; each following pick
     maximizes the minimum distance to the chosen set, ties resolved toward
     the lowest index. Deterministic under rng_seed. Asking for fewer than
-    one or more than n points raises TooFewPoints.
+    one or more than n points raises TooFewPoints; a NaN or infinite
+    coordinate raises NonFiniteInput. The picks are made by the C loop in
+    ``fps.c``, built on first use (``kernels.load``).
 
     Rounding contract: every distance is computed as
     sqrt((dx*dx + dy*dy) + dz*dz), the summation order of
@@ -86,38 +89,22 @@ def farthest_point_sample(points: np.ndarray, m: int,
     distinct squared distances can round to the same root, and comparing
     squares would break such ties differently.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise DimensionMismatch(f"points of shape {points.shape}, not (n, 3)")
     n = points.shape[0]
     if n == 0:
         raise TooFewPoints("empty point set")
     if not 1 <= m <= n:
         raise TooFewPoints(f"requested {m} seeds from {n} points")
+    # np.argmax picks a NaN, the C loop's comparisons never do
+    if not np.isfinite(points).all():
+        raise NonFiniteInput("non-finite point coordinates")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     chosen = np.empty(m, dtype=np.intp)
     chosen[0] = rng.integers(n)
-    # contiguous columns and preallocated buffers: per pick the work is a
-    # fixed handful of length-n ufunc calls with no temporaries
-    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
-    min_d = np.empty(n)
-    d = np.empty(n)
-    t = np.empty(n)
-
-    def dist_to(i: int, out: np.ndarray) -> np.ndarray:
-        np.subtract(x, x[i], out=out)
-        np.multiply(out, out, out=out)
-        np.subtract(y, y[i], out=t)
-        np.multiply(t, t, out=t)
-        np.add(out, t, out=out)
-        np.subtract(z, z[i], out=t)
-        np.multiply(t, t, out=t)
-        np.add(out, t, out=out)
-        return np.sqrt(out, out=out)
-
-    dist_to(chosen[0], min_d)
-    for i in range(1, m):
-        nxt = int(np.argmax(min_d))  # argmax takes the first (lowest) index
-        chosen[i] = nxt
-        np.minimum(min_d, dist_to(nxt, d), out=min_d)
+    min_d = np.empty(n)  # the kernel's running minimum distances
+    kernels.load("fps").fps(points, n, m, min_d, chosen)
     return chosen
 
 

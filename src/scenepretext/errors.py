@@ -58,6 +58,11 @@ class CorruptManifest(ScenePretextError):
     """A pair manifest is missing files or fails validation."""
 
 
+class KernelUnavailable(ScenePretextError):
+    """A compiled kernel cannot be built or loaded: no C compiler, a failed
+    compile or an unwritable cache directory."""
+
+
 _TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
           "str | None": (str, type(None)), "list[dict]": list}
 

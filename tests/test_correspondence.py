@@ -12,7 +12,8 @@ from scenepretext.correspondence import (MatchSet, SeedSet, _carry,
                                          farthest_point_sample, fps_subset,
                                          full_seed_pool, match_points,
                                          sample_seed_set)
-from scenepretext.errors import TooFewPoints
+from scenepretext.errors import (DimensionMismatch, NonFiniteInput,
+                                 TooFewPoints)
 from scenepretext.occlusion import occlude_scene
 from scenepretext.scenegen import (LayoutParams, ScenePair, Transform,
                                    make_scene_pair)
@@ -138,6 +139,51 @@ def test_fps_matches_norm_reference_at_target_scale():
     pts = np.random.default_rng(5).normal(size=(3072, 3))
     np.testing.assert_array_equal(farthest_point_sample(pts, 576, 21),
                                   reference_fps(pts, 576, 21))
+
+
+@st.composite
+def fps_cases(draw):
+    """A cloud, a pick count and a seed: normal clouds, integer grids full
+    of ties, clouds of a few repeated points and the two tie clouds, with
+    the pick count often at an edge, 1 or n."""
+    kind = draw(st.sampled_from(["normal", "grid", "duplicates",
+                                 "tie_under_sqrt", "tie_under_order"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 64))
+    if kind == "normal":
+        pts = rng.normal(size=(n, 3))
+    elif kind == "grid":
+        pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+    elif kind == "duplicates":
+        base = rng.normal(size=(draw(st.integers(1, 6)), 3))
+        pts = base[rng.integers(len(base), size=n)]
+    else:
+        pts = np.array(TIE_UNDER_SQRT if kind == "tie_under_sqrt"
+                       else TIE_UNDER_ORDER)
+    m = draw(st.sampled_from([1, len(pts), draw(st.integers(1, len(pts)))]))
+    return pts, m, draw(st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fps_cases())
+def test_fps_matches_norm_reference_on_every_pick(case):
+    pts, m, rng_seed = case
+    np.testing.assert_array_equal(farthest_point_sample(pts, m, rng_seed),
+                                  reference_fps(pts, m, rng_seed))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fps_refuses_non_finite_points(bad):
+    pts = np.random.default_rng(6).normal(size=(10, 3))
+    pts[4, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        farthest_point_sample(pts, 3, 0)
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 2), (10, 4), (2, 5, 3)])
+def test_fps_refuses_clouds_not_of_shape_n_by_3(shape):
+    with pytest.raises(DimensionMismatch):
+        farthest_point_sample(np.zeros(shape), 1, 0)
 
 
 # ------------------------------------------------------------ translation
