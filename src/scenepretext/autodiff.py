@@ -19,16 +19,12 @@ the same root or on another root of the same graph, starts from scratch.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
-# bytes of each d2 block in chamfer's nearest-neighbour search
-NN_BLOCK_BYTES = 1 << 18
-
-# per-thread buffer for chamfer's blocks; see _block_buffers
-_scratch = threading.local()
+from . import kernels
+from .errors import DimensionMismatch
 
 
 class Var:
@@ -407,83 +403,28 @@ def masked_info_nce(sim: Var, pos_idx: np.ndarray, neg_mask: np.ndarray,
     return out
 
 
-def _block_buffers(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (rows, cols) float64 views into this thread's reused buffer.
-
-    Block-sized temporaries allocated afresh on every call cost page faults
-    each time the allocator hands them back to the system; in the gradient
-    sweep over the small gradcheck graphs that was up to a quarter of its
-    CPU time.
-    """
-    n = rows * cols
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.size < 2 * n:
-        buf = _scratch.buf = np.empty(max(2 * n, 2 * NN_BLOCK_BYTES // 8))
-    return buf[:n].reshape(rows, cols), buf[n:2 * n].reshape(rows, cols)
-
-
-def _d2_block(a2: np.ndarray, b: np.ndarray, a_sq: np.ndarray,
-              b_sq: np.ndarray, prod: np.ndarray, d2: np.ndarray
-              ) -> np.ndarray:
-    """Write ``(|a|^2 + |b|^2) - (2a).b`` into ``d2``, using ``prod``;
-    ``a2`` is ``2 * a``."""
-    np.matmul(a2, b.T, out=prod)
-    np.add(a_sq[:, None], b_sq[None, :], out=d2)
-    np.subtract(d2, prod, out=d2)
-    return d2
-
-
-def _nearest_both(x: np.ndarray, y: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The nearest row of ``y`` for each row of ``x``, and of ``x`` for
-    each row of ``y``; see chamfer."""
-    nx, ny = x.shape[0], y.shape[0]
-    x_sq, y_sq = (x ** 2).sum(1), (y ** 2).sum(1)
-    # (2x).y is 2(x.y) bit for bit: scaling by a power of two commutes
-    # with rounding while no product or sum is subnormal or overflows
-    x2 = x * 2.0
-    rows = max(1, min(nx, NN_BLOCK_BYTES // (8 * ny)))
-    prod, d2 = _block_buffers(rows, ny)
-    nn_xy = np.empty(nx, dtype=np.intp)
-    for i in range(0, nx, rows):
-        k = min(rows, nx - i)
-        blk = _d2_block(x2[i:i + k], y, x_sq[i:i + k], y_sq, prod[:k],
-                        d2[:k])
-        blk.argmin(axis=1, out=nn_xy[i:i + k])
-        if i == 0:
-            # the transpose goes into the spent product buffer, because
-            # argmin(axis=0) would copy it into a fresh array on every call
-            blk_t = prod.reshape(ny, k)
-            np.copyto(blk_t, blk.T)
-            nn_yx = blk_t.argmin(axis=1)
-            if k < nx:
-                col_min = blk_t.min(axis=1)
-            continue
-        # strict <: an equal distance in a later block keeps the lower index
-        blk_min = blk.min(axis=0)
-        better = np.flatnonzero(blk_min < col_min)
-        if better.size:
-            nn_yx[better] = i + blk.T[better].argmin(axis=1)
-            col_min[better] = blk_min[better]
-    return nn_xy, nn_yx
-
-
 def chamfer(x: Var, y: Var) -> Var:
     """Two-sided mean squared nearest-neighbor distance between point sets.
 
-    Nearest neighbors are found exactly via the Gram expansion
-    ``(|x|^2 + |y|^2) - 2 x.y`` in one pass over row blocks of x of at
-    most NN_BLOCK_BYTES (one row, if a row is larger), so every d2 entry
-    is computed once and memory stays O(block). A block's row argmins are
-    the x-to-y neighbors; its column minima fold into a running minimum
-    and argmin per row of y, replaced only on a strict ``<``, so ties go
-    to the lowest index, as in one dense d2 read along both axes.
-    The selected pair distances are then recomputed from coordinate
-    differences, so chamfer(X, X) is exactly zero.
+    x and y are (n, d) sets of one d, else DimensionMismatch. The C loop in
+    ``chamfer.c`` finds the neighbors in both directions in one pass: each
+    squared distance is summed in column order, as in
+    ``((x[:, None] - y[None]) ** 2).sum(-1)``, under ``kernels.FLAGS`` (no
+    fused multiply-add), and a neighbor is replaced only on a strict
+    ``<``, so both are bit for bit that dense matrix's argmins, ties to
+    the lowest index. The selected pair distances are then recomputed from
+    coordinate differences, so chamfer(X, X) is exactly zero, and a NaN or
+    infinite coordinate gives a non-finite value.
     """
-    xd, yd = x.data, y.data
+    xd, yd = np.ascontiguousarray(x.data), np.ascontiguousarray(y.data)
+    if xd.ndim != 2 or yd.ndim != 2 or xd.shape[1] != yd.shape[1]:
+        raise DimensionMismatch(f"chamfer between point sets of shapes "
+                                f"{xd.shape} and {yd.shape}")
     nx, ny = xd.shape[0], yd.shape[0]
-    nn_xy, nn_yx = _nearest_both(xd, yd)
+    nn = np.empty(nx + ny, dtype=np.intp)
+    kernels.load("chamfer").chamfer(xd, nx, yd, ny, xd.shape[1],
+                                    np.empty(ny), nn)
+    nn_xy, nn_yx = nn[:nx], nn[nx:]
     dx = xd - yd[nn_xy]
     dy = yd - xd[nn_yx]
     # sum / n is what ndarray.mean computes, without its Python overhead

@@ -41,6 +41,10 @@ SIGNATURES = {
     "fps": {"fps": ([_array(np.float64, 2), ctypes.c_ssize_t,
                      ctypes.c_ssize_t, _array(np.float64, 1),
                      _array(np.intp, 1)], None)},
+    "chamfer": {"chamfer": ([_array(np.float64, 2), ctypes.c_ssize_t,
+                             _array(np.float64, 2), ctypes.c_ssize_t,
+                             ctypes.c_ssize_t, _array(np.float64, 1),
+                             _array(np.intp, 1)], None)},
 }
 
 

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenepretext import autodiff as ad
+from scenepretext import kernels
+from scenepretext.errors import DimensionMismatch
 
 from oracles import reference_fold, reference_linear
 
@@ -305,17 +309,20 @@ def test_chamfer_grad_both_sides():
 def test_chamfer_self_is_exactly_zero():
     pts = rng.normal(size=(50, 3))
     assert ad.chamfer(ad.leaf(pts), ad.leaf(pts.copy())).item() == 0.0
-    # also on the blocked path, with duplicate rows
+    # also with duplicate rows
     big = np.concatenate([rng.normal(size=(200, 3))] * 2)
     assert ad.chamfer(ad.leaf(big), ad.leaf(big[::-1].copy())).item() == 0.0
 
 
 def dense_chamfer(xd, yd):
-    """The unblocked kernel: one dense d2 matrix, argmin along both axes,
-    gradients accumulated into zeroed buffers."""
+    """The direct-difference reference: one dense matrix of squared
+    distances summed in column order, argmin along both axes, gradients
+    accumulated into zeroed buffers."""
     nx, ny = xd.shape[0], yd.shape[0]
-    d2 = ((xd ** 2).sum(1)[:, None] + (yd ** 2).sum(1)[None, :]
-          - 2.0 * (xd @ yd.T))
+    # row chunks keep the (rows, ny, d) difference small; each entry's
+    # sum is the same whatever the chunk
+    d2 = np.concatenate([((xd[i:i + 256, None] - yd[None]) ** 2).sum(-1)
+                         for i in range(0, nx, 256)])
     nn_xy, nn_yx = d2.argmin(axis=1), d2.argmin(axis=0)
     dx, dy = xd - yd[nn_xy], yd - xd[nn_yx]
     val = (dx ** 2).sum(1).mean() + (dy ** 2).sum(1).mean()
@@ -327,7 +334,16 @@ def dense_chamfer(xd, yd):
     return val, nn_xy, nn_yx, gx, gy
 
 
-BLOCK = ad.NN_BLOCK_BYTES // 8     # d2 entries per block
+def _nearest(xd, yd):
+    """The kernel's neighbours in both directions, called as chamfer
+    calls it."""
+    nn = np.empty(len(xd) + len(yd), dtype=np.intp)
+    kernels.load("chamfer").chamfer(xd, len(xd), yd, len(yd), xd.shape[1],
+                                    np.empty(len(yd)), nn)
+    return nn[:len(xd)], nn[len(xd):]
+
+
+BLOCK = 1 << 15     # the *-block cases straddle 2^15 pairs
 
 
 def _cloud(n, seed):
@@ -340,10 +356,14 @@ def _with_duplicates(n, seed):
 
 
 def _lattice(n, offset):
-    # integer and half-integer coordinates: the Gram expansion is exact,
-    # so many d2 entries tie exactly
+    # integer and half-integer coordinates: every squared distance is
+    # exact, so many tie exactly
     g = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), -1)
     return g.reshape(-1, 3)[:n] + offset
+
+
+def _diagonal(n, seed):
+    return np.random.default_rng(seed).normal(size=(n, 1)).repeat(3, axis=1)
 
 
 CHAMFER_CASES = {
@@ -363,12 +383,17 @@ CHAMFER_CASES = {
                                 _with_duplicates(41, 26)),
     "float32-origin": (_cloud(400, 21).astype(np.float32),
                        _cloud(300, 22).astype(np.float32)),
-    # spread 1e-4 at distance 1e3: the rounding of the Gram expansion
-    # decides dozens of argmins, so any reordering of its sums shows
+    # spread 1e-4 at distance 1e3: a Gram expansion (|x|^2 + |y|^2 -
+    # 2x.y) would round away the differences that decide these argmins
     "far-from-origin": (_cloud(300, 23) * 1e-4 + 1e3,
                         _cloud(200, 24) * 1e-4 + 1e3),
-    # the full-scale training step's detail and coarse shapes: 165 blocks
-    # of 14 rows, and 2 blocks of 128 rows
+    # x on the diagonal, and each row of y beside its reverse: a row's
+    # distance to either sums the same three squares in another order, so
+    # the column-order rounding, or a tie, decides every x-to-y argmin
+    "column-order-sums": (_diagonal(100, 35),
+                          np.concatenate([_cloud(150, 36),
+                                          _cloud(150, 36)[:, ::-1]])),
+    # the full-scale training step's detail and coarse shapes
     "2304x2304": (_cloud(2304, 27), _cloud(2304, 28)),
     "256x256": (_cloud(256, 29), _cloud(256, 30)),
 }
@@ -378,7 +403,7 @@ CHAMFER_CASES = {
 def test_chamfer_matches_dense_kernel_bit_for_bit(case):
     xd, yd = (np.asarray(a, dtype=np.float64) for a in CHAMFER_CASES[case])
     val, nn_xy, nn_yx, gx, gy = dense_chamfer(xd, yd)
-    got_xy, got_yx = ad._nearest_both(xd, yd)
+    got_xy, got_yx = _nearest(xd, yd)
     np.testing.assert_array_equal(got_xy, nn_xy)
     np.testing.assert_array_equal(got_yx, nn_yx)
     x, y = ad.leaf(xd), ad.leaf(yd)
@@ -389,21 +414,51 @@ def test_chamfer_matches_dense_kernel_bit_for_bit(case):
     np.testing.assert_array_equal(y.grad, gy)
 
 
-@pytest.mark.parametrize("nx,ny", [(64, 64), (256, 256), (2304, 2304),
-                                   (3, 40000), (40000, 3)])
-def test_nearest_both_computes_each_d2_block_once(monkeypatch, nx, ny):
-    calls = []
-    d2_block = ad._d2_block
+def _lattice_points(d):
+    # small integer coordinates: many squared distances tie exactly
+    return st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                    min_size=1, max_size=12)
 
-    def counting(a, *args):
-        calls.append(a.shape[0])
-        return d2_block(a, *args)
 
-    monkeypatch.setattr(ad, "_d2_block", counting)
-    ad._nearest_both(_cloud(nx, 31), _cloud(ny, 32))
-    rows = max(1, min(nx, BLOCK // ny))
-    assert len(calls) == -(-nx // rows)
-    assert sum(calls) == nx
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(_lattice_points(d), _lattice_points(d))),
+       st.sampled_from([0.0, 0.5]), st.booleans())
+@example(([[0]], [[1], [-1], [1]]), 0.0, False)     # 1 x n, tied
+@example(([[1, 0], [0, 1], [1, 0]], [[0, 0]]), 0.0, False)      # n x 1
+def test_chamfer_neighbours_equal_the_dense_argmins(xy, offset, dup):
+    xd = np.asarray(xy[0], dtype=np.float64)
+    yd = np.asarray(xy[1], dtype=np.float64) + offset
+    if dup:     # every row of x twice, the copies last
+        xd = np.concatenate([xd, xd])
+    _, nn_xy, nn_yx, _, _ = dense_chamfer(xd, yd)
+    got_xy, got_yx = _nearest(xd, yd)
+    np.testing.assert_array_equal(got_xy, nn_xy)
+    np.testing.assert_array_equal(got_yx, nn_yx)
+
+
+@pytest.mark.parametrize("xs,ys", [((4, 3), (5, 2)), ((4, 2), (5, 4)),
+                                   ((4,), (5, 3)), ((4, 3), (5, 3, 1))])
+def test_chamfer_of_mismatched_shapes_raises(xs, ys):
+    with pytest.raises(DimensionMismatch):
+        ad.chamfer(ad.leaf(np.zeros(xs)), ad.leaf(np.zeros(ys)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y", "both"])
+def test_chamfer_of_non_finite_input_is_non_finite(bad, side):
+    xd, yd = _cloud(20, 33), _cloud(15, 34)
+    if side in ("x", "both"):
+        xd[7, 1] = bad
+    if side in ("y", "both"):
+        yd[3, 2] = bad
+    nn_xy, nn_yx = _nearest(xd, yd)
+    assert 0 <= nn_xy.min() and nn_xy.max() < len(yd)
+    assert 0 <= nn_yx.min() and nn_yx.max() < len(xd)
+    # inf - inf is NaN, which numpy reports as an invalid value
+    with np.errstate(invalid="ignore"):
+        val = ad.chamfer(ad.leaf(xd), ad.leaf(yd)).item()
+    assert not np.isfinite(val)
 
 
 def test_diamond_graph_accumulates():

@@ -1,6 +1,8 @@
 """Building and loading the compiled kernels: the cache, the typed error
 when a kernel cannot be built, and the atomic first compile."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -90,26 +92,45 @@ def test_cli_without_a_compiler_exits_2(fresh_cache, tmp_path, monkeypatch,
     assert "scenepretext-no-such-cc" in capsys.readouterr().err
 
 
-PICKS_SCRIPT = """
+# one first use of each kernel, printing its result as JSON
+FIRST_USE = {
+    "fps": """
 import json
 import numpy as np
 from scenepretext.correspondence import farthest_point_sample
 pts = np.random.default_rng(9).normal(size=(400, 3))
 print(json.dumps(farthest_point_sample(pts, 50, 3).tolist()))
-"""
+""",
+    "chamfer": """
+import json
+import numpy as np
+from scenepretext import autodiff as ad
+rng = np.random.default_rng(9)
+x, y = rng.normal(size=(400, 3)), rng.normal(size=(300, 3))
+print(json.dumps(ad.chamfer(ad.leaf(x), ad.leaf(y)).item()))
+""",
+}
 
 
-def test_concurrent_first_compiles_leave_one_library(tmp_path):
+def test_signatures_name_the_kernel_sources():
+    sources = Path(kernels.__file__).parent.glob("*.c")
+    assert sorted(p.stem for p in sources) == sorted(kernels.SIGNATURES)
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_USE))
+def test_concurrent_first_compiles_leave_one_library(tmp_path, name):
     (tmp_path / "xdg").mkdir()
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
                PYTHONPATH=str(Path(scenepretext.__file__).parents[1]))
-    procs = [subprocess.Popen([sys.executable, "-c", PICKS_SCRIPT], env=env,
-                              stdout=subprocess.PIPE, text=True)
+    procs = [subprocess.Popen([sys.executable, "-c", FIRST_USE[name]],
+                              env=env, stdout=subprocess.PIPE, text=True)
              for _ in range(2)]
     outs = [json.loads(p.communicate(timeout=120)[0]) for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
-    assert outs[0] == outs[1] == farthest_point_sample(
-        np.random.default_rng(9).normal(size=(400, 3)), 50, 3).tolist()
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(FIRST_USE[name], {})
+    assert outs[0] == outs[1] == json.loads(here.getvalue())
     cache = tmp_path / "xdg" / "scenepretext"
-    assert len(list(cache.glob("fps-*.so"))) == 1
+    assert [p.name.split("-")[0] for p in cache.glob("*.so")] == [name]
     assert list(cache.glob("*.tmp")) == []
