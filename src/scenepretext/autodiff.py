@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EmptySet
 
 
 class Var:
@@ -406,24 +406,26 @@ def masked_info_nce(sim: Var, pos_idx: np.ndarray, neg_mask: np.ndarray,
 def chamfer(x: Var, y: Var) -> Var:
     """Two-sided mean squared nearest-neighbor distance between point sets.
 
-    x and y are (n, d) sets of one d, else DimensionMismatch. The C loop in
-    ``chamfer.c`` finds the neighbors in both directions in one pass: each
-    squared distance is summed in column order, as in
-    ``((x[:, None] - y[None]) ** 2).sum(-1)``, under ``kernels.FLAGS`` (no
-    fused multiply-add), and a neighbor is replaced only on a strict
-    ``<``, so both are bit for bit that dense matrix's argmins, ties to
-    the lowest index. The selected pair distances are then recomputed from
-    coordinate differences, so chamfer(X, X) is exactly zero, and a NaN or
-    infinite coordinate gives a non-finite value.
+    x and y are nonempty (n, d) sets of one d, else DimensionMismatch or
+    EmptySet. The C loop ``chamfer`` in ``kernels.c`` finds the neighbors
+    in both directions in one pass: each squared distance is summed in
+    column order, as in ``((x[:, None] - y[None]) ** 2).sum(-1)``, under
+    ``kernels.FLAGS`` (no fused multiply-add), and a neighbor is replaced
+    only on a strict ``<``, so both are bit for bit that dense matrix's
+    argmins, ties to the lowest index. The selected pair distances are then
+    recomputed from coordinate differences, so chamfer(X, X) is exactly
+    zero, and a NaN or infinite coordinate gives a non-finite value.
     """
     xd, yd = np.ascontiguousarray(x.data), np.ascontiguousarray(y.data)
     if xd.ndim != 2 or yd.ndim != 2 or xd.shape[1] != yd.shape[1]:
         raise DimensionMismatch(f"chamfer between point sets of shapes "
                                 f"{xd.shape} and {yd.shape}")
+    if xd.size == 0 or yd.size == 0:
+        raise EmptySet(f"chamfer with an empty point set: shapes "
+                       f"{xd.shape} and {yd.shape}")
     nx, ny = xd.shape[0], yd.shape[0]
     nn = np.empty(nx + ny, dtype=np.intp)
-    kernels.load("chamfer").chamfer(xd, nx, yd, ny, xd.shape[1],
-                                    np.empty(ny), nn)
+    kernels.load().chamfer(xd, nx, yd, ny, xd.shape[1], np.empty(ny), nn)
     nn_xy, nn_yx = nn[:nx], nn[nx:]
     dx = xd - yd[nn_xy]
     dy = yd - xd[nn_yx]

@@ -78,8 +78,8 @@ def farthest_point_sample(points: np.ndarray, m: int,
     maximizes the minimum distance to the chosen set, ties resolved toward
     the lowest index. Deterministic under rng_seed. Asking for fewer than
     one or more than n points raises TooFewPoints; a NaN or infinite
-    coordinate raises NonFiniteInput. The picks are made by the C loop in
-    ``fps.c``, built on first use (``kernels.load``).
+    coordinate raises NonFiniteInput. The picks are made by the C loop
+    ``fps`` in ``kernels.c``, built on first use (``kernels.load``).
 
     Rounding contract: every distance is computed as
     sqrt((dx*dx + dy*dy) + dz*dz), the summation order of
@@ -104,7 +104,7 @@ def farthest_point_sample(points: np.ndarray, m: int,
     chosen = np.empty(m, dtype=np.intp)
     chosen[0] = rng.integers(n)
     min_d = np.empty(n)  # the kernel's running minimum distances
-    kernels.load("fps").fps(points, n, m, min_d, chosen)
+    kernels.load().fps(points, n, m, min_d, chosen)
     return chosen
 
 

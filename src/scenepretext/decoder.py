@@ -522,8 +522,6 @@ GRADCHECK_KINK_REFINE = 16
 
 def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
                    heads: DecoderHeads, tau: float = TAU,
-                   lambda_pts: float = LAMBDA_PTS,
-                   lambda_rec: float = LAMBDA_REC,
                    step: float = GRADCHECK_STEP,
                    rtol: float = GRADCHECK_RTOL) -> GradientCheckResult:
     """Central finite differences against the analytic gradients.
@@ -555,10 +553,10 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
     that half on the unperturbed z and reuse the other half's values;
     every probe value is bit-identical to a full forward pass.
     """
-    analytic = _term_gradients(prepared, encoder, heads, tau, lambda_pts,
-                               lambda_rec)
-    analytic.update(forward_backward(prepared, encoder, heads, tau,
-                                     lambda_pts, lambda_rec).gradients)
+    analytic = _term_gradients(prepared, encoder, heads, tau, LAMBDA_PTS,
+                               LAMBDA_REC)
+    analytic.update(forward_backward(prepared, encoder, heads,
+                                     tau).gradients)
     terms = list(analytic)
     leaves = {k: ad.leaf(v.copy())
               for k, v in _param_arrays(encoder, heads).items()}
@@ -582,12 +580,12 @@ def gradient_check(prepared: Sequence[PreparedPair], encoder: ToyEncoder,
     def values(name) -> dict[str, float]:
         if name in feeds_z:
             _, losses, _ = _overall_graph(prepared, work, encoder, heads,
-                                          tau, lambda_pts, lambda_rec)
+                                          tau, LAMBDA_PTS, LAMBDA_REC)
         else:
             losses = {}
             for half, fixed, feeds in zip(halves, base, feeds_half):
                 losses.update(half() if name in feeds else fixed)
-            losses = _add_overall(losses, lambda_pts, lambda_rec)
+            losses = _add_overall(losses, LAMBDA_PTS, LAMBDA_REC)
         return {t: losses[t].item() for t in terms}
 
     def fd_at(work, name, i, h) -> dict[str, float]:

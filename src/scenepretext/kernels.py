@@ -1,12 +1,12 @@
 """The package's C kernels, compiled on first use and loaded through ctypes.
 
-``load(name)`` builds ``<name>.c`` from beside this module with the C
-compiler Python was built with, into ``$XDG_CACHE_HOME/scenepretext``
-(else ``~/.cache/scenepretext``). The library is named by a hash of the
-source, the flags, the compiler command and the interpreter's ABI tag, so a
-changed source or a host of another architecture sharing the home directory
-never loads a stale file. It is compiled under a temporary name and renamed
-into place, so a concurrent process never loads a half-written library.
+``load()`` builds ``kernels.c`` from beside this module with the C compiler
+Python was built with, into ``$XDG_CACHE_HOME/scenepretext`` (else
+``~/.cache/scenepretext``). The library is named by a hash of the source,
+the flags, the compiler command and the interpreter's ABI tag, so a changed
+source or a host of another architecture sharing the home directory never
+loads a stale file. It is compiled under a temporary name and renamed into
+place, so a concurrent process never loads a half-written library.
 
 The flags are part of the kernels' value contract: no fused multiply-add
 (``-ffp-contract=off``) and no ``-ffast-math``, so each kernel rounds as
@@ -35,16 +35,14 @@ def _array(dtype, ndim: int):
     return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
 
 
-# each kernel's entry points: (argument types, result type); ctypes checks
-# every argument against them, arrays by dtype, rank and contiguity
+# each entry point of kernels.c: (argument types, result type); ctypes
+# checks every argument against them, arrays by dtype, rank and contiguity
 SIGNATURES = {
-    "fps": {"fps": ([_array(np.float64, 2), ctypes.c_ssize_t,
-                     ctypes.c_ssize_t, _array(np.float64, 1),
-                     _array(np.intp, 1)], None)},
-    "chamfer": {"chamfer": ([_array(np.float64, 2), ctypes.c_ssize_t,
-                             _array(np.float64, 2), ctypes.c_ssize_t,
-                             ctypes.c_ssize_t, _array(np.float64, 1),
-                             _array(np.intp, 1)], None)},
+    "fps": ([_array(np.float64, 2), ctypes.c_ssize_t, ctypes.c_ssize_t,
+             _array(np.float64, 1), _array(np.intp, 1)], None),
+    "chamfer": ([_array(np.float64, 2), ctypes.c_ssize_t,
+                 _array(np.float64, 2), ctypes.c_ssize_t, ctypes.c_ssize_t,
+                 _array(np.float64, 1), _array(np.intp, 1)], None),
 }
 
 
@@ -85,17 +83,17 @@ def _compile(cc: list[str], src: Path, lib: Path) -> None:
 
 
 @functools.cache
-def load(name: str) -> ctypes.CDLL:
-    """The compiled kernel ``<name>.c`` with its ``SIGNATURES`` declared,
-    built on first use; a missing compiler, a failed compile or an
-    unusable cache directory raises KernelUnavailable."""
-    src = Path(__file__).with_name(f"{name}.c")
+def load() -> ctypes.CDLL:
+    """The compiled ``kernels.c`` with its ``SIGNATURES`` declared, built
+    on first use; a missing compiler, a failed compile or an unusable
+    cache directory raises KernelUnavailable."""
+    src = Path(__file__).with_suffix(".c")
     cc = _compiler()
     key = hashlib.sha256(b"\0".join(
         [src.read_bytes(), shlex.join([*cc, *FLAGS]).encode(),
          (sysconfig.get_config_var("SOABI") or "").encode()])).hexdigest()
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    lib = Path(cache, "scenepretext", f"{name}-{key[:16]}.so")
+    lib = Path(cache, "scenepretext", f"kernels-{key[:16]}.so")
     if not cc:
         raise _unavailable("no C compiler is configured", cc, lib)
     if not lib.exists():
@@ -103,8 +101,8 @@ def load(name: str) -> ctypes.CDLL:
     try:
         dll = ctypes.CDLL(str(lib))
     except OSError as e:
-        raise _unavailable(f"cannot load the kernel: {e}", cc, lib) from None
-    for fn, (argtypes, restype) in SIGNATURES[name].items():
+        raise _unavailable(f"cannot load the kernels: {e}", cc, lib) from None
+    for fn, (argtypes, restype) in SIGNATURES.items():
         getattr(dll, fn).argtypes = argtypes
         getattr(dll, fn).restype = restype
     return dll

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .correspondence import MatchSet
-from .errors import EmptySet, NonFiniteInput
+from .errors import NonFiniteInput
 
 # the paper's InfoNCE temperature and the weights of l_pts and l_rec in
 # l_overall
@@ -176,8 +176,6 @@ def chamfer_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Symmetric mean squared nearest-neighbor distance between point sets."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.size == 0 or y.size == 0:
-        raise EmptySet("chamfer_distance requires nonempty sets")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteInput("non-finite coordinates")
     return ad.chamfer(ad.leaf(x), ad.leaf(y)).item()

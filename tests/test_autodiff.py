@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scenepretext import autodiff as ad
 from scenepretext import kernels
-from scenepretext.errors import DimensionMismatch
+from scenepretext.errors import DimensionMismatch, EmptySet
 
 from oracles import reference_fold, reference_linear
 
@@ -338,8 +338,8 @@ def _nearest(xd, yd):
     """The kernel's neighbours in both directions, called as chamfer
     calls it."""
     nn = np.empty(len(xd) + len(yd), dtype=np.intp)
-    kernels.load("chamfer").chamfer(xd, len(xd), yd, len(yd), xd.shape[1],
-                                    np.empty(len(yd)), nn)
+    kernels.load().chamfer(xd, len(xd), yd, len(yd), xd.shape[1],
+                           np.empty(len(yd)), nn)
     return nn[:len(xd)], nn[len(xd):]
 
 
@@ -442,6 +442,12 @@ def test_chamfer_neighbours_equal_the_dense_argmins(xy, offset, dup):
 def test_chamfer_of_mismatched_shapes_raises(xs, ys):
     with pytest.raises(DimensionMismatch):
         ad.chamfer(ad.leaf(np.zeros(xs)), ad.leaf(np.zeros(ys)))
+
+
+@pytest.mark.parametrize("nx,ny", [(0, 2), (2, 0), (0, 0)])
+def test_chamfer_of_an_empty_set_raises(nx, ny):
+    with pytest.raises(EmptySet):
+        ad.chamfer(ad.leaf(np.zeros((nx, 3))), ad.leaf(np.zeros((ny, 3))))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

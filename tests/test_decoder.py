@@ -8,7 +8,7 @@ import pytest
 
 from oracles import reference_forward_backward
 from scenepretext import autodiff as ad
-from scenepretext import decoder, pipeline
+from scenepretext import cli, decoder, pipeline
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
 from scenepretext.cli import gradcheck_batch
@@ -454,13 +454,11 @@ def test_gradient_check_tiny_batch():
         + sum(v.size for v in heads.params.values())
 
 
-def test_gradient_check_checks_the_training_gradient(monkeypatch):
-    # one l_overall entry of forward_backward's sweep off by 1e-3 relative:
-    # gradient_check must see it, so it checks that sweep itself rather
-    # than a recombination of the per-term gradients
-    prepared, enc, heads = tiny_batch()
+def skew_training_gradient(monkeypatch, prepared, enc, heads, tau):
+    """Make forward_backward return its largest l_overall entry off by
+    1e-3 relative; returns that entry's name and flat index."""
     grads = forward_backward(prepared, enc, heads,
-                             tau=0.1).gradients["l_overall"]
+                             tau=tau).gradients["l_overall"]
     name = max(grads, key=lambda k: np.abs(grads[k]).max())
     i = int(np.abs(grads[name]).argmax())
     exact = decoder.forward_backward
@@ -471,6 +469,15 @@ def test_gradient_check_checks_the_training_gradient(monkeypatch):
         return report
 
     monkeypatch.setattr(decoder, "forward_backward", skewed)
+    return name, i
+
+
+def test_gradient_check_checks_the_training_gradient(monkeypatch):
+    # gradient_check must see one skewed l_overall entry of
+    # forward_backward's sweep, so it checks that sweep itself rather than
+    # a recombination of the per-term gradients
+    prepared, enc, heads = tiny_batch()
+    name, i = skew_training_gradient(monkeypatch, prepared, enc, heads, 0.1)
     result = gradient_check(prepared, enc, heads, tau=0.1)
     assert not result.ok
     assert result.worst["l_overall"] == f"{name}[{i}]"
@@ -479,9 +486,9 @@ def test_gradient_check_checks_the_training_gradient(monkeypatch):
         assert result.per_term[term] <= 1e-4, term
 
 
-def test_gradient_check_with_unseeded_object():
-    # 6 encoder seeds over 4 objects: on side B object 1 gets none, so its
-    # max-pooled row is empty
+def unseeded_object_batch():
+    """One pair, 6 encoder seeds over 4 objects: on side B object 1 gets
+    none, so its max-pooled row is empty."""
     dist = load_default_scannet_parameters()
     pair = make_scene_pair(dist, 4, ProceduralAssetSource(n_points=32), 24)
     pp = prepare_scene_pair(pair, n_seeds=6, m_matches=6, theta=0.25, u=2,
@@ -492,8 +499,26 @@ def test_gradient_check_with_unseeded_object():
                                    embed_dim=4), rng_seed=1)
     heads = DecoderHeads(HeadsConfig(feature_dim=4, hidden=5, u=2),
                          rng_seed=2)
-    result = gradient_check([pp], enc, heads)
+    return [pp], enc, heads
+
+
+def test_gradient_check_with_unseeded_object():
+    result = gradient_check(*unseeded_object_batch())
     assert result.ok, f"max rel {result.max_rel_error} at {result.worst}"
+
+
+def test_cli_gradcheck_exits_0_on_pass_and_1_on_failure(monkeypatch,
+                                                        capsys):
+    batch = unseeded_object_batch()
+    monkeypatch.setattr(cli, "gradcheck_batch", lambda seed: batch)
+    assert cli.main(["gradcheck"]) == 0
+    assert "gradcheck PASSED" in capsys.readouterr().out.splitlines()[-1]
+    skew_training_gradient(monkeypatch, *batch, decoder.TAU)
+    assert cli.main(["gradcheck"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "gradcheck FAILED" in lines[-1]
+    assert any(line.startswith("l_overall:") and line.endswith("[FAIL]")
+               for line in lines)
 
 
 def test_full_width_step_traced_peak_stays_under_100_mb():

@@ -35,7 +35,7 @@ def fresh_cache(tmp_path, monkeypatch):
 
 def test_first_use_builds_one_library_into_the_cache(fresh_cache):
     picks = farthest_point_sample(CLOUD, 7, 3)
-    assert [p.name.startswith("fps-") and p.suffix == ".so"
+    assert [p.name.startswith("kernels-") and p.suffix == ".so"
             for p in fresh_cache.iterdir()] == [True]
     assert fresh_cache.stat().st_mode & 0o777 == 0o700
     kernels.load.cache_clear()
@@ -47,7 +47,7 @@ def test_missing_compiler_raises_kernel_unavailable(fresh_cache,
     monkeypatch.setattr(kernels, "_compiler",
                         lambda: ["scenepretext-no-such-cc", "-q"])
     with pytest.raises(KernelUnavailable,
-                       match="'scenepretext-no-such-cc -q'.*fps-"):
+                       match="'scenepretext-no-such-cc -q'.*kernels-"):
         farthest_point_sample(CLOUD, 7, 3)
     assert list(fresh_cache.iterdir()) == []
 
@@ -61,10 +61,11 @@ def test_no_configured_compiler_raises_kernel_unavailable(fresh_cache,
 
 def test_failed_compile_leaves_no_library(fresh_cache, tmp_path,
                                           monkeypatch):
-    (tmp_path / "broken.c").write_text("this is not C\n")
+    (tmp_path / "kernels.c").write_text("this is not C\n")
     monkeypatch.setattr(kernels, "__file__", str(tmp_path / "kernels.py"))
-    with pytest.raises(KernelUnavailable, match="cannot compile.*broken"):
-        kernels.load("broken")
+    with pytest.raises(KernelUnavailable,
+                       match=f"cannot compile {re.escape(str(tmp_path))}"):
+        kernels.load()
     assert list(fresh_cache.iterdir()) == []
 
 
@@ -92,45 +93,43 @@ def test_cli_without_a_compiler_exits_2(fresh_cache, tmp_path, monkeypatch,
     assert "scenepretext-no-such-cc" in capsys.readouterr().err
 
 
-# one first use of each kernel, printing its result as JSON
-FIRST_USE = {
-    "fps": """
-import json
-import numpy as np
-from scenepretext.correspondence import farthest_point_sample
-pts = np.random.default_rng(9).normal(size=(400, 3))
-print(json.dumps(farthest_point_sample(pts, 50, 3).tolist()))
-""",
-    "chamfer": """
+# one first use of both kernels, printing their results as JSON
+FIRST_USE = """
 import json
 import numpy as np
 from scenepretext import autodiff as ad
+from scenepretext.correspondence import farthest_point_sample
 rng = np.random.default_rng(9)
 x, y = rng.normal(size=(400, 3)), rng.normal(size=(300, 3))
-print(json.dumps(ad.chamfer(ad.leaf(x), ad.leaf(y)).item()))
-""",
-}
+print(json.dumps([farthest_point_sample(x, 50, 3).tolist(),
+                  ad.chamfer(ad.leaf(x), ad.leaf(y)).item()]))
+"""
 
 
-def test_signatures_name_the_kernel_sources():
-    sources = Path(kernels.__file__).parent.glob("*.c")
-    assert sorted(p.stem for p in sources) == sorted(kernels.SIGNATURES)
+def test_library_exports_every_signature():
+    # the source's external functions are exactly the declared ones
+    source = Path(kernels.__file__).with_suffix(".c").read_text()
+    assert sorted(re.findall(r"^\w+ (\w+)\(", source, re.M)) \
+        == sorted(kernels.SIGNATURES)
+    dll = kernels.load()
+    for fn, (argtypes, restype) in kernels.SIGNATURES.items():
+        assert getattr(dll, fn).argtypes == argtypes, fn
+        assert getattr(dll, fn).restype is restype, fn
 
 
-@pytest.mark.parametrize("name", sorted(FIRST_USE))
-def test_concurrent_first_compiles_leave_one_library(tmp_path, name):
+def test_concurrent_first_compiles_leave_one_library(tmp_path):
     (tmp_path / "xdg").mkdir()
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
                PYTHONPATH=str(Path(scenepretext.__file__).parents[1]))
-    procs = [subprocess.Popen([sys.executable, "-c", FIRST_USE[name]],
+    procs = [subprocess.Popen([sys.executable, "-c", FIRST_USE],
                               env=env, stdout=subprocess.PIPE, text=True)
              for _ in range(2)]
     outs = [json.loads(p.communicate(timeout=120)[0]) for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
     here = io.StringIO()
     with contextlib.redirect_stdout(here):
-        exec(FIRST_USE[name], {})
+        exec(FIRST_USE, {})
     assert outs[0] == outs[1] == json.loads(here.getvalue())
     cache = tmp_path / "xdg" / "scenepretext"
-    assert [p.name.split("-")[0] for p in cache.glob("*.so")] == [name]
+    assert [p.name.split("-")[0] for p in cache.glob("*.so")] == ["kernels"]
     assert list(cache.glob("*.tmp")) == []
