@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (AllZeroCounts, DimensionMismatch, from_record,
-                     numeric_array, write_json)
+from .errors import (AllZeroCounts, DimensionMismatch, numeric_array,
+                     read_record, write_json)
 
 SUM_TOL = 1e-9
 
@@ -165,14 +165,10 @@ class SceneDistribution:
 
     @classmethod
     def load(cls, path) -> "SceneDistribution":
-        """Read a saved distribution; a missing or unknown key, or a value
-        that is not a number or not a probability, raises CorruptManifest,
-        and tables that do not fit each other DimensionMismatch."""
-        with open(path) as f:
-            doc = json.load(f)
-        if isinstance(doc, dict):   # an older file's epsilon is ignored
-            doc.pop("epsilon", None)
-        return from_record(cls, doc, str(path))
+        """Read a saved distribution, ignoring an older file's epsilon; a
+        value or key its record refuses raises CorruptManifest, and tables
+        that do not fit each other DimensionMismatch."""
+        return read_record(lambda epsilon=None, **doc: cls(**doc), path)
 
 
 def fit_scene_distribution(

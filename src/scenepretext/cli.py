@@ -8,7 +8,6 @@ a traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
@@ -17,7 +16,7 @@ from .catalog import CategoryTable, fit_scene_distribution
 from .decoder import (GRADCHECK_RTOL, DecoderHeads, EncoderConfig,
                       HeadsConfig, ToyEncoder, gradient_check,
                       prepare_scene_pair)
-from .errors import ScenePretextError, to_json, write_json
+from .errors import ScenePretextError, read_record, to_json, write_json
 from .pipeline import (FORMAT_EXT, PipelineConfig, evaluate_losses,
                        generate_dataset, match_pair_dir)
 from .scenegen import make_scene_pair
@@ -28,40 +27,22 @@ EXIT_GRADCHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise UsageError(f"{what} must be a JSON object, "
-                         f"got {type(value).__name__}")
-    return value
+def _fit_counts(scene_counts: dict, objects_per_scene: dict,
+                instances_per_category: dict):
+    """The distribution fitted to a `fit` counts file's tables, each a JSON
+    object (TypeError otherwise) of counts that CategoryTable accepts."""
+    cats = list(dict.keys(instances_per_category))
+    scene_table = CategoryTable(list(dict.keys(scene_counts)),
+                                list(scene_counts.values()))
+    rows = [dict.get(objects_per_scene, s, {}) for s in scene_table.labels]
+    return fit_scene_distribution(
+        scene_table, [CategoryTable(cats, [dict.get(row, c, 0) for c in cats])
+                      for row in rows],
+        [instances_per_category[c] for c in cats])
 
 
 def _cmd_fit(args) -> int:
-    with open(args.counts) as f:
-        doc = _json_object(json.load(f), "counts file")
-    try:
-        scene_counts = _json_object(doc["scene_counts"], "scene_counts")
-        objects_per_scene = _json_object(doc["objects_per_scene"],
-                                         "objects_per_scene")
-        instances = _json_object(doc["instances_per_category"],
-                                 "instances_per_category")
-    except KeyError as e:
-        raise UsageError(f"counts file missing key {e}")
-    scene_table = CategoryTable(list(scene_counts.keys()),
-                                list(scene_counts.values()))
-    cat_labels = list(instances.keys())
-    object_tables = []
-    for scene in scene_table.labels:
-        per_scene = _json_object(objects_per_scene.get(scene, {}),
-                                 f"objects_per_scene[{scene!r}]")
-        object_tables.append(CategoryTable(
-            cat_labels, [per_scene.get(c, 0) for c in cat_labels]))
-    dist = fit_scene_distribution(scene_table, object_tables,
-                                  [instances[c] for c in cat_labels])
-    dist.save(args.out)
+    read_record(_fit_counts, args.counts).save(args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -196,17 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; every error of its input exits 2.
 
-    The library raises ScenePretextError for input it cannot use (and
-    KernelUnavailable for a host that cannot build its kernels), the
-    standard library OSError for an unreadable path and ValueError (a
-    json.JSONDecodeError too) for unparsable values. Any other exception is
-    a bug and propagates.
+    The library raises ScenePretextError for input it cannot use (a stored
+    JSON file it cannot read gives CorruptManifest naming the file), OSError
+    for another path it cannot open and ValueError for a flag value its
+    checks refuse. Any other exception is a bug and propagates.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ScenePretextError, OSError, ValueError) as e:
+    except (ScenePretextError, OSError, ValueError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -108,17 +108,24 @@ def farthest_point_sample(points: np.ndarray, m: int,
     return chosen
 
 
+def _fps_seeds(pool: SeedSet, m: int, rng_seed: int) -> SeedSet:
+    """The m seeds of ``pool`` that FPS picks; TooFewPoints if fewer than m
+    of its points are distinct, where FPS repeats a pick."""
+    pick = farthest_point_sample(pool.coords, m, rng_seed)
+    if np.unique(pick).size < m:
+        raise TooFewPoints(f"{pool.m} points, too few distinct for {m} seeds")
+    return SeedSet(pool.indices[pick], pool.coords[pick],
+                   pool.object_ids[pick])
+
+
 def sample_seed_set(scene: SceneInstance, m: int, rng_seed: int) -> SeedSet:
     """FPS seed set over the scene's foreground (object points only)."""
-    idx = farthest_point_sample(scene.points, m, rng_seed)
-    return SeedSet(idx, scene.points[idx], scene.point_object_ids[idx])
+    return _fps_seeds(full_seed_pool(scene), m, rng_seed)
 
 
 def fps_subset(seeds: SeedSet, m: int, rng_seed: int) -> SeedSet:
     """FPS subset of min(m, seeds.m) seeds; each keeps its index."""
-    pick = farthest_point_sample(seeds.coords, min(m, seeds.m), rng_seed)
-    return SeedSet(seeds.indices[pick], seeds.coords[pick],
-                   seeds.object_ids[pick])
+    return _fps_seeds(seeds, min(m, seeds.m), rng_seed)
 
 
 def full_seed_pool(scene: SceneInstance) -> SeedSet:

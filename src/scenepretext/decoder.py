@@ -18,7 +18,6 @@ l_obj, l_pts and l_rec, against central finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -28,7 +27,7 @@ from . import autodiff as ad
 from .correspondence import (MatchSet, SeedSet, farthest_point_sample,
                              match_fps_pools, sample_seed_set)
 from .errors import (DimensionMismatch, EmptyBatch, TooFewPoints,
-                     check_field_types, from_record, numeric_array,
+                     check_field_types, numeric_array, read_record,
                      write_json)
 from .losses import (LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport,
                      object_level_graph, point_level_graph)
@@ -497,8 +496,7 @@ def load_checkpoint(path) -> tuple[ToyEncoder, DecoderHeads]:
         return (ToyEncoder(enc_cfg, params=scoped["encoder"]),
                 DecoderHeads(heads_cfg, params=scoped["heads"]))
 
-    with open(path) as f:
-        return from_record(read, json.load(f), f"checkpoint {path}")
+    return read_record(read, path)
 
 
 @dataclass

@@ -2,9 +2,10 @@
 writer of stored JSON: each stored record checks in ``__post_init__`` that
 every value has its declared type (`check_field_types`, `numeric_array`),
 `from_record` reads one from a JSON object, turning a refusal into
-CorruptManifest, and `write_json` writes any document of records, arrays
-and JSON values through a temporary file. This module imports nothing from
-the package, so every module can use it.
+CorruptManifest, `read_record` reads one from a stored JSON file, and
+`write_json` writes any document of records, arrays and JSON values through
+a temporary file. This module imports nothing from the package, so every
+module can use it.
 """
 
 import json
@@ -55,7 +56,7 @@ class EmptySet(ScenePretextError):
 
 
 class CorruptManifest(ScenePretextError):
-    """A pair manifest is missing files or fails validation."""
+    """A stored file is missing, unreadable or fails validation."""
 
 
 class KernelUnavailable(ScenePretextError):
@@ -64,7 +65,7 @@ class KernelUnavailable(ScenePretextError):
 
 
 _TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
-          "str | None": (str, type(None)), "list[dict]": list}
+          "str | None": (str, type(None)), "list[dict]": list, "dict": dict}
 
 
 def check_field_types(record) -> None:
@@ -100,6 +101,22 @@ def from_record(cls, doc, what: str):
         return cls(**doc)
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptManifest(f"{what}: {type(e).__name__}: {e}") from None
+
+
+def read_record(cls, path):
+    """``from_record(cls, doc, path)`` for the JSON object in file ``path``;
+    a file that is missing, unreadable, unparsable or holds another JSON
+    value raises CorruptManifest naming ``path``."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except FileNotFoundError:
+        raise CorruptManifest(f"{path}: missing") from None
+    except (OSError, ValueError, RecursionError) as e:
+        raise CorruptManifest(f"{path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise CorruptManifest(f"{path}: not a JSON object")
+    return from_record(cls, doc, str(path))
 
 
 def _jsonable(value):

@@ -31,7 +31,7 @@ from .decoder import (DecoderHeads, EncoderConfig, HeadsConfig, ToyEncoder,
                       forward_backward, load_checkpoint, prepare_occluded_pair)
 from .errors import (CorruptManifest, DimensionMismatch, NonFiniteInput,
                      PlacementFailure, check_field_types, from_record,
-                     to_json, write_json)
+                     read_record, to_json, write_json)
 from .losses import LAMBDA_PTS, LAMBDA_REC, LOSS_TERMS, TAU, LossReport
 from .occlusion import OcclusionRecord, occlude_pair, replay_occlusion
 from .scenegen import (LayoutParams, ObjectInstance, SceneInstance,
@@ -279,6 +279,27 @@ class PairManifest:
                          self.pair_seed)
 
 
+@dataclass(frozen=True)
+class DatasetSummary:
+    """A dataset's summary.json: the producing config as stored, its hash,
+    and the counts, histograms and means of the produced pairs."""
+
+    config: dict
+    config_hash: str
+    pairs_produced: int
+    placement_failures: int
+    scene_type_histogram: dict
+    category_histogram: dict
+    mean_occlusion_fraction: float
+    mean_matches: float
+
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("scene_type_histogram", "category_histogram"):
+            if any(type(n) is not int for n in getattr(self, name).values()):
+                raise TypeError(f"{name}: a count is not int")
+
+
 def pair_files(export_format: str) -> dict[str, str]:
     """The format fixes the names of a pair's clouds: complete A and B,
     then occluded A and B."""
@@ -388,55 +409,36 @@ def generate_dataset(config: PipelineConfig, out_dir,
         if progress and (pair_id + 1) % 50 == 0:
             print(f"  generated {pair_id + 1}/{config.n_scenes} pairs",
                   file=sys.stderr)
-    summary = {
-        "config": dict(vars(config)),
-        "config_hash": config.config_hash(),
-        "pairs_produced": produced,
-        "placement_failures": failures,
-        "scene_type_histogram": dict(sorted(scene_hist.items())),
-        "category_histogram": dict(sorted(cat_hist.items())),
-        "mean_occlusion_fraction":
-            float(np.mean(occ_fracs)) if occ_fracs else 0.0,
-        "mean_matches": float(np.mean(match_counts)) if match_counts else 0.0,
-    }
+    summary = DatasetSummary(
+        config=dict(vars(config)),
+        config_hash=config.config_hash(),
+        pairs_produced=produced,
+        placement_failures=failures,
+        scene_type_histogram=dict(sorted(scene_hist.items())),
+        category_histogram=dict(sorted(cat_hist.items())),
+        mean_occlusion_fraction=float(np.mean(occ_fracs or [0.0])),
+        mean_matches=float(np.mean(match_counts or [0.0])),
+    )
     write_json(out_dir / "summary.json", summary, indent=1)
     if progress:
         print(f"pairs: {produced}  placement failures: {failures}")
         print(f"mean occlusion fraction: "
-              f"{summary['mean_occlusion_fraction']:.4f}")
-        print(f"mean matches per pair: {summary['mean_matches']:.1f}")
+              f"{summary.mean_occlusion_fraction:.4f}")
+        print(f"mean matches per pair: {summary.mean_matches:.1f}")
         top = sorted(cat_hist.items(), key=lambda kv: -kv[1])[:8]
         print("category histogram (top): "
               + ", ".join(f"{k}={v}" for k, v in top))
-    return summary
+    return dict(vars(summary))
 
 
 def _load_summary(dataset_dir: Path) -> tuple[PipelineConfig, int]:
     """The dataset's config, hash-checked, and its recorded pair count."""
-    summary_path = dataset_dir / "summary.json"
-    if not summary_path.exists():
-        raise CorruptManifest(f"{summary_path}: missing")
-    with open(summary_path) as f:
-        summary = json.load(f)
-    try:
-        doc = summary["config"]
-        if _json_hash(doc) != summary["config_hash"]:
-            raise CorruptManifest(f"{summary_path}: config hash mismatch")
-        produced = summary["pairs_produced"]
-        if type(produced) is not int:
-            raise CorruptManifest(f"{summary_path}: pairs_produced: "
-                                  f"{type(produced).__name__} is not int")
-        return from_record(PipelineConfig, doc, str(summary_path)), produced
-    except (KeyError, TypeError) as e:
-        raise CorruptManifest(f"{summary_path}: {e!r}") from None
-
-
-def _manifest_path(pair_dir) -> Path:
-    """``pair_dir``'s manifest.json; CorruptManifest if it is missing."""
-    mpath = Path(pair_dir) / "manifest.json"
-    if not mpath.exists():
-        raise CorruptManifest(f"{mpath}: missing")
-    return mpath
+    path = dataset_dir / "summary.json"
+    summary = read_record(DatasetSummary, path)
+    if _json_hash(summary.config) != summary.config_hash:
+        raise CorruptManifest(f"{path}: config hash mismatch")
+    return (from_record(PipelineConfig, summary.config, str(path)),
+            summary.pairs_produced)
 
 
 def load_pair(pair_dir, config: PipelineConfig
@@ -445,14 +447,12 @@ def load_pair(pair_dir, config: PipelineConfig
 
     Each object holds its slice of the stored complete cloud as it is, in
     the scene frame, and its recorded transform, so the returned pair
-    replays occlusion and matching exactly as generated. A missing
-    manifest or file, a value or length its records refuse, or a config
-    hash that is not ``config``'s raise CorruptManifest.
+    replays occlusion and matching exactly as generated. A manifest that
+    is missing, unparsable or refused by its records, a missing file, or a
+    config hash that is not ``config``'s raise CorruptManifest.
     """
     pair_dir = Path(pair_dir)
-    mpath = _manifest_path(pair_dir)
-    with open(mpath) as f:
-        manifest = from_record(PairManifest, json.load(f), str(mpath))
+    manifest = read_record(PairManifest, pair_dir / "manifest.json")
     if manifest.config_hash != config.config_hash():
         raise CorruptManifest(f"pair {manifest.pair_id}: config hash mismatch")
     files = {name: pair_dir / fname for name, fname
@@ -568,9 +568,11 @@ def match_pair_dir(pair_dir, m_seeds: int | None = None,
     result is the stored match set. The ``m_seeds`` and ``theta``
     overrides go through that config's checks, as `generate`'s flags do.
     """
-    _manifest_path(pair_dir)   # name a missing pair before its dataset
-    # resolved, so a bare pair name finds the dataset above the cwd
-    config, _ = _load_summary(Path(pair_dir).resolve().parent.parent)
+    try:   # resolved, so a bare pair name finds the dataset above the cwd
+        config, _ = _load_summary(Path(pair_dir).resolve().parent.parent)
+    except CorruptManifest:   # a missing or corrupt pair is named first
+        read_record(PairManifest, Path(pair_dir) / "manifest.json")
+        raise
     pair, manifest = load_pair(pair_dir, config)
     overrides = {"m_seeds": m_seeds, "theta": theta}
     config = replace(config, **{k: v for k, v in overrides.items()

@@ -381,6 +381,27 @@ def test_seed_set_accepts_unique_indices_in_any_order(indices):
     assert seeds.m == n
 
 
+def test_seeds_from_too_few_distinct_points_raise_too_few_points():
+    # 2 distinct points in 5: once both are picked, FPS repeats a pick, as
+    # the reference loop does, and no seed set is built from the repeats
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0.]])
+    for rng_seed in (0, 4):
+        picks = farthest_point_sample(pts, 4, rng_seed)
+        np.testing.assert_array_equal(picks, reference_fps(pts, 4, rng_seed))
+        assert len(set(picks.tolist())) < 4   # an index repeats
+    from scenepretext.scenegen import ObjectInstance, SceneInstance
+    scene = SceneInstance.from_objects(
+        0, [ObjectInstance(0, 0, pts, Transform(np.eye(3), np.zeros(3)))])
+    for make in (lambda: sample_seed_set(scene, 4, 0),
+                 lambda: fps_subset(full_seed_pool(scene), 4, 4)):
+        with pytest.raises(TooFewPoints,
+                           match="5 points, too few distinct for 4 seeds"):
+            make()
+    # as many seeds as distinct points still succeed
+    assert sample_seed_set(scene, 2, 0).m == 2
+    assert fps_subset(full_seed_pool(scene), 2, 4).m == 2
+
+
 # ------------------------------------------------- per-seed matching oracle
 
 def assert_same_matches(got: MatchSet, want: MatchSet):

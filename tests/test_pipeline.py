@@ -25,7 +25,7 @@ from scenepretext.decoder import (DecoderHeads, HeadsConfig, ToyEncoder,
                                   forward_backward, prepare_occluded_pair,
                                   save_checkpoint)
 from scenepretext.errors import (CorruptManifest, DimensionMismatch,
-                                 from_record, to_json)
+                                 TooFewPoints, from_record, to_json)
 from scenepretext.losses import chamfer_distance
 from scenepretext.occlusion import replay_occlusion
 from scenepretext.pipeline import (PairManifest, PipelineConfig,
@@ -1203,21 +1203,27 @@ def _losses_without_pair_file(tmp_path, name):
     return ["losses", str(dataset)]
 
 
-def _summary_without_config(tmp_path):
+def _losses_with_summary(tmp_path, edit):
+    """``losses`` on a dataset whose summary.json ``edit`` changed."""
     dataset, _ = _tiny_dataset(tmp_path)
     path = dataset / "summary.json"
     doc = json.loads(path.read_text())
-    del doc["config"]
+    edit(doc)
     path.write_text(json.dumps(doc))
     return ["losses", str(dataset)]
 
 
-def _losses_with_pairs_produced(tmp_path, value):
+def _losses_with_deep_manifest(tmp_path):
+    # json.load recurses once per level of nesting
     dataset, _ = _tiny_dataset(tmp_path)
-    path = dataset / "summary.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()),
-                                "pairs_produced": value}))
+    (list_pair_dirs(dataset)[0] / "manifest.json").write_text(
+        "[" * 100000 + "]" * 100000)
     return ["losses", str(dataset)]
+
+
+def _losses_with_pairs_produced(tmp_path, value):
+    return _losses_with_summary(
+        tmp_path, lambda doc: doc.update(pairs_produced=value))
 
 
 def _edit_summary_config(dataset, rehash, **values):
@@ -1261,22 +1267,53 @@ def _match_without_summary(tmp_path):
     return ["match", str(list_pair_dirs(dataset)[0])]
 
 
-def _assets_below_u_squared(tmp_path):
-    # 8-point instances: one object cannot supply the u * u = 9 targets of
-    # a seed, which the config cannot see for a directory source
+def _one_cloud_assets(tmp_path, cloud):
+    """An asset directory holding ``cloud`` as every instance of every
+    category of the bundled distribution."""
     root = tmp_path / "assets"
     dist = load_default_scannet_parameters()
-    cloud = np.random.default_rng(0).normal(scale=0.1, size=(8, 3))
     for category, row in enumerate(dist.instance_given_category):
         (root / str(category)).mkdir(parents=True)
         for instance in range(len(row)):
             export_point_cloud(cloud, root / str(category) / f"{instance}.bin",
                                "binary-f32")
+    return root
+
+
+def _assets_below_u_squared(tmp_path):
+    # 8-point instances: one object cannot supply the u * u = 9 targets of
+    # a seed, which the config cannot see for a directory source
+    root = _one_cloud_assets(
+        tmp_path, np.random.default_rng(0).normal(scale=0.1, size=(8, 3)))
     out = tmp_path / "ds"
     assert main(["generate", "--out", str(out), "--seed", "0",
                  "--n-scenes", "1", "--n-objects", "1", "--u", "3",
                  "--asset-source", str(root)]) == 0
     return ["losses", str(out)]
+
+
+def _generate_from_two_point_assets(tmp_path):
+    # 8-point instances of 2 distinct points: fewer than the seeds drawn
+    root = _one_cloud_assets(tmp_path,
+                             np.array([[0.0, 0, 0], [0.1, 0, 0]] * 4))
+    return ["generate", "--out", str(tmp_path / "ds"), "--seed", "0",
+            "--n-scenes", "1", "--n-objects", "1", "--asset-source",
+            str(root)]
+
+
+def test_seeds_of_too_few_distinct_points_raise_too_few_points(tmp_path,
+                                                               capsys):
+    # FPS repeats a pick once the distinct points run out; the seed set
+    # refuses that as its input, not as a bug
+    argv = _generate_from_two_point_assets(tmp_path)
+    config = PipelineConfig(n_scenes=1, n_objects_per_scene=1,
+                            asset_source=argv[-1])
+    with pytest.raises(TooFewPoints, match="too few distinct"):
+        pipeline.generate_pair(config, config.load_distribution(),
+                               config.make_asset_source(), 0)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "too few distinct for" in capsys.readouterr().err
 
 
 def _fit_counts(tmp_path, doc):
@@ -1316,7 +1353,9 @@ CLI_INPUT_FAULTS = {
     "missing-manifest":
         lambda tmp: _losses_without_pair_file(tmp, "manifest.json"),
     "missing-pair-dir": lambda tmp: _losses_without_pair_file(tmp, None),
-    "summary-without-config": _summary_without_config,
+    "manifest-nested-too-deep": _losses_with_deep_manifest,
+    "summary-without-config": lambda tmp: _losses_with_summary(
+        tmp, lambda doc: doc.pop("config")),
     # equal to the one pair's count, but not an int
     "summary-pairs-produced-true":
         lambda tmp: _losses_with_pairs_produced(tmp, True),
@@ -1324,6 +1363,18 @@ CLI_INPUT_FAULTS = {
         lambda tmp: _losses_with_pairs_produced(tmp, 1.0),
     "summary-pairs-produced-string":
         lambda tmp: _losses_with_pairs_produced(tmp, "1"),
+    # summary.json values that only its record checks
+    "summary-mean-matches-string": lambda tmp: _losses_with_summary(
+        tmp, lambda doc: doc.update(mean_matches=str(doc["mean_matches"]))),
+    "summary-scene-type-histogram-int": lambda tmp: _losses_with_summary(
+        tmp, lambda doc: doc.update(scene_type_histogram=5)),
+    "summary-histogram-count-true": lambda tmp: _losses_with_summary(
+        tmp, lambda doc: (h := doc["category_histogram"]).update(
+            {min(h): True})),
+    "summary-without-placement-failures": lambda tmp: _losses_with_summary(
+        tmp, lambda doc: doc.pop("placement_failures")),
+    "summary-unknown-key": lambda tmp: _losses_with_summary(
+        tmp, lambda doc: doc.update(extra=1)),
     "summary-u-float":
         lambda tmp: _losses_with_summary_config(tmp, False, u=3.0),
     "summary-batch-pairs-float-rehashed":
@@ -1347,6 +1398,7 @@ CLI_INPUT_FAULTS = {
         "generate", "--out", str(tmp / "ds"), "--seed", "0",
         "--n-objects", "1", "--points-per-object", "8", "--u", "3"],
     "assets-below-u-squared": _assets_below_u_squared,
+    "assets-of-two-distinct-points": _generate_from_two_point_assets,
     "fit-counts-list": lambda tmp: _fit_counts(tmp, [FIT_COUNTS]),
     "fit-scene-counts-list": lambda tmp: _fit_counts(
         tmp, dict(FIT_COUNTS, scene_counts=[["kitchen", 3]])),
@@ -1429,12 +1481,10 @@ def fuzzed_pair(tmp_path_factory):
     return list_pair_dirs(dataset)[0]
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(data=st.data())
-def test_cli_fuzzed_manifest_exit_0_or_2(fuzzed_pair, data):
-    # one scalar leaf of manifest.json, under a top-level key drawn first,
-    # becomes a value of another JSON type
-    path = fuzzed_pair / "manifest.json"
+def _fuzz_one_leaf(path, data) -> str:
+    """Turn one scalar leaf of the JSON document at ``path``, under a
+    top-level key drawn first, into a value of another JSON type; return
+    the document's original text."""
     original = path.read_text()
     doc = json.loads(original)
     leaves = _leaves(doc)
@@ -1447,11 +1497,73 @@ def test_cli_fuzzed_manifest_exit_0_or_2(fuzzed_pair, data):
         [t for t in JSON_VALUES if t is not type(parent[leaf[-1]])]))
     parent[leaf[-1]] = data.draw(JSON_VALUES[kind])
     path.write_text(json.dumps(doc))
+    return original
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_fuzzed_manifest_exit_0_or_2(fuzzed_pair, data):
+    path = fuzzed_pair / "manifest.json"
+    original = _fuzz_one_leaf(path, data)
     try:
         assert main(["losses", str(fuzzed_pair.parent.parent)]) in (0, 2)
         assert main(["match", str(fuzzed_pair)]) in (0, 2)
     finally:
         path.write_text(original)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_fuzzed_summary_exit_0_or_2(fuzzed_pair, data):
+    path = fuzzed_pair.parent.parent / "summary.json"
+    original = _fuzz_one_leaf(path, data)
+    try:
+        assert main(["losses", str(path.parent)]) in (0, 2)
+        assert main(["match", str(fuzzed_pair)]) in (0, 2)
+    finally:
+        path.write_text(original)
+
+
+def _distribution_file(tmp_path):
+    path = tmp_path / "dist.json"
+    load_default_scannet_parameters().save(path)
+    return (["generate", "--out", str(tmp_path / "ds"), "--seed", "0",
+             "--n-scenes", "1", "--distribution", str(path)], path)
+
+
+def _checkpoint_file(tmp_path):
+    argv = _losses_with_corrupt_checkpoint(tmp_path, lambda doc: None)
+    return argv, Path(argv[-1])
+
+
+# each case writes one stored JSON document and returns the CLI call that
+# reads it, and its path; the summary goes through match, which reads it
+# before the manifest
+STORED_DOCUMENTS = {
+    "manifest": lambda tmp: (
+        ["losses", str(_tiny_dataset(tmp)[0])],
+        list_pair_dirs(tmp / "ds")[0] / "manifest.json"),
+    "summary": lambda tmp: (
+        ["match", str(list_pair_dirs(_tiny_dataset(tmp)[0])[0])],
+        tmp / "ds" / "summary.json"),
+    "checkpoint": _checkpoint_file,
+    "distribution": _distribution_file,
+    "fit-counts": lambda tmp: (_fit_counts(tmp, FIT_COUNTS),
+                               tmp / "counts.json"),
+}
+
+
+@pytest.mark.parametrize("document", list(STORED_DOCUMENTS))
+def test_cli_truncated_document_exit_2_naming_it(tmp_path, capsys,
+                                                 document):
+    argv, path = STORED_DOCUMENTS[document](tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {path.resolve()}: "), err
+    _assert_one_short_line(err, tmp_path)
 
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
