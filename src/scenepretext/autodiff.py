@@ -247,21 +247,6 @@ def concat_cols(parts: Sequence[Var]) -> Var:
     return out
 
 
-def concat_rows(parts: Sequence[Var]) -> Var:
-    heights = [p.data.shape[0] for p in parts]
-    out = Var(np.concatenate([p.data for p in parts], axis=0), tuple(parts))
-
-    def bwd(g):
-        i = 0
-        for p, h in zip(parts, heights):
-            if p.needs_grad:
-                _accumulate(p, g[i:i + h])
-            i += h
-
-    out.bwd = bwd
-    return out
-
-
 def slice_cols(a: Var, j0: int, j1: int) -> Var:
     out = Var(a.data[:, j0:j1].copy(), (a,))
 

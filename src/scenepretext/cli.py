@@ -27,16 +27,28 @@ EXIT_GRADCHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _table(value, what: str) -> dict:
+    """``value``, a counts table; TypeError naming ``what`` if it is not a
+    JSON object."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what}: {type(value).__name__} is not an object")
+    return value
+
+
 def _fit_counts(scene_counts: dict, objects_per_scene: dict,
                 instances_per_category: dict):
     """The distribution fitted to a `fit` counts file's tables, each a JSON
-    object (TypeError otherwise) of counts that CategoryTable accepts."""
-    cats = list(dict.keys(instances_per_category))
-    scene_table = CategoryTable(list(dict.keys(scene_counts)),
+    object (TypeError naming it otherwise) of counts that CategoryTable
+    accepts."""
+    cats = list(_table(instances_per_category, "instances_per_category"))
+    scene_counts = _table(scene_counts, "scene_counts")
+    per_scene = _table(objects_per_scene, "objects_per_scene")
+    scene_table = CategoryTable(list(scene_counts),
                                 list(scene_counts.values()))
-    rows = [dict.get(objects_per_scene, s, {}) for s in scene_table.labels]
+    rows = [_table(per_scene.get(s, {}), f"objects_per_scene.{s}")
+            for s in scene_table.labels]
     return fit_scene_distribution(
-        scene_table, [CategoryTable(cats, [dict.get(row, c, 0) for c in cats])
+        scene_table, [CategoryTable(cats, [row.get(c, 0) for c in cats])
                       for row in rows],
         [instances_per_category[c] for c in cats])
 

@@ -10,6 +10,7 @@ counterparts are rejected.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,16 @@ def farthest_point_sample(points: np.ndarray, m: int,
     norm-based loop, ties included. The square root is kept on purpose:
     distinct squared distances can round to the same root, and comparing
     squares would break such ties differently.
+
+    The kernel skips each bucket of consecutive rows whose bounding box is
+    too far from the last pick to lower any running minimum in it. The
+    bound to a box is rounded step by step as a distance is, from per-axis
+    gaps no larger than any of its points' differences, so by monotone
+    rounding it never exceeds a computed distance to one of them: the
+    skipped work could not have changed a pick. That holds only under the
+    kernels' build flags (no fused multiply-add, no ``-ffast-math``).
+    Clouds stored object by object prune well; any row order gives the
+    same picks.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -103,8 +114,12 @@ def farthest_point_sample(points: np.ndarray, m: int,
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     chosen = np.empty(m, dtype=np.intp)
     chosen[0] = rng.integers(n)
-    min_d = np.empty(n)  # the kernel's running minimum distances
-    kernels.load().fps(points, n, m, min_d, chosen)
+    dll = kernels.load()
+    # the kernel's scratch: each point's running minimum distance, and each
+    # bucket's bounding box, largest running minimum and its lowest row
+    nb = -(-n // ctypes.c_ssize_t.in_dll(dll, "fps_bucket").value)
+    dll.fps(points, n, m, np.empty(n), chosen, np.empty((nb, 6)),
+            np.empty(nb), np.empty(nb, dtype=np.intp))
     return chosen
 
 

@@ -112,7 +112,10 @@ def read_record(cls, path):
             doc = json.load(f)
     except FileNotFoundError:
         raise CorruptManifest(f"{path}: missing") from None
-    except (OSError, ValueError, RecursionError) as e:
+    except OSError as e:
+        # strerror alone: str(e) repeats the path
+        raise CorruptManifest(f"{path}: {e.strerror or e}") from None
+    except (ValueError, RecursionError) as e:
         raise CorruptManifest(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise CorruptManifest(f"{path}: not a JSON object")

@@ -7,40 +7,99 @@
  * never with -ffast-math, which lets the compiler reorder the sum.
  * -fno-math-errno only lets sqrt inline; it is correctly rounded either
  * way.
+ *
+ * fps's pruning is exact only under the same contract: its box bound and
+ * each distance are built by the same correctly rounded steps (subtract,
+ * square, add in column order, sqrt), and monotone rounding keeps the
+ * bound at or below every distance it stands for. A fused or reordered
+ * sum would round the two differently.
  */
 #include <math.h>
 #include <stddef.h>
 
+/* Rows per fps bucket; farthest_point_sample reads fps_bucket to size
+ * the bucket scratch. */
+#define BS 64
+const ptrdiff_t fps_bucket = BS;
+
 /* Greedy farthest point sampling of an (n, 3) cloud, the picks of the
  * np.linalg.norm(points - c, axis=1) loop, bit for bit.
  *
- * chosen[0] is set by the caller; picks 1 .. m-1 are written here. Each
- * pass over the cloud computes every point's distance to the last pick,
- * lowers the point's running minimum and tracks the largest minimum, so
- * the next pick falls out of the same pass. Ties go to the lowest index,
- * as with np.argmax. The points must be finite: a NaN compares false
- * here where np.argmax would pick it.
+ * chosen[0] is set by the caller; picks 1 .. m-1 are written here. The
+ * rows are cut into buckets of BS consecutive rows; bucket b keeps
+ * its bounding box, box[6b .. 6b+2] low and box[6b+3 .. 6b+5] high, the
+ * largest running minimum of its rows, best[b], and the lowest row holding
+ * it, arg[b]. Clouds stored object by object make the boxes small; any
+ * row order gives the same picks, only more slowly.
+ *
+ * For each pick c, the distance from c to a box is bounded below by the
+ * per-axis gaps max(0, lo - c, c - hi), combined as a distance is. Every
+ * point of the box has |fl(p - c)| >= the gap on each axis, by monotone
+ * rounding, so its computed distance is >= the bound. A bucket whose
+ * bound is >= best[b] therefore holds no running minimum that c lowers,
+ * and is skipped. The others get one pass that computes each distance,
+ * lowers the running minimum and refreshes the bucket's best. The next
+ * pick is the best of the first bucket, in row order, with the largest
+ * best, so ties go to the lowest index, as with np.argmax. The points must
+ * be finite: a NaN compares false here where np.argmax would pick it.
  */
 void fps(const double *p, ptrdiff_t n, ptrdiff_t m, double *min_d,
-         ptrdiff_t *chosen)
+         ptrdiff_t *chosen, double *box, double *best, ptrdiff_t *arg)
 {
-    for (ptrdiff_t j = 0; j < n; j++)
-        min_d[j] = INFINITY;
+    const ptrdiff_t nb = (n + BS - 1) / BS;
+    for (ptrdiff_t b = 0; b < nb; b++) {
+        const ptrdiff_t lo = b * BS, hi = lo + BS < n ? lo + BS : n;
+        double *bx = box + 6 * b;
+        for (ptrdiff_t k = 0; k < 3; k++)
+            bx[k] = bx[3 + k] = p[3 * lo + k];
+        for (ptrdiff_t j = lo; j < hi; j++) {
+            for (ptrdiff_t k = 0; k < 3; k++) {
+                const double v = p[3 * j + k];
+                bx[k] = v < bx[k] ? v : bx[k];
+                bx[3 + k] = v > bx[3 + k] ? v : bx[3 + k];
+            }
+            min_d[j] = INFINITY;
+        }
+        best[b] = INFINITY;
+        arg[b] = lo;
+    }
     for (ptrdiff_t i = 1; i < m; i++) {
         const double *c = p + 3 * chosen[i - 1];
         const double cx = c[0], cy = c[1], cz = c[2];
-        double best = -1.0;
+        double top = -1.0;
         ptrdiff_t next = 0;
-        for (ptrdiff_t j = 0; j < n; j++) {
-            const double dx = p[3 * j] - cx;
-            const double dy = p[3 * j + 1] - cy;
-            const double dz = p[3 * j + 2] - cz;
-            const double d = sqrt((dx * dx + dy * dy) + dz * dz);
-            const double md = d < min_d[j] ? d : min_d[j];
-            min_d[j] = md;
-            if (md > best) {
-                best = md;
-                next = j;
+        for (ptrdiff_t b = 0; b < nb; b++) {
+            const double *bx = box + 6 * b;
+            double g[3];
+            for (ptrdiff_t k = 0; k < 3; k++) {
+                const double below = bx[k] - c[k], above = c[k] - bx[3 + k];
+                const double gap = below > above ? below : above;
+                g[k] = gap > 0.0 ? gap : 0.0;
+            }
+            const double bound = sqrt((g[0] * g[0] + g[1] * g[1])
+                                      + g[2] * g[2]);
+            if (bound < best[b]) {
+                const ptrdiff_t lo = b * BS, hi = lo + BS < n ? lo + BS : n;
+                double bb = -1.0;
+                ptrdiff_t ba = lo;
+                for (ptrdiff_t j = lo; j < hi; j++) {
+                    const double dx = p[3 * j] - cx;
+                    const double dy = p[3 * j + 1] - cy;
+                    const double dz = p[3 * j + 2] - cz;
+                    const double d = sqrt((dx * dx + dy * dy) + dz * dz);
+                    const double md = d < min_d[j] ? d : min_d[j];
+                    min_d[j] = md;
+                    if (md > bb) {
+                        bb = md;
+                        ba = j;
+                    }
+                }
+                best[b] = bb;
+                arg[b] = ba;
+            }
+            if (best[b] > top) {
+                top = best[b];
+                next = arg[b];
             }
         }
         chosen[i] = next;

@@ -16,7 +16,8 @@ agree bit for bit. ``reference_forward_backward`` is forward_backward as
 first written, with one encoder, projection and decoder pass per side.
 ``reference_linear`` and ``reference_fold`` are ``ad.linear`` and
 ``ad.fold`` composed from one node per step, as the decoder first built
-them.
+them, and ``concat_rows`` is the row-stacking node the reference builders
+stack features with.
 """
 
 from typing import Sequence
@@ -169,6 +170,24 @@ def matmul(a: ad.Var, b: ad.Var) -> ad.Var:
     return out
 
 
+def concat_rows(parts: Sequence[ad.Var]) -> ad.Var:
+    """The parts stacked by rows as a tape node: the reference graph
+    builders stack each pair's features this way."""
+    heights = [p.data.shape[0] for p in parts]
+    out = ad.Var(np.concatenate([p.data for p in parts], axis=0),
+                 tuple(parts))
+
+    def bwd(g):
+        i = 0
+        for p, h in zip(parts, heights):
+            if p.needs_grad:
+                ad._accumulate(p, g[i:i + h])
+            i += h
+
+    out.bwd = bwd
+    return out
+
+
 def reference_linear(x: ad.Var, w: ad.Var, b: ad.Var) -> ad.Var:
     return ad.add(matmul(x, w), b)
 
@@ -215,7 +234,7 @@ def reference_object_level_graph(
             meta_cat += [int(cats[k]) for k in present]
     if not pool_parts:
         return ad.constant(0.0), {"anchors": 0, "pool": 0}
-    pool = ad.concat_rows(pool_parts)
+    pool = concat_rows(pool_parts)
     pair_arr = np.array(meta_pair)
     side_arr = np.array(meta_side)
     k_arr = np.array(meta_k)
@@ -296,8 +315,8 @@ def reference_point_level_graph(
             pos_idx.append(pool_pos[(p_idx, 0, int(a_i))])
             anchor_obj.append((p_idx, int(obj)))
             weights.append(w)
-    anchors = ad.concat_rows(anchor_parts)
-    pool = ad.concat_rows(pool_parts)
+    anchors = concat_rows(anchor_parts)
+    pool = concat_rows(pool_parts)
     a_obj = np.array(anchor_obj, dtype=np.intp)
     p_obj = np.array(pool_obj, dtype=np.intp)
     neg_mask = (a_obj[:, None, 0] != p_obj[None, :, 0]) \
@@ -327,7 +346,7 @@ def run_graph(graph, features, object_ids, per_pair, tau):
     else:
         sides = [v for pair in h_vars for v in pair]
         starts = np.cumsum([0] + [len(v.data) for v in sides])[:-1]
-        loss, counts = graph(ad.concat_rows(sides), starts.reshape(-1, 2),
+        loss, counts = graph(concat_rows(sides), starts.reshape(-1, 2),
                              object_ids, per_pair, tau)
     loss.backward()
     return loss.item(), counts, [

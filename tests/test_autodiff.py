@@ -9,7 +9,7 @@ from scenepretext import autodiff as ad
 from scenepretext import kernels
 from scenepretext.errors import DimensionMismatch, EmptySet
 
-from oracles import reference_fold, reference_linear
+from oracles import concat_rows, reference_fold, reference_linear
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -148,8 +148,8 @@ def test_row_slices_of_one_leaf_fill_its_gradient():
     # the fold layer takes its grid rows and feature rows of fold_w1 this way
     a0 = np.random.default_rng(3).normal(size=(7, 3))
     check_unary(through_rows(
-        lambda x: ad.concat_rows([ad.slice_rows(x, 2, 7),
-                                  ad.slice_rows(x, 0, 2)]), 7, 3), a0)
+        lambda x: concat_rows([ad.slice_rows(x, 2, 7),
+                               ad.slice_rows(x, 0, 2)]), 7, 3), a0)
 
 
 def fold_inputs(n, r, width, seed):
@@ -523,7 +523,7 @@ def test_unreached_leaf_gets_zero_gradient():
     empty = ad.segment_max(ad.linear(e, w, b), np.zeros(0, dtype=np.intp),
                            1)
     p = ad.leaf(rng.normal(size=(4, 3)))
-    out = ad.chamfer(ad.concat_rows([p, empty]),
+    out = ad.chamfer(concat_rows([p, empty]),
                      ad.constant(rng.normal(size=(5, 3))))
     out.backward()
     for v in (e, w, b, p):

@@ -1,10 +1,13 @@
 """FPS, seed translation, and relaxed object-aware matching."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenepretext import kernels
 from scenepretext.assets import ProceduralAssetSource
 from scenepretext.catalog import load_default_scannet_parameters
 from oracles import exact_match_oracle, reference_match_points
@@ -15,6 +18,7 @@ from scenepretext.correspondence import (MatchSet, SeedSet, _carry,
 from scenepretext.errors import (DimensionMismatch, NonFiniteInput,
                                  TooFewPoints)
 from scenepretext.occlusion import occlude_scene
+from scenepretext.pipeline import PipelineConfig
 from scenepretext.scenegen import (LayoutParams, ScenePair, Transform,
                                    make_scene_pair)
 
@@ -170,6 +174,78 @@ def test_fps_matches_norm_reference_on_every_pick(case):
     pts, m, rng_seed = case
     np.testing.assert_array_equal(farthest_point_sample(pts, m, rng_seed),
                                   reference_fps(pts, m, rng_seed))
+
+
+def _bucket_rows():
+    """The kernel's FPS bucket size, in rows."""
+    return ctypes.c_ssize_t.in_dll(kernels.load(), "fps_bucket").value
+
+
+@st.composite
+def bucket_cases(draw):
+    """A cloud of n rows at a bucket edge (n = BS - 1, BS, BS + 1 or
+    2 BS + 1), with 1, a drawn number or all n picks: normal clouds,
+    integer grids full of ties and a few tight clusters far apart."""
+    bs = _bucket_rows()
+    n = draw(st.sampled_from([bs - 1, bs, bs + 1, 2 * bs + 1]))
+    kind = draw(st.sampled_from(["normal", "grid", "clustered"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "normal":
+        pts = rng.normal(size=(n, 3))
+    elif kind == "grid":
+        pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+    else:
+        centres = rng.uniform(-50, 50, size=(draw(st.integers(2, 5)), 3))
+        pts = centres[rng.integers(len(centres), size=n)] \
+            + rng.normal(scale=0.01, size=(n, 3))
+    m = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    return pts, m, draw(st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bucket_cases())
+def test_fps_matches_norm_reference_at_bucket_edges(case):
+    pts, m, rng_seed = case
+    np.testing.assert_array_equal(farthest_point_sample(pts, m, rng_seed),
+                                  reference_fps(pts, m, rng_seed))
+
+
+def test_fps_matches_norm_reference_on_clustered_clouds():
+    # tight blobs far apart, each spread over several buckets
+    rng = np.random.default_rng(31)
+    centres = rng.uniform(-100, 100, size=(4, 3))
+    pts = np.repeat(centres, 150, axis=0) \
+        + rng.normal(scale=0.05, size=(600, 3))
+    for rows in (pts, pts[rng.permutation(len(pts))]):
+        for m in (1, 4, 5, 100, 600):
+            np.testing.assert_array_equal(farthest_point_sample(rows, m, 3),
+                                          reference_fps(rows, m, 3))
+
+
+def test_fps_matches_norm_reference_on_a_shuffled_scene():
+    # a default scene's target run, on its rows as stored (object by
+    # object) and shuffled, which stretches every bucket's box over the
+    # room: fewer buckets are skipped, the picks stay the same
+    config = PipelineConfig()
+    pts = make_scene_pair(config.load_distribution(),
+                          config.n_objects_per_scene,
+                          config.make_asset_source(), 12).scene_a.points
+    need = config.u * config.u * config.n_encoder_seeds
+    shuffled = pts[np.random.default_rng(12).permutation(len(pts))]
+    for rows in (pts, shuffled):
+        np.testing.assert_array_equal(farthest_point_sample(rows, need, 8),
+                                      reference_fps(rows, need, 8))
+
+
+def test_fps_matches_norm_reference_on_the_full_tie_grid():
+    grid = np.stack(np.meshgrid(*[np.arange(9.0)] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    shuffled = grid[np.random.default_rng(9).permutation(len(grid))]
+    for rows in (grid, shuffled):
+        for rng_seed in FPS_SEEDS:
+            np.testing.assert_array_equal(
+                farthest_point_sample(rows, 729, rng_seed),
+                reference_fps(rows, 729, rng_seed))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1433,6 +1433,16 @@ def test_cli_malformed_input_exit_2(tmp_path, fault):
     assert main(CLI_INPUT_FAULTS[fault](tmp_path)) == 2
 
 
+@pytest.mark.parametrize("table", ["scene_counts", "objects_per_scene",
+                                   "instances_per_category"])
+def test_cli_fit_names_a_table_that_is_not_an_object(tmp_path, capsys,
+                                                     table):
+    assert main(_fit_counts(tmp_path, dict(FIT_COUNTS, **{table: [1, 2]}))) \
+        == 2
+    assert capsys.readouterr().err.endswith(
+        f"counts.json: TypeError: {table}: list is not an object\n")
+
+
 def test_cli_fit_accepts_the_fault_table_counts(tmp_path):
     # the fit rows above break one field each of this valid document
     assert main(_fit_counts(tmp_path, FIT_COUNTS)) == 0
@@ -1564,6 +1574,16 @@ def test_cli_truncated_document_exit_2_naming_it(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: {path.resolve()}: "), err
     _assert_one_short_line(err, tmp_path)
+
+
+def test_cli_checkpoint_directory_exit_2_naming_it_once(tmp_path, capsys):
+    dataset, _ = _tiny_dataset(tmp_path)
+    (tmp_path / "dd").mkdir()
+    capsys.readouterr()
+    assert main(["losses", str(dataset), "--checkpoint",
+                 str(tmp_path / "dd")]) == 2
+    assert capsys.readouterr().err \
+        == f"invalid input: {tmp_path / 'dd'}: Is a directory\n"
 
 
 def test_cli_match_missing_pair_exit_2(tmp_path):
