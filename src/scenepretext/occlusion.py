@@ -49,7 +49,7 @@ def _kept_for_fraction(placed: np.ndarray, viewpoint: np.ndarray,
     n_remove = int(np.floor(fraction * n))
     d = np.linalg.norm(placed - viewpoint, axis=1)
     # ascending distance, ties broken by lower index first
-    order = np.lexsort((np.arange(n), d))
+    order = np.argsort(d, kind="stable")
     kept = np.sort(order[: n - n_remove])
     return kept
 

@@ -227,22 +227,22 @@ class ObjectDraw:
     """One object of a pair's draw, in storage order."""
 
     category_id: int
-    category: str
     instance_id: int
     n_points: int
 
     def __post_init__(self):
         check_field_types(self)
+        for name, v in vars(self).items():
+            if not 0 <= v < 2 ** 63:
+                raise ValueError(f"ObjectDraw.{name} outside [0, 2**63)")
 
 
 @dataclass
 class PairManifest:
-    """Replayable record of one generated pair."""
+    """Replayable record of one generated pair, as `read_record` reads it."""
 
     pair_id: int
-    pair_seed: int
     scene_type_id: int
-    scene_type: str
     objects: list[ObjectDraw]
     transforms_a: list[Transform]
     transforms_b: list[Transform]
@@ -254,12 +254,11 @@ class PairManifest:
 
     def __post_init__(self):
         check_field_types(self)
-        if not isinstance(self.occlusion_a, OcclusionRecord):  # as stored
-            self.objects = [ObjectDraw(**o) for o in self.objects]
-            self.transforms_a = [Transform(**t) for t in self.transforms_a]
-            self.transforms_b = [Transform(**t) for t in self.transforms_b]
-            self.occlusion_a = OcclusionRecord(**self.occlusion_a)
-            self.occlusion_b = OcclusionRecord(**self.occlusion_b)
+        self.objects = [ObjectDraw(**o) for o in self.objects]
+        self.transforms_a = [Transform(**t) for t in self.transforms_a]
+        self.transforms_b = [Transform(**t) for t in self.transforms_b]
+        self.occlusion_a = OcclusionRecord(**self.occlusion_a)
+        self.occlusion_b = OcclusionRecord(**self.occlusion_b)
         n = len(self.objects)
         if {len(self.transforms_a), len(self.transforms_b)} != {n}:
             raise ValueError(f"pair {self.pair_id}: transforms do not fit "
@@ -276,7 +275,7 @@ class PairManifest:
         """The occluded pair that this manifest's two records select."""
         return ScenePair(replay_occlusion(pair.scene_a, self.occlusion_a),
                          replay_occlusion(pair.scene_b, self.occlusion_b),
-                         self.pair_seed)
+                         pair.pair_seed)
 
 
 @dataclass(frozen=True)
@@ -311,27 +310,24 @@ def pair_files(export_format: str) -> dict[str, str]:
 def _write_pair(out_dir: Path, pair_id: int, pair: ScenePair,
                 occluded: ScenePair, rec_a: OcclusionRecord,
                 rec_b: OcclusionRecord, matches: MatchSet,
-                dist: SceneDistribution, config: PipelineConfig) -> None:
+                config: PipelineConfig) -> None:
     """Write one pair's clouds and manifest into ``pairs/.pair_NNNNN.tmp``,
     then rename that directory into place, replacing an earlier pair of the
     same id. An interrupted write leaves no ``pair_NNNNN`` directory, and
     ``list_pair_dirs`` skips the dot-prefixed temporary."""
-    manifest = PairManifest(
-        pair_id=pair_id,
-        pair_seed=pair.pair_seed,
-        scene_type_id=pair.scene_a.scene_type_id,
-        scene_type=dist.scene_labels[pair.scene_a.scene_type_id],
-        objects=[ObjectDraw(o.category_id, dist.category_labels[o.category_id],
-                            o.instance_id, o.n_points)
-                 for o in pair.scene_a.objects],
-        transforms_a=pair.transforms("a"),
-        transforms_b=pair.transforms("b"),
-        occlusion_a=rec_a,
-        occlusion_b=rec_b,
-        matches=matches.to_records(),
-        theta=config.theta,
-        config_hash=config.config_hash(),
-    )
+    manifest = {
+        "pair_id": pair_id,
+        "scene_type_id": pair.scene_a.scene_type_id,
+        "objects": [dict(category_id=o.category_id, instance_id=o.instance_id,
+                         n_points=o.n_points) for o in pair.scene_a.objects],
+        "transforms_a": pair.transforms("a"),
+        "transforms_b": pair.transforms("b"),
+        "occlusion_a": rec_a,
+        "occlusion_b": rec_b,
+        "matches": matches.to_records(),
+        "theta": config.theta,
+        "config_hash": config.config_hash(),
+    }
     clouds = (pair.scene_a, pair.scene_b, occluded.scene_a, occluded.scene_b)
     final = out_dir / "pairs" / f"pair_{pair_id:05d}"
     pdir = final.with_name(f".{final.name}.tmp")
@@ -397,7 +393,7 @@ def generate_dataset(config: PipelineConfig, out_dir,
             failures += 1
             continue
         _write_pair(out_dir, pair_id, pair, occluded, rec_a, rec_b, matches,
-                    dist, config)
+                    config)
         produced += 1
         label = dist.scene_labels[pair.scene_a.scene_type_id]
         scene_hist[label] = scene_hist.get(label, 0) + 1
@@ -446,13 +442,17 @@ def load_pair(pair_dir, config: PipelineConfig
     """Rebuild a ScenePair (complete scenes) from a pair directory.
 
     Each object holds its slice of the stored complete cloud as it is, in
-    the scene frame, and its recorded transform, so the returned pair
-    replays occlusion and matching exactly as generated. A manifest that
-    is missing, unparsable or refused by its records, a missing file, or a
-    config hash that is not ``config``'s raise CorruptManifest.
+    the scene frame, and its recorded transform, and the pair's seed is
+    ``mix64(master_seed, pair_id)``, so the returned pair replays occlusion
+    and matching exactly as generated. A manifest that is missing,
+    unparsable, refused by its records or not of the directory's pair id, a
+    missing file, or a config hash that is not ``config``'s raise
+    CorruptManifest.
     """
     pair_dir = Path(pair_dir)
     manifest = read_record(PairManifest, pair_dir / "manifest.json")
+    if (found := pair_dir.resolve().name) != f"pair_{manifest.pair_id:05d}":
+        raise CorruptManifest(f"pair {manifest.pair_id}: stored in {found}")
     if manifest.config_hash != config.config_hash():
         raise CorruptManifest(f"pair {manifest.pair_id}: config hash mismatch")
     files = {name: pair_dir / fname for name, fname
@@ -478,7 +478,8 @@ def load_pair(pair_dir, config: PipelineConfig
                 f"points, objects account for {start}")
         scenes[side] = SceneInstance.from_objects(manifest.scene_type_id,
                                                   objects)
-    return ScenePair(scenes["a"], scenes["b"], manifest.pair_seed), manifest
+    pair_seed = mix64(config.master_seed, manifest.pair_id)
+    return ScenePair(scenes["a"], scenes["b"], pair_seed), manifest
 
 
 def list_pair_dirs(dataset_dir) -> list[Path]:
@@ -580,4 +581,4 @@ def match_pair_dir(pair_dir, m_seeds: int | None = None,
     occluded = manifest.occluded(pair)
     return match_fps_pools(occluded, full_seed_pool(occluded.scene_a),
                            full_seed_pool(occluded.scene_b), config.m_seeds,
-                           config.theta, manifest.pair_seed, full_pool)
+                           config.theta, pair.pair_seed, full_pool)

@@ -28,7 +28,7 @@ from scenepretext.errors import (CorruptManifest, DimensionMismatch,
                                  TooFewPoints, from_record, to_json)
 from scenepretext.losses import chamfer_distance
 from scenepretext.occlusion import replay_occlusion
-from scenepretext.pipeline import (PairManifest, PipelineConfig,
+from scenepretext.pipeline import (ObjectDraw, PairManifest, PipelineConfig,
                                    evaluate_losses, export_point_cloud,
                                    generate_dataset, list_pair_dirs,
                                    load_pair, load_point_cloud,
@@ -123,7 +123,9 @@ def test_cli_truncated_geometry_exit_2(tmp_path, command):
     assert main([command, str(target)]) == 2
 
 
-# each edit turns a generated manifest into a corrupt one
+SCANNET = load_default_scannet_parameters()
+
+# each edit turns a generated manifest, of pair 0, into a corrupt one
 MANIFEST_FAULTS = {
     "extra-field": lambda doc: doc.update(extra=1),
     "missing-field": lambda doc: doc.pop("theta"),
@@ -134,6 +136,17 @@ MANIFEST_FAULTS = {
     "stale-export-format":
         lambda doc: doc.update(export_format=PipelineConfig.export_format),
     "pair-seed-null": lambda doc: doc.update(pair_seed=None),
+    # the copies older manifests stored: the seed is mix64(master_seed,
+    # pair_id), the labels are the distribution's
+    "stale-pair-seed": lambda doc: doc.update(
+        pair_seed=mix64(SMALL["master_seed"], doc["pair_id"])),
+    "stale-scene-type": lambda doc: doc.update(
+        scene_type=SCANNET.scene_labels[doc["scene_type_id"]]),
+    "stale-object-category": lambda doc: [
+        o.update(category=SCANNET.category_labels[o["category_id"]])
+        for o in doc["objects"]],
+    # the id would re-seed the pair: it must be its directory's
+    "pair-in-another-directory": lambda doc: doc.update(pair_id=1),
     "pair-id-string": lambda doc: doc.update(pair_id="x"),
     "scene-type-id-string": lambda doc: doc.update(scene_type_id="x"),
     "object-without-n_points": lambda doc: doc["objects"][1].pop("n_points"),
@@ -163,6 +176,11 @@ MANIFEST_FAULTS = {
     # a stored value of the wrong type, where numpy would have taken it
     "category-id-fractional":
         lambda doc: doc["objects"][0].update(category_id=4.5),
+    # an id that no int64 array holds
+    "category-id-beyond-int64":
+        lambda doc: doc["objects"][0].update(category_id=2 ** 63),
+    "category-id-negative":
+        lambda doc: doc["objects"][0].update(category_id=-1),
     "instance-id-string":
         lambda doc: doc["objects"][0].update(instance_id="x"),
     "n-points-string": lambda doc: (o := doc["objects"][0]).update(
@@ -440,13 +458,17 @@ def test_pair_write_replaces_a_leftover_temporary(tmp_path):
 # summary.json lost those six config keys and every manifest.json its
 # export_format key, and the config hash in both moved; every geometry file
 # and every loss line is byte-identical.
+# Updated again when the manifest lost pair_seed (load_pair derives it as
+# mix64(master_seed, pair_id)), scene_type and each object's category (the
+# distribution's labels): only manifest.json moved, by exactly those three
+# keys; every geometry file, summary.json and loss line is byte-identical.
 GOLDEN = [
     (0, "binary-f32",
-     "9f5c00c65eb59d4a0827974880c40491a842ade7520b9cc371eca727a2b6befb"),
+     "67c57c9420862fdae2ea71b7123260351596c7becc30c267efee2710bd4bc172"),
     (1, "binary-f32",
-     "856e1725cdf0a5755c37127eef930671bbd9abff2c8ef5b63432398b435026ae"),
+     "fb83a486eb041bc088c15276e5e09e7fcded7f78035a3de8b9236a30051923d0"),
     (2, "ascii-ply",
-     "d4e03ad06790a131907b01325d4107cf29d24603c8f8f24edcf10ed97d600672"),
+     "900300d1844d92ec739aa6ed053699be7d294e09f4f9b696cb8672accb70bfe6"),
 ]
 
 
@@ -510,10 +532,10 @@ def test_losses_follow_the_recorded_occlusion(tmp_path):
     pair, manifest = load_pair(pdir, config)
     occluded = ScenePair(replay_occlusion(pair.scene_a, manifest.occlusion_a),
                          replay_occlusion(pair.scene_b, manifest.occlusion_b),
-                         manifest.pair_seed)
+                         pair.pair_seed)
     prepared = prepare_occluded_pair(
         pair, occluded, config.n_encoder_seeds, config.m_seeds,
-        config.theta, config.u, manifest.pair_seed)
+        config.theta, config.u, pair.pair_seed)
     encoder = ToyEncoder(config.encoder_config(),
                          rng_seed=mix64(config.master_seed, 0xE0C))
     heads = DecoderHeads(config.heads_config(),
@@ -659,6 +681,8 @@ def test_generate_layout_and_manifest(tmp_path):
             doc = json.load(f)
         assert doc["config_hash"] == config.config_hash()
         assert set(doc) == set(PairManifest.__dataclass_fields__)
+        for o in doc["objects"]:
+            assert set(o) == set(ObjectDraw.__dataclass_fields__)
         assert sorted(p.name for p in pdir.iterdir()) == sorted(
             ["manifest.json", *pair_files(config.export_format).values()])
         assert 0.0 <= np.array(doc["occlusion_a"]["fractions"]).max() <= 0.5
@@ -729,17 +753,19 @@ def test_cli_match_replays_stored_matches(tmp_path, capsys):
 
 
 def test_cli_match_relative_pair_path(tmp_path, capsys, monkeypatch):
-    # `cd DS/pairs && scenepretext match pair_00000`: the dataset is the
-    # parent of the working directory, not of the path as typed
+    # `cd DS/pairs && scenepretext match pair_00000` and `cd
+    # DS/pairs/pair_00000 && scenepretext match .`: the dataset is found
+    # above the resolved pair directory, not above the path as typed
     dataset, _ = _tiny_dataset(tmp_path)
     pdir = list_pair_dirs(dataset)[0]
     stored = json.loads((pdir / "manifest.json").read_text())["matches"]
-    monkeypatch.chdir(pdir.parent)
-    capsys.readouterr()
-    assert main(["match", pdir.name]) == 0
-    replayed = json.loads(capsys.readouterr().out)["matches"]
-    assert [(r["a_index"], r["b_index"]) for r in replayed] \
-        == [(r["a_index"], r["b_index"]) for r in stored]
+    for cwd, arg in ((pdir.parent, pdir.name), (pdir, ".")):
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        assert main(["match", arg]) == 0
+        replayed = json.loads(capsys.readouterr().out)["matches"]
+        assert [(r["a_index"], r["b_index"]) for r in replayed] \
+            == [(r["a_index"], r["b_index"]) for r in stored]
 
 
 def test_match_reads_and_validates_dataset_config(tmp_path):
@@ -795,7 +821,7 @@ def test_pair_generation_is_order_independent(tmp_path):
     source = config.make_asset_source()
     pair, _, rec_a, rec_b, matches = generate_pair(config, dist, source, 1)
     stored, manifest = load_pair(list_pair_dirs(tmp_path / "ds")[1], config)
-    assert manifest.pair_seed == pair.pair_seed
+    assert stored.pair_seed == pair.pair_seed
     np.testing.assert_allclose(stored.scene_a.points, pair.scene_a.points,
                                atol=1e-5)  # stored geometry is float32
     assert manifest.matches == matches.to_records()
@@ -1005,9 +1031,9 @@ def test_evaluate_losses_zero_checkpoint_oracle(tmp_path):
     from scenepretext.decoder import prepare_scene_pair
     pdirs = list_pair_dirs(tmp_path / "ds")
     for rep, pdir in zip(reports, pdirs):
-        pair, manifest = load_pair(pdir, config)
+        pair, _ = load_pair(pdir, config)
         pp = prepare_scene_pair(pair, config.n_encoder_seeds, config.m_seeds,
-                                config.theta, config.u, manifest.pair_seed)
+                                config.theta, config.u, pair.pair_seed)
         l_c, l_d = [], []
         u2 = config.u ** 2
         for coords, gt_d in ((pp.coords_a, pp.gt_detail_a),
@@ -1024,9 +1050,9 @@ def test_evaluate_losses_object_without_encoder_seeds(tmp_path):
     config = PipelineConfig(n_scenes=1, master_seed=182, batch_pairs=1)
     generate_dataset(config, tmp_path / "ds", progress=False)
     from scenepretext.decoder import prepare_scene_pair
-    pair, manifest = load_pair(list_pair_dirs(tmp_path / "ds")[0], config)
+    pair, _ = load_pair(list_pair_dirs(tmp_path / "ds")[0], config)
     pp = prepare_scene_pair(pair, config.n_encoder_seeds, config.m_seeds,
-                            config.theta, config.u, manifest.pair_seed)
+                            config.theta, config.u, pair.pair_seed)
     assert 8 not in pp.object_ids_a and 8 in pp.object_ids_b
     (rep,) = evaluate_losses(tmp_path / "ds", progress=False)
     assert np.isfinite(rep.l_overall)
@@ -1532,6 +1558,38 @@ def test_cli_fuzzed_summary_exit_0_or_2(fuzzed_pair, data):
         assert main(["match", str(fuzzed_pair)]) in (0, 2)
     finally:
         path.write_text(original)
+
+
+@pytest.fixture(scope="module", params=["binary-f32", "ascii-ply"])
+def fuzzed_clouds(request, tmp_path_factory):
+    dataset, _ = _tiny_dataset(tmp_path_factory.mktemp("clouds"),
+                               export_format=request.param)
+    return list_pair_dirs(dataset)[0], pair_files(request.param)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_fuzzed_geometry_exit_0_or_2(fuzzed_clouds, data):
+    """A cloud file truncated, with one bit flipped or with a few bytes
+    overwritten is refused (exit 2) or evaluated (exit 0), never a crash."""
+    pdir, names = fuzzed_clouds
+    path = pdir / data.draw(st.sampled_from(sorted(names.values())))
+    original = path.read_bytes()
+    at = data.draw(st.integers(0, len(original) - 1))
+    edit = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    if edit == "truncate":
+        new = b""
+    elif edit == "flip":
+        new = bytes([original[at] ^ 1 << data.draw(st.integers(0, 7))])
+    else:
+        new = data.draw(st.binary(min_size=1, max_size=8))
+    path.write_bytes(original[:at] + new
+                     + (original[at + len(new):] if new else b""))
+    try:
+        assert main(["losses", str(pdir.parent.parent)]) in (0, 2)
+        assert main(["match", str(pdir)]) in (0, 2)
+    finally:
+        path.write_bytes(original)
 
 
 def _distribution_file(tmp_path):
