@@ -19,6 +19,7 @@ the same root or on another root of the same graph, starts from scratch.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
@@ -388,18 +389,46 @@ def masked_info_nce(sim: Var, pos_idx: np.ndarray, neg_mask: np.ndarray,
     return out
 
 
+def _tree_nodes(n: int, leaf: int) -> int:
+    """Nodes of the kernel's k-d tree over n rows: 2P - 1, for P the
+    smallest power of two with P * leaf >= n."""
+    return (2 << (-(-n // leaf) - 1).bit_length()) - 1
+
+
+def _neighbours(xd: np.ndarray, yd: np.ndarray):
+    """The nearest row of yd to each row of xd, and of xd to each row of
+    yd, from the kernel ``chamfer``, given C-contiguous (n, d) float64
+    sets of one d with a row each at least."""
+    nx, ny, d = xd.shape[0], yd.shape[0], xd.shape[1]
+    dll = kernels.load()
+    leaf = ctypes.c_ssize_t.in_dll(dll, "chamfer_leaf").value
+    # the kernel's scratch: both sets' rows in tree order, one box per node
+    # of each tree, and after the answers in nn, the trees' row orders
+    nodes = _tree_nodes(nx, leaf) + _tree_nodes(ny, leaf)
+    nn = np.empty(2 * (nx + ny), dtype=np.intp)
+    dll.chamfer(xd, nx, yd, ny, d, np.empty(d * (nx + ny + 2 * nodes)), nn)
+    return nn[:nx], nn[nx:nx + ny]
+
+
 def chamfer(x: Var, y: Var) -> Var:
     """Two-sided mean squared nearest-neighbor distance between point sets.
 
     x and y are nonempty (n, d) sets of one d, else DimensionMismatch or
-    EmptySet. The C loop ``chamfer`` in ``kernels.c`` finds the neighbors
-    in both directions in one pass: each squared distance is summed in
-    column order, as in ``((x[:, None] - y[None]) ** 2).sum(-1)``, under
-    ``kernels.FLAGS`` (no fused multiply-add), and a neighbor is replaced
-    only on a strict ``<``, so both are bit for bit that dense matrix's
-    argmins, ties to the lowest index. The selected pair distances are then
-    recomputed from coordinate differences, so chamfer(X, X) is exactly
-    zero, and a NaN or infinite coordinate gives a non-finite value.
+    EmptySet. The kernel ``chamfer`` in ``kernels.c`` finds the neighbors
+    in both directions through two k-d trees, one over each set, with
+    leaves of at most ``chamfer_leaf`` rows and a bounding box per node.
+    Each squared distance is summed in column order, as in
+    ``((x[:, None] - y[None]) ** 2).sum(-1)``, under ``kernels.FLAGS`` (no
+    fused multiply-add), and candidates compare by (squared distance, row
+    index), so both are bit for bit that dense matrix's argmins, ties to
+    the lowest index. The search is exact: a node's bound is rounded step
+    by step as a distance is, from per-axis gaps no larger than any of its
+    rows' differences, so it never exceeds a computed distance to one of
+    them, and a node is skipped only when its bound is strictly greater
+    than the best distance so far, which keeps every tie in play. The
+    selected pair distances are then recomputed from coordinate
+    differences, so chamfer(X, X) is exactly zero, and a NaN or infinite
+    coordinate gives a non-finite value.
     """
     xd, yd = np.ascontiguousarray(x.data), np.ascontiguousarray(y.data)
     if xd.ndim != 2 or yd.ndim != 2 or xd.shape[1] != yd.shape[1]:
@@ -409,9 +438,7 @@ def chamfer(x: Var, y: Var) -> Var:
         raise EmptySet(f"chamfer with an empty point set: shapes "
                        f"{xd.shape} and {yd.shape}")
     nx, ny = xd.shape[0], yd.shape[0]
-    nn = np.empty(nx + ny, dtype=np.intp)
-    kernels.load().chamfer(xd, nx, yd, ny, xd.shape[1], np.empty(ny), nn)
-    nn_xy, nn_yx = nn[:nx], nn[nx:]
+    nn_xy, nn_yx = _neighbours(xd, yd)
     dx = xd - yd[nn_xy]
     dy = yd - xd[nn_yx]
     # sum / n is what ndarray.mean computes, without its Python overhead

@@ -171,35 +171,41 @@ def export_point_cloud(points: np.ndarray, path, fmt: str) -> None:
 def load_point_cloud(path, fmt: str) -> np.ndarray:
     """Read a cloud written by export_point_cloud as (n, 3) float64.
 
-    A truncated or ragged file, or a NaN or infinite coordinate, raises
-    CorruptManifest.
+    A truncated or ragged file, a PLY file that is not ASCII, or a NaN or
+    infinite coordinate, raises CorruptManifest.
     """
     path = Path(path)
     if fmt == "ascii-ply":
-        with open(path) as f:
-            if f.readline().strip() != "ply":
-                raise CorruptManifest(f"{path}: not a PLY file")
-            count = None
-            for line in f:
-                line = line.strip()
-                if line.startswith("element vertex"):
-                    count = line.split()[-1]
-                if line == "end_header":
-                    break
-            else:
-                raise CorruptManifest(f"{path}: missing end_header")
-            if count is None:
-                raise CorruptManifest(f"{path}: missing vertex element")
-            if not count.isdecimal():
-                raise CorruptManifest(f"{path}: bad vertex count {count!r}")
-            n = int(count)
-            rows = []
-            for _ in range(n):  # stops at the first short or missing row
-                rows.append(f.readline().split())
-                if len(rows[-1]) != 3:
+        # a byte that is not ASCII fails the decoder, which names no file;
+        # decoding as UTF-8 would let float() read digits of other scripts
+        try:
+            with open(path, encoding="ascii") as f:
+                if f.readline().strip() != "ply":
+                    raise CorruptManifest(f"{path}: not a PLY file")
+                count = None
+                for line in f:
+                    line = line.strip()
+                    if line.startswith("element vertex"):
+                        count = line.split()[-1]
+                    if line == "end_header":
+                        break
+                else:
+                    raise CorruptManifest(f"{path}: missing end_header")
+                if count is None:
+                    raise CorruptManifest(f"{path}: missing vertex element")
+                if not count.isdecimal():
                     raise CorruptManifest(
-                        f"{path}: vertex row {len(rows) - 1} of {n} does "
-                        f"not hold 3 values")
+                        f"{path}: bad vertex count {count!r}")
+                n = int(count)
+                rows = []
+                for _ in range(n):  # stops at the first short or missing row
+                    rows.append(f.readline().split())
+                    if len(rows[-1]) != 3:
+                        raise CorruptManifest(
+                            f"{path}: vertex row {len(rows) - 1} of {n} does "
+                            f"not hold 3 values")
+        except UnicodeDecodeError as e:
+            raise CorruptManifest(f"{path}: {e}") from None
         try:
             pts = np.array(rows, dtype=np.float64).reshape(n, 3)
         except ValueError as e:

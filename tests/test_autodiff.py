@@ -1,5 +1,7 @@
 """Finite-difference verification of every autodiff primitive."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from scenepretext import autodiff as ad
 from scenepretext import kernels
 from scenepretext.errors import DimensionMismatch, EmptySet
+from scenepretext.pipeline import PipelineConfig
+from scenepretext.scenegen import make_scene_pair
 
 from oracles import concat_rows, reference_fold, reference_linear
 
@@ -337,10 +341,7 @@ def dense_chamfer(xd, yd):
 def _nearest(xd, yd):
     """The kernel's neighbours in both directions, called as chamfer
     calls it."""
-    nn = np.empty(len(xd) + len(yd), dtype=np.intp)
-    kernels.load().chamfer(xd, len(xd), yd, len(yd), xd.shape[1],
-                           np.empty(len(yd)), nn)
-    return nn[:len(xd)], nn[len(xd):]
+    return ad._neighbours(xd, yd)
 
 
 BLOCK = 1 << 15     # the *-block cases straddle 2^15 pairs
@@ -462,6 +463,120 @@ def test_chamfer_of_non_finite_input_is_non_finite(bad, side):
     assert 0 <= nn_xy.min() and nn_xy.max() < len(yd)
     assert 0 <= nn_yx.min() and nn_yx.max() < len(xd)
     # inf - inf is NaN, which numpy reports as an invalid value
+    with np.errstate(invalid="ignore"):
+        val = ad.chamfer(ad.leaf(xd), ad.leaf(yd)).item()
+    assert not np.isfinite(val)
+
+
+def _leaf_rows():
+    """The kernel's Chamfer tree leaf size, in rows."""
+    return ctypes.c_ssize_t.in_dll(kernels.load(), "chamfer_leaf").value
+
+
+@st.composite
+def leaf_edge_cases(draw):
+    """Two integer lattices of one d in 1..4, each side of n rows at a leaf
+    edge (LEAF - 1, LEAF, LEAF + 1 or 2 LEAF + 1) or of up to 4 LEAF rows,
+    y optionally offset by 0.5 and x optionally drawn from a few of its own
+    rows: every squared distance is exact, so ties across leaves abound."""
+    leaf = _leaf_rows()
+    d = draw(st.integers(1, 4))
+    sizes = st.sampled_from([leaf - 1, leaf, leaf + 1, 2 * leaf + 1]) \
+        | st.integers(1, 4 * leaf)
+    nx, ny = draw(sizes), draw(sizes)
+    span = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xd = rng.integers(-span, span + 1, size=(nx, d)).astype(np.float64)
+    yd = rng.integers(-span, span + 1, size=(ny, d)) \
+        + draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):     # duplicated rows, spread over the leaves
+        xd = xd[rng.integers(max(1, nx // 4), size=nx)]
+    return xd, yd
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(leaf_edge_cases())
+def test_chamfer_neighbours_equal_the_dense_argmins_across_leaves(xy):
+    xd, yd = xy
+    _, nn_xy, nn_yx, _, _ = dense_chamfer(xd, yd)
+    got_xy, got_yx = _nearest(xd, yd)
+    np.testing.assert_array_equal(got_xy, nn_xy)
+    np.testing.assert_array_equal(got_yx, nn_yx)
+
+
+def _blobs(n, seed):
+    # tight clusters far apart, each spread over several leaves
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-100, 100, size=(4, 3))
+    return centres[rng.integers(4, size=n)] \
+        + rng.normal(scale=0.05, size=(n, 3))
+
+
+def _on_a_line(n, seed):
+    return np.random.default_rng(seed).integers(-20, 21, size=(n, 1)) \
+        * np.array([1.0, 2.0, -3.0])
+
+
+def _on_a_plane(n, seed, offset):
+    pts = np.random.default_rng(seed).integers(-6, 7, size=(n, 3)) + offset
+    pts[:, 2] = 1.0     # every box of zero height
+    return pts
+
+
+# cases whose trees have boxes of zero width, or many leaves
+TREE_CASES = {
+    "all-rows-identical": (np.ones((100, 3)), np.ones((150, 3))),
+    "one-point-each-side": (np.full((130, 3), 2.0), np.zeros((70, 3))),
+    "collinear": (_on_a_line(200, 40), _on_a_line(150, 41) + 0.5),
+    "coplanar": (_on_a_plane(200, 42, 0.0), _on_a_plane(170, 43, 0.5)),
+    "clustered-blobs": (_blobs(600, 44), _blobs(500, 45)),
+}
+
+
+@pytest.mark.parametrize("case", list(TREE_CASES))
+def test_chamfer_neighbours_equal_the_dense_argmins_on_tree_cases(case):
+    xd, yd = (np.ascontiguousarray(a, dtype=np.float64)
+              for a in TREE_CASES[case])
+    val, nn_xy, nn_yx, _, _ = dense_chamfer(xd, yd)
+    for x, y, want_xy, want_yx in ((xd, yd, nn_xy, nn_yx),
+                                   (yd, xd, nn_yx, nn_xy)):
+        got_xy, got_yx = _nearest(x, y)
+        np.testing.assert_array_equal(got_xy, want_xy)
+        np.testing.assert_array_equal(got_yx, want_yx)
+    assert ad.chamfer(ad.leaf(xd), ad.leaf(yd)).item() == val
+
+
+def test_chamfer_neighbours_equal_the_dense_argmins_on_a_scene():
+    # a default scene against every third of its rows, moved: as stored
+    # (object by object) and shuffled, which stretches every box over the
+    # room; fewer nodes are skipped, the neighbours stay the same
+    config = PipelineConfig()
+    pts = make_scene_pair(config.load_distribution(),
+                          config.n_objects_per_scene,
+                          config.make_asset_source(), 12).scene_a.points
+    shuffled = pts[np.random.default_rng(12).permutation(len(pts))]
+    for xd in (pts, shuffled):
+        yd = xd[::3] + 0.01
+        _, nn_xy, nn_yx, _, _ = dense_chamfer(xd, yd)
+        got_xy, got_yx = _nearest(xd, yd)
+        np.testing.assert_array_equal(got_xy, nn_xy)
+        np.testing.assert_array_equal(got_yx, nn_yx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y", "both"])
+def test_chamfer_of_non_finite_input_at_tree_sizes(bad, side):
+    # several bad rows in trees of many leaves: the builds' median splits
+    # compare the bad coordinates, and must still end in bounds
+    xd, yd = _cloud(300, 46), _cloud(200, 47)
+    for rows, hit in ((xd, side in ("x", "both")),
+                      (yd, side in ("y", "both"))):
+        if hit:
+            rows[[3, 70, 71, 150], [0, 1, 2, 0]] = bad
+            rows[100] = bad
+    nn_xy, nn_yx = _nearest(xd, yd)
+    assert 0 <= nn_xy.min() and nn_xy.max() < len(yd)
+    assert 0 <= nn_yx.min() and nn_yx.max() < len(xd)
     with np.errstate(invalid="ignore"):
         val = ad.chamfer(ad.leaf(xd), ad.leaf(yd)).item()
     assert not np.isfinite(val)

@@ -1198,6 +1198,28 @@ def _nan_coordinate(tmp_path, fmt):
     return ["losses", str(dataset)]
 
 
+def _ply_bytes(tmp_path, edit):
+    dataset, _ = _tiny_dataset(tmp_path, export_format="ascii-ply")
+    path = list_pair_dirs(dataset)[0] / "scene_a_complete.ply"
+    path.write_bytes(edit(path.read_bytes()))
+    return ["losses", str(dataset)]
+
+
+def _ply_byte_not_utf8(tmp_path):
+    # byte 200 of a PLY cloud, inside its vertex rows, set to 0xff
+    return _ply_bytes(tmp_path, lambda raw: raw[:200] + b"\xff" + raw[201:])
+
+
+def _ply_arabic_indic_digit(tmp_path):
+    # the first vertex row's first "1" written as U+0661, ARABIC-INDIC
+    # DIGIT ONE, which float() reads as 1
+    def edit(raw):
+        start = raw.index(b"end_header\n") + len(b"end_header\n")
+        one = raw.index(b"1", start)
+        return raw[:one] + "\u0661".encode() + raw[one + 1:]
+    return _ply_bytes(tmp_path, edit)
+
+
 def _losses_with_corrupt_checkpoint(tmp_path, corrupt):
     dataset, config = _tiny_dataset(tmp_path)
     ckpt = tmp_path / "ckpt.json"
@@ -1370,6 +1392,8 @@ def _distribution_beyond_the_recipes(tmp_path):
 CLI_INPUT_FAULTS = {
     "nan-bin-coordinate": lambda tmp: _nan_coordinate(tmp, "binary-f32"),
     "nan-ply-coordinate": lambda tmp: _nan_coordinate(tmp, "ascii-ply"),
+    "ply-byte-not-utf8": _ply_byte_not_utf8,
+    "ply-arabic-indic-digit": _ply_arabic_indic_digit,
     "nan-encoder-weight":
         lambda tmp: _losses_with_corrupt_checkpoint(tmp, _nan_encoder_weight),
     "nan-head-weight":
@@ -1457,6 +1481,13 @@ CLI_INPUT_FAULTS = {
 @pytest.mark.parametrize("fault", list(CLI_INPUT_FAULTS))
 def test_cli_malformed_input_exit_2(tmp_path, fault):
     assert main(CLI_INPUT_FAULTS[fault](tmp_path)) == 2
+
+
+def test_cli_names_a_ply_cloud_that_is_not_utf8(tmp_path, capsys):
+    assert main(_ply_byte_not_utf8(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "scene_a_complete.ply: " in err
+    assert "can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("table", ["scene_counts", "objects_per_scene",
