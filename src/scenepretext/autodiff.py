@@ -19,7 +19,6 @@ the same root or on another root of the same graph, starts from scratch.
 
 from __future__ import annotations
 
-import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
@@ -389,25 +388,15 @@ def masked_info_nce(sim: Var, pos_idx: np.ndarray, neg_mask: np.ndarray,
     return out
 
 
-def _tree_nodes(n: int, leaf: int) -> int:
-    """Nodes of the kernel's k-d tree over n rows: 2P - 1, for P the
-    smallest power of two with P * leaf >= n."""
-    return (2 << (-(-n // leaf) - 1).bit_length()) - 1
-
-
 def _neighbours(xd: np.ndarray, yd: np.ndarray):
     """The nearest row of yd to each row of xd, and of xd to each row of
     yd, from the kernel ``chamfer``, given C-contiguous (n, d) float64
     sets of one d with a row each at least."""
-    nx, ny, d = xd.shape[0], yd.shape[0], xd.shape[1]
-    dll = kernels.load()
-    leaf = ctypes.c_ssize_t.in_dll(dll, "chamfer_leaf").value
-    # the kernel's scratch: both sets' rows in tree order, one box per node
-    # of each tree, and after the answers in nn, the trees' row orders
-    nodes = _tree_nodes(nx, leaf) + _tree_nodes(ny, leaf)
-    nn = np.empty(2 * (nx + ny), dtype=np.intp)
-    dll.chamfer(xd, nx, yd, ny, d, np.empty(d * (nx + ny + 2 * nodes)), nn)
-    return nn[:nx], nn[nx:nx + ny]
+    nx, ny = xd.shape[0], yd.shape[0]
+    nn = np.empty(nx + ny, dtype=np.intp)
+    if kernels.load().chamfer(xd, nx, yd, ny, xd.shape[1], nn):
+        raise MemoryError(f"no scratch for Chamfer of {nx} x {ny} rows")
+    return nn[:nx], nn[nx:]
 
 
 def chamfer(x: Var, y: Var) -> Var:
@@ -416,8 +405,9 @@ def chamfer(x: Var, y: Var) -> Var:
     x and y are nonempty (n, d) sets of one d, else DimensionMismatch or
     EmptySet. The kernel ``chamfer`` in ``kernels.c`` finds the neighbors
     in both directions through two k-d trees, one over each set, with
-    leaves of at most ``chamfer_leaf`` rows and a bounding box per node.
-    Each squared distance is summed in column order, as in
+    leaves of at most ``chamfer_leaf`` rows and a bounding box per node,
+    allocated as one block per call; MemoryError if it cannot be. Each
+    squared distance is summed in column order, as in
     ``((x[:, None] - y[None]) ** 2).sum(-1)``, under ``kernels.FLAGS`` (no
     fused multiply-add), and candidates compare by (squared distance, row
     index), so both are bit for bit that dense matrix's argmins, ties to

@@ -10,7 +10,6 @@ counterparts are rejected.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,8 @@ def farthest_point_sample(points: np.ndarray, m: int,
     skipped work could not have changed a pick. That holds only under the
     kernels' build flags (no fused multiply-add, no ``-ffast-math``).
     Clouds stored object by object prune well; any row order gives the
-    same picks.
+    same picks. The kernel allocates its scratch as one block per call,
+    and MemoryError is raised when it cannot.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -114,12 +114,8 @@ def farthest_point_sample(points: np.ndarray, m: int,
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     chosen = np.empty(m, dtype=np.intp)
     chosen[0] = rng.integers(n)
-    dll = kernels.load()
-    # the kernel's scratch: each point's running minimum distance, and each
-    # bucket's bounding box, largest running minimum and its lowest row
-    nb = -(-n // ctypes.c_ssize_t.in_dll(dll, "fps_bucket").value)
-    dll.fps(points, n, m, np.empty(n), chosen, np.empty((nb, 6)),
-            np.empty(nb), np.empty(nb, dtype=np.intp))
+    if kernels.load().fps(points, n, m, chosen):
+        raise MemoryError(f"no scratch for FPS over {n} points")
     return chosen
 
 

@@ -16,40 +16,67 @@
  * two differently. fps skips the buckets of consecutive rows a pick cannot
  * change; chamfer searches a k-d tree (Friedman, Bentley and Finkel,
  * 1977) and skips the nodes that cannot hold a nearer or tied row.
+ *
+ * Each kernel takes its scratch as one malloc block, sized from its
+ * inputs and freed before it returns. It returns 0, or -1 with no answer
+ * written when the block cannot be had.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdlib.h>
 
-/* Rows per fps bucket; farthest_point_sample reads fps_bucket to size
- * the bucket scratch. */
+/* Rows per fps bucket; exported only so that tests can place cloud sizes
+ * at bucket edges. */
 #define BS 64
 const ptrdiff_t fps_bucket = BS;
+
+/* A lower bound on the squared distance from c to every row in the box
+ * bx: the per-axis gaps max(0, lo - c, c - hi), squared and summed in
+ * column order as a distance is. */
+static inline double bound(const double *c, const double *bx, ptrdiff_t d)
+{
+    double s = 0.0;
+    for (ptrdiff_t k = 0; k < d; k++) {
+        const double below = bx[k] - c[k], above = c[k] - bx[d + k];
+        const double gap = below > above ? below : above;
+        const double g = gap > 0.0 ? gap : 0.0;
+        s += g * g;
+    }
+    return s;
+}
 
 /* Greedy farthest point sampling of an (n, 3) cloud, the picks of the
  * np.linalg.norm(points - c, axis=1) loop, bit for bit.
  *
  * chosen[0] is set by the caller; picks 1 .. m-1 are written here. The
- * rows are cut into buckets of BS consecutive rows; bucket b keeps
+ * rows are cut into nb buckets of BS consecutive rows; bucket b keeps
  * its bounding box, box[6b .. 6b+2] low and box[6b+3 .. 6b+5] high, the
  * largest running minimum of its rows, best[b], and the lowest row holding
- * it, arg[b]. Clouds stored object by object make the boxes small; any
- * row order gives the same picks, only more slowly.
+ * it, arg[b]. The scratch block holds min_d, each row's running minimum,
+ * then box, best and arg. Clouds stored object by object make the boxes
+ * small; any row order gives the same picks, only more slowly.
  *
- * For each pick c, the distance from c to a box is bounded below by the
- * per-axis gaps max(0, lo - c, c - hi), combined as a distance is. Every
- * point of the box has |fl(p - c)| >= the gap on each axis, by monotone
- * rounding, so its computed distance is >= the bound. A bucket whose
- * bound is >= best[b] therefore holds no running minimum that c lowers,
- * and is skipped. The others get one pass that computes each distance,
- * lowers the running minimum and refreshes the bucket's best. The next
- * pick is the best of the first bucket, in row order, with the largest
- * best, so ties go to the lowest index, as with np.argmax. The points must
- * be finite: a NaN compares false here where np.argmax would pick it.
+ * For each pick c, the root of bound() to a bucket's box is at most the
+ * computed distance to any of its points: each point has |fl(p - c)| >=
+ * the gap on each axis, by monotone rounding, and bound's sum, started at
+ * 0.0, rounds as a distance's does, since 0.0 + g*g is exactly g*g. A
+ * bucket whose bound is >= best[b] therefore holds no running minimum
+ * that c lowers, and is skipped. The others get one pass that computes
+ * each distance, lowers the running minimum and refreshes the bucket's
+ * best. The next pick is the best of the first bucket, in row order, with
+ * the largest best, so ties go to the lowest index, as with np.argmax.
+ * The points must be finite: a NaN compares false here where np.argmax
+ * would pick it.
  */
-void fps(const double *p, ptrdiff_t n, ptrdiff_t m, double *min_d,
-         ptrdiff_t *chosen, double *box, double *best, ptrdiff_t *arg)
+int fps(const double *p, ptrdiff_t n, ptrdiff_t m, ptrdiff_t *chosen)
 {
     const ptrdiff_t nb = (n + BS - 1) / BS;
+    double *min_d = malloc((n + 7 * nb) * sizeof(double)
+                           + nb * sizeof(ptrdiff_t));
+    if (min_d == NULL)
+        return -1;
+    double *box = min_d + n, *best = box + 6 * nb;
+    ptrdiff_t *arg = (ptrdiff_t *)(best + nb);
     for (ptrdiff_t b = 0; b < nb; b++) {
         const ptrdiff_t lo = b * BS, hi = lo + BS < n ? lo + BS : n;
         double *bx = box + 6 * b;
@@ -72,16 +99,7 @@ void fps(const double *p, ptrdiff_t n, ptrdiff_t m, double *min_d,
         double top = -1.0;
         ptrdiff_t next = 0;
         for (ptrdiff_t b = 0; b < nb; b++) {
-            const double *bx = box + 6 * b;
-            double g[3];
-            for (ptrdiff_t k = 0; k < 3; k++) {
-                const double below = bx[k] - c[k], above = c[k] - bx[3 + k];
-                const double gap = below > above ? below : above;
-                g[k] = gap > 0.0 ? gap : 0.0;
-            }
-            const double bound = sqrt((g[0] * g[0] + g[1] * g[1])
-                                      + g[2] * g[2]);
-            if (bound < best[b]) {
+            if (sqrt(bound(c, box + 6 * b, 3)) < best[b]) {
                 const ptrdiff_t lo = b * BS, hi = lo + BS < n ? lo + BS : n;
                 double bb = -1.0;
                 ptrdiff_t ba = lo;
@@ -107,10 +125,12 @@ void fps(const double *p, ptrdiff_t n, ptrdiff_t m, double *min_d,
         }
         chosen[i] = next;
     }
+    free(min_d);
+    return 0;
 }
 
-/* Rows per Chamfer k-d tree leaf, at most; autodiff.chamfer reads
- * chamfer_leaf to size the tree scratch. */
+/* Rows per Chamfer k-d tree leaf, at most; exported only so that tests
+ * can place set sizes at leaf edges. */
 #define LEAF 32
 const ptrdiff_t chamfer_leaf = LEAF;
 
@@ -206,21 +226,6 @@ static inline void build(const double *p, ptrdiff_t n, ptrdiff_t d,
             pts[d * j + k] = p[d * perm[j] + k];
 }
 
-/* A lower bound on the squared distance from c to every row in the box
- * bx: the per-axis gaps max(0, lo - c, c - hi), squared and summed in
- * column order as a distance is. */
-static inline double bound(const double *c, const double *bx, ptrdiff_t d)
-{
-    double s = 0.0;
-    for (ptrdiff_t k = 0; k < d; k++) {
-        const double below = bx[k] - c[k], above = c[k] - bx[d + k];
-        const double gap = below > above ? below : above;
-        const double g = gap > 0.0 ? gap : 0.0;
-        s += g * g;
-    }
-    return s;
-}
-
 /* For each of the nq rows q, in tree order qperm, the nearest row of the
  * tree (perm, pts, box) over n rows: out[qperm[i]] is its index. The
  * search goes depth first, the child with the smaller bound first, and
@@ -295,13 +300,13 @@ static inline void query(const double *q, const ptrdiff_t *qperm,
  * argmins of numpy's dense ((x[:, None] - y[None]) ** 2).sum(-1), bit for
  * bit, ties to the lowest index.
  *
- * nn is (2 (nx + ny),): nn[i] is the nearest row of y to row i of x, and
- * nn[nx + j] the nearest row of x to row j of y; the rest is the two
- * trees' perm. work holds both sets' pts, then the boxes of the tree over
- * x and of the tree over y: (nx + ny) d + 2d (2Px - 1 + 2Py - 1) doubles,
- * for the trees' leaf counts Px and Py. One tree is built over y, for x's
- * queries, and one over x, for y's; each set is queried in its own tree's
- * order, so consecutive queries are near each other.
+ * nn is (nx + ny,): nn[i] is the nearest row of y to row i of x, and
+ * nn[nx + j] the nearest row of x to row j of y. The scratch block holds
+ * both sets' pts, the boxes of the tree over x and of the tree over y,
+ * 2d (2Px - 1 + 2Py - 1) doubles for the trees' leaf counts Px and Py,
+ * and then both trees' perm. One tree is built over y, for x's queries,
+ * and one over x, for y's; each set is queried in its own tree's order,
+ * so consecutive queries are near each other.
  *
  * Exactness: a node's bound is built from per-axis gaps no larger than
  * any of its rows' differences, by the same rounded steps as a distance
@@ -316,20 +321,28 @@ static inline void neighbours(const double *x, ptrdiff_t nx,
                               const double *y, ptrdiff_t ny, ptrdiff_t d,
                               double *work, ptrdiff_t *nn)
 {
-    ptrdiff_t *perm_x = nn + nx + ny, *perm_y = perm_x + nx;
     double *pts_x = work, *pts_y = pts_x + d * nx, *box_x = pts_y + d * ny;
     double *box_y = box_x + 2 * d * (2 * leaves(nx) - 1);
+    ptrdiff_t *perm_x = (ptrdiff_t *)(box_y + 2 * d * (2 * leaves(ny) - 1));
+    ptrdiff_t *perm_y = perm_x + nx;
     build(x, nx, d, perm_x, pts_x, box_x);
     build(y, ny, d, perm_y, pts_y, box_y);
     query(pts_x, perm_x, nx, pts_y, perm_y, box_y, ny, d, nn);
     query(pts_y, perm_y, ny, pts_x, perm_x, box_x, nx, d, nn + nx);
 }
 
-void chamfer(const double *x, ptrdiff_t nx, const double *y, ptrdiff_t ny,
-             ptrdiff_t d, double *work, ptrdiff_t *nn)
+int chamfer(const double *x, ptrdiff_t nx, const double *y, ptrdiff_t ny,
+            ptrdiff_t d, ptrdiff_t *nn)
 {
+    const ptrdiff_t nodes = 2 * leaves(nx) - 1 + 2 * leaves(ny) - 1;
+    double *work = malloc(d * (nx + ny + 2 * nodes) * sizeof(double)
+                          + (nx + ny) * sizeof(ptrdiff_t));
+    if (work == NULL)
+        return -1;
     if (d == 3)     /* a constant d lets the compiler unroll the sums */
         neighbours(x, nx, y, ny, 3, work, nn);
     else
         neighbours(x, nx, y, ny, d, work, nn);
+    free(work);
+    return 0;
 }

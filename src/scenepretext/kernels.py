@@ -39,12 +39,10 @@ def _array(dtype, ndim: int):
 # checks every argument against them, arrays by dtype, rank and contiguity
 SIGNATURES = {
     "fps": ([_array(np.float64, 2), ctypes.c_ssize_t, ctypes.c_ssize_t,
-             _array(np.float64, 1), _array(np.intp, 1),
-             _array(np.float64, 2), _array(np.float64, 1),
-             _array(np.intp, 1)], None),
+             _array(np.intp, 1)], ctypes.c_int),
     "chamfer": ([_array(np.float64, 2), ctypes.c_ssize_t,
                  _array(np.float64, 2), ctypes.c_ssize_t, ctypes.c_ssize_t,
-                 _array(np.float64, 1), _array(np.intp, 1)], None),
+                 _array(np.intp, 1)], ctypes.c_int),
 }
 
 

@@ -219,13 +219,14 @@ def load_point_cloud(path, fmt: str) -> np.ndarray:
         if len(raw) - 8 != 12 * n:
             raise CorruptManifest(
                 f"{path}: {len(raw) - 8} payload bytes for {n} points")
-        pts = np.frombuffer(raw, dtype="<f4", offset=8)
-        pts = pts.reshape(n, 3).astype(np.float64)
+        pts = np.frombuffer(raw, dtype="<f4", offset=8).reshape(n, 3)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    # checked before the cast: widening a float32 signaling NaN raises the
+    # FP invalid flag, and numpy warns; isfinite raises no flag
     if not np.isfinite(pts).all():
         raise CorruptManifest(f"{path}: non-finite coordinate")
-    return pts
+    return pts.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)

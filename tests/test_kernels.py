@@ -1,5 +1,6 @@
 """Building and loading the compiled kernels: the cache, the typed error
-when a kernel cannot be built, and the atomic first compile."""
+when a kernel cannot be built, the atomic first compile, and the scratch
+each kernel allocates and frees."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import scenepretext
+from scenepretext import autodiff as ad
 from scenepretext import kernels
 from scenepretext.cli import main
 from scenepretext.correspondence import farthest_point_sample
@@ -142,3 +144,68 @@ def test_concurrent_first_compiles_leave_one_library(tmp_path, name):
     cache = tmp_path / "xdg" / "scenepretext"
     assert [p.name.split("-")[0] for p in cache.glob("*.so")] == ["kernels"]
     assert list(cache.glob("*.tmp")) == []
+
+
+def _resident_mb() -> float:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_kernel_scratch_is_freed():
+    # each block, 28 KB for fps and 43 KB for chamfer here, lies below
+    # malloc's mmap threshold, so one that is never freed stays resident:
+    # about 50 and 80 MB over 2000 calls, against 0.1 MB when freed
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(576, 3)), rng.normal(size=(576, 3))
+    cloud = rng.normal(size=(3072, 3))
+
+    def calls(k):
+        for _ in range(k):
+            ad._neighbours(x, y)
+            farthest_point_sample(cloud, 8, 1)
+
+    calls(50)
+    before = _resident_mb()
+    calls(2000)
+    assert _resident_mb() - before < 16
+
+
+# under an address-space limit 5 MB above what the inputs take, each
+# kernel's block (8 MB for fps, 10 MB for chamfer) cannot be had; the
+# library and the isfinite check's 3 MB temporary are mapped once before
+NO_SCRATCH = """
+import resource
+import numpy as np
+from scenepretext import autodiff as ad
+from scenepretext import kernels
+from scenepretext.correspondence import farthest_point_sample
+cloud = np.random.default_rng(9).normal(size=(10**6, 3))
+x, y = np.ones((5000, 200)), np.zeros((1, 200))
+np.isfinite(cloud).all()
+kernels.load()
+with open("/proc/self/statm") as f:
+    vm = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS,
+                   (vm + 5 * 2**20, resource.RLIM_INFINITY))
+for call in (lambda: farthest_point_sample(cloud, 2, 1),
+             lambda: ad._neighbours(x, y)):
+    try:
+        call()
+    except MemoryError as e:
+        print(e)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_kernels_without_scratch_raise_memory_error():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(scenepretext.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", NO_SCRATCH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "no scratch for FPS over 1000000 points",
+        "no scratch for Chamfer of 5000 x 1 rows"]

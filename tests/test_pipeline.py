@@ -96,12 +96,14 @@ PLY_HEADER_2 = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
     ("ascii-ply", PLY_HEADER_2.replace("vertex 2", "vertex two")),
     ("binary-f32", BIN_HEADER_3 + struct.pack("<9f", *[0.0] * 8, np.nan)),
     ("binary-f32", BIN_HEADER_3 + struct.pack("<9f", -np.inf, *[0.0] * 8)),
+    ("binary-f32", BIN_HEADER_3 + struct.pack("<8f", *[0.0] * 8)
+     + struct.pack("<I", 0x7f800001)),
     ("ascii-ply", PLY_HEADER_2 + "1 2 3\n4 nan 6\n"),
     ("ascii-ply", PLY_HEADER_2 + "inf 2 3\n4 5 6\n"),
 ], ids=["bin-empty", "bin-short-header", "bin-short-payload",
         "bin-long-payload", "ply-missing-row", "ply-short-row",
         "ply-long-row", "ply-non-numeric", "ply-bad-count", "bin-nan",
-        "bin-inf", "ply-nan", "ply-inf"])
+        "bin-inf", "bin-signaling-nan", "ply-nan", "ply-inf"])
 def test_truncated_or_ragged_geometry_raises_corrupt_manifest(
         tmp_path, fmt, content):
     path = tmp_path / "cloud"
